@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "api/observer.h"
+#include "core/observer.h"
 #include "api/options.h"
 #include "api/target_factory.h"
 #include "core/engine.h"

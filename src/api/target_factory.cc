@@ -16,12 +16,14 @@
 namespace aid {
 namespace {
 
-/// The one composition rule of the execution substrates: subprocess
+/// Validates the substrate knobs of `config` before a backend does any
+/// work: parallelism, scheduler, and the one composition rule -- subprocess
 /// sandboxing and a remote fleet are both "replicas live in their own
 /// process", so stacking them is a configuration error, not a feature.
-Status ValidateSubstrate(const std::vector<std::string>& fleet,
-                         Isolation isolation) {
-  if (!fleet.empty() && isolation == Isolation::kSubprocess) {
+Status ValidateSubstrate(const TargetConfig& config) {
+  AID_RETURN_IF_ERROR(ValidateParallelism(config.parallelism));
+  AID_RETURN_IF_ERROR(ValidateSchedulerOptions(config.scheduler));
+  if (!config.fleet.empty() && config.isolation == Isolation::kSubprocess) {
     return Status::InvalidArgument(
         "target config: a remote fleet and subprocess isolation are "
         "mutually exclusive (the fleet already sandboxes every replica in "
@@ -30,42 +32,92 @@ Status ValidateSubstrate(const std::vector<std::string>& fleet,
   return Status::OK();
 }
 
+/// The intervention side of every built-in backend: the in-process target,
+/// replaced by a sandboxed subject process or a remote fleet when the config
+/// asks for one, and pooled into a ParallelTarget when parallelism > 1.
+/// Declare it after every member it borrows: the pool must die first.
+class SubstrateStack {
+ public:
+  /// Stacks the substrate `config` describes over `local` (borrowed).
+  /// Out-of-process replicas rebuild the subject from `spec` and must
+  /// report `catalog_size` predicates at handshake. `config` must have
+  /// passed ValidateSubstrate.
+  Status Assemble(ReplicableTarget* local, const SubjectSpec& spec,
+                  uint32_t catalog_size, const TargetConfig& config) {
+    serial_ = local;
+    if (!config.fleet.empty()) {
+      AID_ASSIGN_OR_RETURN(std::vector<Endpoint> endpoints,
+                           ParseEndpoints(config.fleet));
+      RemoteOptions opts = config.remote;
+      opts.expected_catalog_size = catalog_size;
+      opts.telemetry = config.telemetry;
+      AID_ASSIGN_OR_RETURN(
+          isolated_, FleetTarget::Create(std::move(endpoints), spec, opts));
+    } else if (config.isolation == Isolation::kSubprocess) {
+      SubprocessOptions opts = config.subprocess;
+      opts.expected_catalog_size = catalog_size;
+      opts.telemetry = config.telemetry;
+      AID_ASSIGN_OR_RETURN(isolated_, SubprocessTarget::Create(spec, opts));
+    }
+    if (isolated_ != nullptr) serial_ = isolated_.get();
+    if (config.parallelism > 1) {
+      AID_ASSIGN_OR_RETURN(
+          parallel_, ParallelTarget::Create(serial_, config.parallelism,
+                                            config.scheduler,
+                                            config.telemetry.get()));
+    }
+    // Keep the bundle alive as long as the substrates that record into it
+    // (the session usually shares it too).
+    telemetry_ = config.telemetry;
+    return Status::OK();
+  }
+
+  InterventionTarget* top() {
+    if (parallel_ != nullptr) return parallel_.get();
+    return serial_;
+  }
+
+ private:
+  /// The serial intervention backend: isolated_ when set, else the local
+  /// target.
+  ReplicableTarget* serial_ = nullptr;
+  /// Subprocess child or remote fleet; null for in-process interventions.
+  std::unique_ptr<ReplicableTarget> isolated_;
+  std::shared_ptr<Telemetry> telemetry_;
+  /// Replica pool over serial_; set iff parallelism > 1. Declared last: it
+  /// borrows serial_, so it must die first.
+  std::unique_ptr<ParallelTarget> parallel_;
+};
+
 /// A VmTarget plus the statistical-debugging stage, optionally owning the
 /// case study the program came from. Observation always runs in-process
-/// (the extractor needs the traces); under subprocess isolation the
-/// *intervention* side is a SubprocessTarget over the same subject, whose
-/// child re-runs the deterministic observation scan and therefore rebuilds
-/// the identical predicate catalog (cross-checked at handshake).
+/// (the extractor needs the traces); out-of-process intervention replicas
+/// re-run the deterministic observation scan and therefore rebuild the
+/// identical predicate catalog (cross-checked at handshake).
 class VmSessionTarget : public SessionTarget {
  public:
+  /// Observes `config.program` under `config.vm`, or -- with `study` --
+  /// the study's program under its own options, shipped to out-of-process
+  /// replicas by its key `config.case_study`.
   static Result<std::unique_ptr<SessionTarget>> Create(
-      std::string name, const Program* program, const VmTargetOptions& options,
-      std::optional<CaseStudy> owned_study, int parallelism = 1,
-      Isolation isolation = Isolation::kInProcess,
-      const SubprocessOptions& subprocess = {},
-      const std::string& case_key = {},
-      const std::vector<std::string>& fleet = {},
-      const RemoteOptions& remote = {},
-      const SchedulerOptions& scheduler = {},
-      const AnalysisOptions& analysis = {},
-      std::shared_ptr<Telemetry> telemetry = nullptr) {
-    AID_RETURN_IF_ERROR(ValidateParallelism(parallelism));
-    AID_RETURN_IF_ERROR(ValidateSchedulerOptions(scheduler));
-    AID_RETURN_IF_ERROR(ValidateSubstrate(fleet, isolation));
+      std::string name, const TargetConfig& config,
+      std::optional<CaseStudy> study = std::nullopt) {
+    AID_RETURN_IF_ERROR(ValidateSubstrate(config));
     std::unique_ptr<VmSessionTarget> target(
         new VmSessionTarget(std::move(name)));
-    VmTargetOptions effective = options;
-    if (owned_study.has_value()) {
+    const Program* program = config.program;
+    VmTargetOptions effective = config.vm;
+    if (study.has_value()) {
       // Move the study into the target first so the program pointer is
       // taken from its final location.
-      target->study_ = std::move(owned_study);
+      target->study_ = std::move(study);
       program = &target->study_->program;
       effective = target->study_->target_options;
     }
     // The session-level analysis knob wins over whatever the backend
     // options carry -- crucially AFTER the owned-study overwrite above, or
     // WithStaticAnalysis would be silently dropped on case studies.
-    if (analysis.enabled) effective.analysis = analysis;
+    if (config.analysis.enabled) effective.analysis = config.analysis;
     if (program == nullptr) {
       return Status::InvalidArgument(
           "vm target: TargetConfig::program is required");
@@ -82,44 +134,19 @@ class VmSessionTarget : public SessionTarget {
       target->sd_scores_.push_back(
           SuspiciousnessScore{ranked.id, ranked.stats.f1()});
     }
-    if (isolation == Isolation::kSubprocess || !fleet.empty()) {
-      SubjectSpec spec;
-      if (!case_key.empty()) {
-        spec.kind = SubjectKind::kCase;
-        spec.case_key = case_key;
-      } else {
-        spec.kind = SubjectKind::kVmProgram;
-        spec.program = program;
-        spec.vm = effective;
-      }
-      const auto catalog_size = static_cast<uint32_t>(
-          target->vm_target_->extractor().catalog().size());
-      if (!fleet.empty()) {
-        AID_ASSIGN_OR_RETURN(std::vector<Endpoint> endpoints,
-                             ParseEndpoints(fleet));
-        RemoteOptions opts = remote;
-        opts.expected_catalog_size = catalog_size;
-        opts.telemetry = telemetry;
-        AID_ASSIGN_OR_RETURN(target->fleet_,
-                             FleetTarget::Create(std::move(endpoints), spec,
-                                                 opts));
-      } else {
-        SubprocessOptions opts = subprocess;
-        opts.expected_catalog_size = catalog_size;
-        opts.telemetry = telemetry;
-        AID_ASSIGN_OR_RETURN(target->subprocess_,
-                             SubprocessTarget::Create(spec, opts));
-      }
+    SubjectSpec spec;
+    if (target->study_.has_value()) {
+      spec.kind = SubjectKind::kCase;
+      spec.case_key = config.case_study;
+    } else {
+      spec.kind = SubjectKind::kVmProgram;
+      spec.program = program;
+      spec.vm = effective;
     }
-    if (parallelism > 1) {
-      AID_ASSIGN_OR_RETURN(
-          target->parallel_,
-          ParallelTarget::Create(target->replicable_target(), parallelism,
-                                 scheduler, telemetry.get()));
-    }
-    // Keep the bundle alive as long as the target stack that records into
-    // it (the session usually shares it too).
-    target->telemetry_ = std::move(telemetry);
+    AID_RETURN_IF_ERROR(target->stack_.Assemble(
+        target->vm_target_.get(), spec,
+        static_cast<uint32_t>(target->vm_target_->extractor().catalog().size()),
+        config));
     return std::unique_ptr<SessionTarget>(std::move(target));
   }
 
@@ -128,10 +155,7 @@ class VmSessionTarget : public SessionTarget {
     return study_.has_value() ? std::string_view(study_->origin)
                               : std::string_view();
   }
-  InterventionTarget* intervention_target() override {
-    if (parallel_ != nullptr) return parallel_.get();
-    return replicable_target();
-  }
+  InterventionTarget* intervention_target() override { return stack_.top(); }
   Result<AcDag> BuildAcDag() override { return vm_target_->BuildAcDag(); }
   const PredicateCatalog* catalog() const override {
     return &vm_target_->extractor().catalog();
@@ -153,69 +177,55 @@ class VmSessionTarget : public SessionTarget {
  private:
   explicit VmSessionTarget(std::string name) : name_(std::move(name)) {}
 
-  /// The serial intervention backend: the remote fleet when one is
-  /// configured, the isolated child when subprocess isolation is on, the
-  /// in-process VM target otherwise.
-  ReplicableTarget* replicable_target() {
-    if (fleet_ != nullptr) return fleet_.get();
-    if (subprocess_ != nullptr) return subprocess_.get();
-    return vm_target_.get();
-  }
-
   std::string name_;
   std::optional<CaseStudy> study_;  ///< set iff this target owns its study
   const Program* program_ = nullptr;
   std::unique_ptr<VmTarget> vm_target_;
-  /// Process-isolated intervention backend; set iff isolation = subprocess.
-  std::unique_ptr<SubprocessTarget> subprocess_;
-  /// Remote-fleet intervention backend; set iff the config named a fleet.
-  std::unique_ptr<FleetTarget> fleet_;
-  /// Shared with every substrate above that records into it; held so the
-  /// bundle cannot die before the recording targets do.
-  std::shared_ptr<Telemetry> telemetry_;
-  /// Replica pool over replicable_target(); set iff parallelism > 1.
-  /// Declared last: it borrows the targets above, so it must die first.
-  std::unique_ptr<ParallelTarget> parallel_;
   int sd_count_ = 0;
   /// SD suspiciousness ranking (F1 scores) for adaptive-budget priors.
   std::vector<SuspiciousnessScore> sd_scores_;
+  /// Declared last: it borrows vm_target_.
+  SubstrateStack stack_;
 };
 
 /// A ground-truth model target (deterministic or flaky). Borrows the model.
 class ModelSessionTarget : public SessionTarget {
  public:
+  /// Targets `config.model`; with `flaky`, the root cause manifests with
+  /// `config.manifest_probability` (FlakyModelTarget seeded with
+  /// `config.flaky_seed`).
   static Result<std::unique_ptr<SessionTarget>> Create(
-      std::string name, const GroundTruthModel* model,
-      std::unique_ptr<ReplicableTarget> intervention, int parallelism,
-      const SchedulerOptions& scheduler = {},
-      const AnalysisOptions& analysis = {},
-      std::shared_ptr<Telemetry> telemetry = nullptr) {
-    AID_RETURN_IF_ERROR(ValidateParallelism(parallelism));
-    AID_RETURN_IF_ERROR(ValidateSchedulerOptions(scheduler));
-    auto target = std::make_unique<ModelSessionTarget>(
-        std::move(name), model, std::move(intervention));
-    target->analysis_ = analysis;
-    if (parallelism > 1) {
-      AID_ASSIGN_OR_RETURN(
-          target->parallel_,
-          ParallelTarget::Create(target->intervention_.get(), parallelism,
-                                 scheduler, telemetry.get()));
+      std::string name, const TargetConfig& config, bool flaky) {
+    const GroundTruthModel* model = config.model;
+    if (model == nullptr) {
+      return Status::InvalidArgument(
+          "model target: TargetConfig::model is required");
     }
-    target->telemetry_ = std::move(telemetry);
+    AID_RETURN_IF_ERROR(ValidateSubstrate(config));
+    const double manifest_probability =
+        flaky ? config.manifest_probability : 1.0;
+    std::unique_ptr<ModelSessionTarget> target(
+        new ModelSessionTarget(std::move(name), model, config.analysis));
+    SubjectSpec spec;
+    spec.model = model;
+    if (manifest_probability >= 1.0) {
+      spec.kind = SubjectKind::kModel;
+      target->local_ = std::make_unique<ModelTarget>(model);
+    } else {
+      spec.kind = SubjectKind::kFlakyModel;
+      spec.manifest_probability = manifest_probability;
+      spec.flaky_seed = config.flaky_seed;
+      target->local_ = std::make_unique<FlakyModelTarget>(
+          model, manifest_probability, config.flaky_seed);
+    }
+    AID_RETURN_IF_ERROR(target->stack_.Assemble(
+        target->local_.get(), spec,
+        static_cast<uint32_t>(model->catalog().size()), config));
     return std::unique_ptr<SessionTarget>(std::move(target));
   }
 
-  ModelSessionTarget(std::string name, const GroundTruthModel* model,
-                     std::unique_ptr<ReplicableTarget> intervention)
-      : name_(std::move(name)),
-        model_(model),
-        intervention_(std::move(intervention)) {}
-
   std::string_view name() const override { return name_; }
-  InterventionTarget* intervention_target() override {
-    if (parallel_ != nullptr) return parallel_.get();
-    return intervention_.get();
-  }
+  InterventionTarget* intervention_target() override { return stack_.top(); }
   Result<AcDag> BuildAcDag() override {
     if (!analysis_.enabled || !analysis_.prune_edges) {
       return model_->BuildAcDag();
@@ -240,16 +250,18 @@ class ModelSessionTarget : public SessionTarget {
   AnalysisSummary analysis_summary() const override { return summary_; }
 
  private:
+  ModelSessionTarget(std::string name, const GroundTruthModel* model,
+                     const AnalysisOptions& analysis)
+      : name_(std::move(name)), model_(model), analysis_(analysis) {}
+
   std::string name_;
   const GroundTruthModel* model_;
-  std::unique_ptr<ReplicableTarget> intervention_;
-  /// Shared with the substrates above; keeps the bundle alive while the
-  /// recording targets live.
-  std::shared_ptr<Telemetry> telemetry_;
-  /// Replica pool over intervention_; set iff parallelism > 1.
-  std::unique_ptr<ParallelTarget> parallel_;
   AnalysisOptions analysis_;
   AnalysisSummary summary_;
+  /// In-process intervention target over the model.
+  std::unique_ptr<ReplicableTarget> local_;
+  /// Declared last: it borrows local_.
+  SubstrateStack stack_;
 };
 
 /// Borrows an externally assembled InterventionTarget + AC-DAG.
@@ -283,14 +295,10 @@ class AdapterSessionTarget : public SessionTarget {
 };
 
 Result<std::unique_ptr<SessionTarget>> CreateCaseTarget(
-    const std::string& key, const TargetConfig& config) {
-  AID_ASSIGN_OR_RETURN(CaseStudy study, MakeCaseStudyByKey(key));
-  return VmSessionTarget::Create("case:" + key, nullptr, {},
-                                 std::move(study), config.parallelism,
-                                 config.isolation, config.subprocess, key,
-                                 config.fleet, config.remote,
-                                 config.scheduler, config.analysis,
-                                 config.telemetry);
+    const TargetConfig& config) {
+  AID_ASSIGN_OR_RETURN(CaseStudy study, MakeCaseStudyByKey(config.case_study));
+  return VmSessionTarget::Create("case:" + config.case_study, config,
+                                 std::move(study));
 }
 
 struct Registry {
@@ -299,34 +307,19 @@ struct Registry {
 
   Registry() {
     creators["vm"] = [](const TargetConfig& config) {
-      return VmSessionTarget::Create("vm", config.program, config.vm,
-                                     std::nullopt, config.parallelism,
-                                     config.isolation, config.subprocess,
-                                     /*case_key=*/{}, config.fleet,
-                                     config.remote, config.scheduler,
-                                     config.analysis, config.telemetry);
+      return VmSessionTarget::Create("vm", config);
     };
     creators["model"] = [](const TargetConfig& config) {
-      return MakeModelSessionTarget(config.model, 1.0, 1, "model",
-                                    config.parallelism, config.isolation,
-                                    config.subprocess, config.fleet,
-                                    config.remote, config.scheduler,
-                                    config.analysis, config.telemetry);
+      return ModelSessionTarget::Create("model", config, /*flaky=*/false);
     };
     creators["flaky-model"] = [](const TargetConfig& config) {
-      return MakeModelSessionTarget(config.model, config.manifest_probability,
-                                    config.flaky_seed, "flaky-model",
-                                    config.parallelism, config.isolation,
-                                    config.subprocess, config.fleet,
-                                    config.remote, config.scheduler,
-                                    config.analysis, config.telemetry);
+      return ModelSessionTarget::Create("flaky-model", config, /*flaky=*/true);
     };
-    creators["case"] = [](const TargetConfig& config) {
-      return CreateCaseTarget(config.case_study, config);
-    };
+    creators["case"] = CreateCaseTarget;
     for (const std::string& key : CaseStudyKeys()) {
-      creators["case:" + key] = [key](const TargetConfig& config) {
-        return CreateCaseTarget(key, config);
+      creators["case:" + key] = [key](TargetConfig config) {
+        config.case_study = key;
+        return CreateCaseTarget(config);
       };
     }
   }
@@ -379,64 +372,22 @@ Result<std::unique_ptr<SessionTarget>> TargetFactory::Create(
 }
 
 Result<std::unique_ptr<SessionTarget>> MakeVmSessionTarget(
-    const Program* program, const VmTargetOptions& options, std::string name,
-    int parallelism, Isolation isolation, const SubprocessOptions& subprocess,
-    const std::vector<std::string>& fleet, const RemoteOptions& remote,
-    const SchedulerOptions& scheduler, const AnalysisOptions& analysis,
-    std::shared_ptr<Telemetry> telemetry) {
-  return VmSessionTarget::Create(std::move(name), program, options,
-                                 std::nullopt, parallelism, isolation,
-                                 subprocess, /*case_key=*/{}, fleet, remote,
-                                 scheduler, analysis, std::move(telemetry));
+    const Program* program, const VmTargetOptions& options,
+    std::string name) {
+  TargetConfig config;
+  config.program = program;
+  config.vm = options;
+  return VmSessionTarget::Create(std::move(name), config);
 }
 
 Result<std::unique_ptr<SessionTarget>> MakeModelSessionTarget(
     const GroundTruthModel* model, double manifest_probability,
-    uint64_t flaky_seed, std::string name, int parallelism,
-    Isolation isolation, const SubprocessOptions& subprocess,
-    const std::vector<std::string>& fleet, const RemoteOptions& remote,
-    const SchedulerOptions& scheduler, const AnalysisOptions& analysis,
-    std::shared_ptr<Telemetry> telemetry) {
-  if (model == nullptr) {
-    return Status::InvalidArgument(
-        "model target: TargetConfig::model is required");
-  }
-  AID_RETURN_IF_ERROR(ValidateSubstrate(fleet, isolation));
-  std::unique_ptr<ReplicableTarget> intervention;
-  if (isolation == Isolation::kSubprocess || !fleet.empty()) {
-    SubjectSpec spec;
-    spec.kind = manifest_probability >= 1.0 ? SubjectKind::kModel
-                                            : SubjectKind::kFlakyModel;
-    spec.model = model;
-    spec.manifest_probability = manifest_probability;
-    spec.flaky_seed = flaky_seed;
-    const auto catalog_size =
-        static_cast<uint32_t>(model->catalog().size());
-    if (!fleet.empty()) {
-      AID_ASSIGN_OR_RETURN(std::vector<Endpoint> endpoints,
-                           ParseEndpoints(fleet));
-      RemoteOptions opts = remote;
-      opts.expected_catalog_size = catalog_size;
-      opts.telemetry = telemetry;
-      AID_ASSIGN_OR_RETURN(intervention,
-                           FleetTarget::Create(std::move(endpoints), spec,
-                                               opts));
-    } else {
-      SubprocessOptions opts = subprocess;
-      opts.expected_catalog_size = catalog_size;
-      opts.telemetry = telemetry;
-      AID_ASSIGN_OR_RETURN(intervention, SubprocessTarget::Create(spec, opts));
-    }
-  } else if (manifest_probability >= 1.0) {
-    intervention = std::make_unique<ModelTarget>(model);
-  } else {
-    intervention = std::make_unique<FlakyModelTarget>(
-        model, manifest_probability, flaky_seed);
-  }
-  return ModelSessionTarget::Create(std::move(name), model,
-                                    std::move(intervention), parallelism,
-                                    scheduler, analysis,
-                                    std::move(telemetry));
+    uint64_t flaky_seed, std::string name) {
+  TargetConfig config;
+  config.model = model;
+  config.manifest_probability = manifest_probability;
+  config.flaky_seed = flaky_seed;
+  return ModelSessionTarget::Create(std::move(name), config, /*flaky=*/true);
 }
 
 std::unique_ptr<SessionTarget> MakeAdapterSessionTarget(

@@ -207,38 +207,21 @@ class TargetFactory {
       const std::string& name, const TargetConfig& config);
 };
 
-/// Wraps a VmTarget (and optionally an owned case study) as a SessionTarget.
-/// Exposed for backends that want to build on the VM observation pipeline.
-/// With `parallelism` > 1 the VM target is replicated into an
-/// exec::ParallelTarget pool of that many workers scheduled per
-/// `scheduler`; with `isolation` = kSubprocess each intervention replica is
-/// a sandboxed subject process; with a non-empty `fleet` the replicas run
-/// on remote aid_runner daemons.
+/// Wraps a serial, in-process VmTarget over `program` as a SessionTarget.
+/// Exposed for backends that want to build on the VM observation pipeline;
+/// for a substrate (parallelism, isolation, fleet, ...) fill a TargetConfig
+/// and call TargetFactory::Create("vm", config).
 Result<std::unique_ptr<SessionTarget>> MakeVmSessionTarget(
     const Program* program, const VmTargetOptions& options,
-    std::string name = "vm", int parallelism = 1,
-    Isolation isolation = Isolation::kInProcess,
-    const SubprocessOptions& subprocess = {},
-    const std::vector<std::string>& fleet = {},
-    const RemoteOptions& remote = {}, const SchedulerOptions& scheduler = {},
-    const AnalysisOptions& analysis = {},
-    std::shared_ptr<Telemetry> telemetry = nullptr);
+    std::string name = "vm");
 
-/// Wraps a ground-truth model as a SessionTarget. `model` must outlive the
-/// target. With `manifest_probability` < 1 the intervention target is a
-/// FlakyModelTarget seeded with `flaky_seed`. With `parallelism` > 1 the
-/// model target is replicated into an exec::ParallelTarget pool; with
-/// `isolation` = kSubprocess the replicas are sandboxed subject processes;
-/// with a non-empty `fleet` the replicas run on remote aid_runner daemons.
+/// Wraps a ground-truth model as a serial, in-process SessionTarget.
+/// `model` must outlive the target. With `manifest_probability` < 1 the
+/// intervention target is a FlakyModelTarget seeded with `flaky_seed`. For a
+/// substrate, go through TargetFactory::Create("model" / "flaky-model").
 Result<std::unique_ptr<SessionTarget>> MakeModelSessionTarget(
     const GroundTruthModel* model, double manifest_probability = 1.0,
-    uint64_t flaky_seed = 1, std::string name = "model", int parallelism = 1,
-    Isolation isolation = Isolation::kInProcess,
-    const SubprocessOptions& subprocess = {},
-    const std::vector<std::string>& fleet = {},
-    const RemoteOptions& remote = {}, const SchedulerOptions& scheduler = {},
-    const AnalysisOptions& analysis = {},
-    std::shared_ptr<Telemetry> telemetry = nullptr);
+    uint64_t flaky_seed = 1, std::string name = "model");
 
 /// Adapts a borrowed InterventionTarget and prebuilt AC-DAG as a
 /// SessionTarget -- the escape hatch for research setups that assemble the

@@ -65,7 +65,7 @@ struct BudgetOptions {
   /// only trial spending, never verdicts. In (0, 1]; 1 disables.
   double topology_discount = 0.5;
   /// EWMA blend for the planner's predicted per-trial cost, fed by the
-  /// substrate's TargetHealth::trial_micros deltas (same convention as
+  /// substrate's SubstrateCounters::trial_micros deltas (same convention as
   /// exec/scheduler.h's replica EWMAs). In (0, 1].
   double cost_ewma_alpha = 0.25;
   /// Side-information seeding the posterior (budget/advice.h).

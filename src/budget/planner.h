@@ -17,7 +17,7 @@
 //
 // The planner also prices a round: expected information gain (entropy
 // reduction over the group verdict) divided by predicted cost (an EWMA of
-// the substrate's per-trial latency, fed from TargetHealth::trial_micros
+// the substrate's per-trial latency, fed from SubstrateCounters::trial_micros
 // the same way exec/scheduler.h feeds its replica EWMAs). The score never
 // reorders the engine's group schedule -- Algorithms 1-2 fix WHICH group
 // is tested -- but when a global execution budget cannot cover a whole

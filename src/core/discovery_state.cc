@@ -16,7 +16,7 @@
 namespace aid {
 namespace {
 
-constexpr uint8_t kStateFormatVersion = 1;
+constexpr uint8_t kStateFormatVersion = 2;
 const char* const kPhaseBranch = "branch";
 const char* const kPhaseGiwp = "giwp";
 
@@ -458,7 +458,7 @@ void DiscoveryState::PlanBatch(const std::vector<size_t>& pool) {
       action.alloc[k] = planner_->PlanTrials(action.spans[k], cap);
     }
     if (options_.budget.max_executions > 0) {
-      const uint64_t spent = executions_;
+      const uint64_t spent = counters_.executions;
       const uint64_t remaining =
           spent >= options_.budget.max_executions
               ? 0
@@ -505,7 +505,7 @@ int DiscoveryState::PlanBudgetedTrials(const std::vector<PredicateId>& preds,
     planned = planner_->PlanTrials(preds, cap);
   }
   if (options_.budget.max_executions == 0) return planned;
-  const uint64_t spent = executions_;
+  const uint64_t spent = counters_.executions;
   if (spent >= options_.budget.max_executions) return 1;  // callers guard
   const uint64_t remaining = options_.budget.max_executions - spent;
   if (static_cast<uint64_t>(planned) <= remaining) return planned;
@@ -525,7 +525,7 @@ Status DiscoveryState::Feed(const DiscoveryAction& action,
     return Status::InvalidArgument(
         "fed action does not match the pending plan");
   }
-  AccumulateDeltas(outcome);
+  counters_ += outcome.delta;
   if (action.kind == DiscoveryAction::Kind::kRound) {
     FeedRound(action, outcome);
   } else {
@@ -538,25 +538,9 @@ Status DiscoveryState::Feed(const DiscoveryAction& action,
   return Status::OK();
 }
 
-void DiscoveryState::AccumulateDeltas(const ActionOutcome& outcome) {
-  executions_ += outcome.executions_delta;
-  respawns_ += outcome.respawns_delta;
-  crashed_trials_ += outcome.crashed_trials_delta;
-  timed_out_trials_ += outcome.timed_out_trials_delta;
-  steals_ += outcome.steals_delta;
-  cancelled_chunks_ += outcome.cancelled_chunks_delta;
-  straggler_wait_micros_ += outcome.straggler_wait_micros_delta;
-  if (replica_trials_.size() < outcome.replica_trials_delta.size()) {
-    replica_trials_.resize(outcome.replica_trials_delta.size(), 0);
-  }
-  for (size_t i = 0; i < outcome.replica_trials_delta.size(); ++i) {
-    replica_trials_[i] += outcome.replica_trials_delta[i];
-  }
-}
-
 void DiscoveryState::ObserveBudgetedRound(
     const std::vector<PredicateId>& preds, const ActionOutcome& outcome) {
-  planner_->ObserveRoundCost(outcome.trial_micros_delta, outcome.used);
+  planner_->ObserveRoundCost(outcome.delta.trial_micros, outcome.used);
   report_.budgeted_trials_allocated += static_cast<uint64_t>(outcome.used);
   report_.budgeted_trials_saved +=
       static_cast<int64_t>(options_.trials_per_intervention) - outcome.used;
@@ -625,7 +609,7 @@ void DiscoveryState::FeedRound(const DiscoveryAction& action,
 void DiscoveryState::FeedBatch(const DiscoveryAction& action,
                                const ActionOutcome& outcome) {
   if (options_.budget.enabled) {
-    planner_->ObserveRoundCost(outcome.trial_micros_delta,
+    planner_->ObserveRoundCost(outcome.delta.trial_micros,
                                static_cast<int>(outcome.budgeted_trials));
     report_.budgeted_trials_allocated += outcome.budgeted_trials;
     for (size_t k = 0; k < action.spans.size(); ++k) {
@@ -682,7 +666,7 @@ bool DiscoveryState::BudgetSpent() const {
   if (!options_.budget.enabled || options_.budget.max_executions == 0) {
     return false;
   }
-  return executions_ >= options_.budget.max_executions;
+  return counters_.executions >= options_.budget.max_executions;
 }
 
 void DiscoveryState::RecordRound(const std::vector<PredicateId>& preds,
@@ -856,13 +840,7 @@ Result<DiscoveryReport> DiscoveryState::Finalize() {
   spurious_.erase(std::unique(spurious_.begin(), spurious_.end()),
                   spurious_.end());
   report_.spurious = spurious_;
-  report_.executions = executions_;
-  report_.respawns = respawns_;
-  report_.crashed_trials = crashed_trials_;
-  report_.timed_out_trials = timed_out_trials_;
-  report_.steals = steals_;
-  report_.straggler_wait_micros = straggler_wait_micros_;
-  report_.replica_trials = replica_trials_;
+  static_cast<SubstrateCounters&>(report_) = counters_;
   report_.budget_exhausted = budget_exhausted_;
   if (belief_ != nullptr) report_.confidence = belief_->Snapshot();
 
@@ -873,17 +851,9 @@ Result<DiscoveryReport> DiscoveryState::Finalize() {
   // from the same numbers the report carries.
   if (options_.telemetry != nullptr) {
     MetricsRegistry& reg = options_.telemetry->metrics();
-    reg.GetCounter("aid_executions_total")->Add(report_.executions);
+    counters_.FoldInto(reg);
     reg.GetCounter("aid_speculative_executions_total")
         ->Add(report_.speculative_executions);
-    reg.GetCounter("aid_respawns_total")->Add(report_.respawns);
-    reg.GetCounter("aid_crashed_trials_total")->Add(report_.crashed_trials);
-    reg.GetCounter("aid_timed_out_trials_total")
-        ->Add(report_.timed_out_trials);
-    reg.GetCounter("aid_steals_total")->Add(report_.steals);
-    reg.GetCounter("aid_straggler_wait_micros_total")
-        ->Add(report_.straggler_wait_micros);
-    reg.GetCounter("aid_cancelled_chunks_total")->Add(cancelled_chunks_);
     if (options_.budget.enabled) {
       reg.GetCounter("aid_budget_trials_allocated_total")
           ->Add(report_.budgeted_trials_allocated);
@@ -942,15 +912,7 @@ Result<std::string> DiscoveryState::Serialize() const {
     w.Str(round.phase);
   }
 
-  w.U64(executions_);
-  w.U64(respawns_);
-  w.U64(crashed_trials_);
-  w.U64(timed_out_trials_);
-  w.U64(steals_);
-  w.U64(cancelled_chunks_);
-  w.U64(straggler_wait_micros_);
-  w.U32(static_cast<uint32_t>(replica_trials_.size()));
-  for (uint64_t t : replica_trials_) w.U64(t);
+  counters_.Encode(w);
 
   w.U32(static_cast<uint32_t>(giwp_stack_.size()));
   for (const GiwpFrame& frame : giwp_stack_) {
@@ -1042,18 +1004,7 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
     state->report_.history.push_back(std::move(round));
   }
 
-  state->executions_ = r.U64();
-  state->respawns_ = r.U64();
-  state->crashed_trials_ = r.U64();
-  state->timed_out_trials_ = r.U64();
-  state->steals_ = r.U64();
-  state->cancelled_chunks_ = r.U64();
-  state->straggler_wait_micros_ = r.U64();
-  const uint32_t replica_count = r.Count(sizeof(uint64_t));
-  state->replica_trials_.reserve(replica_count);
-  for (uint32_t i = 0; i < replica_count; ++i) {
-    state->replica_trials_.push_back(r.U64());
-  }
+  state->counters_ = SubstrateCounters::Decode(r);
 
   const uint32_t frame_count = r.Count(2 * sizeof(uint32_t) + 1);
   state->giwp_stack_.reserve(frame_count);
@@ -1152,9 +1103,7 @@ Result<ActionOutcome> ExecuteDiscoveryAction(DiscoveryState& state,
   Tracer* tracer = telemetry != nullptr ? telemetry->tracer() : nullptr;
 
   ActionOutcome outcome;
-  const uint64_t executions_before = target->executions();
-  const TargetHealth health_before = target->health();
-  const DispatchStats dispatch_before = target->dispatch_stats();
+  const SubstrateCounters before = target->counters();
   Status run_status = Status::OK();
 
   if (action.kind == DiscoveryAction::Kind::kRound) {
@@ -1266,28 +1215,7 @@ Result<ActionOutcome> ExecuteDiscoveryAction(DiscoveryState& state,
   }
   AID_RETURN_IF_ERROR(run_status);
 
-  outcome.executions_delta = target->executions() - executions_before;
-  const TargetHealth health_after = target->health();
-  outcome.trial_micros_delta =
-      health_after.trial_micros - health_before.trial_micros;
-  outcome.respawns_delta = health_after.respawns - health_before.respawns;
-  outcome.crashed_trials_delta =
-      health_after.crashed_trials - health_before.crashed_trials;
-  outcome.timed_out_trials_delta =
-      health_after.timed_out_trials - health_before.timed_out_trials;
-  const DispatchStats dispatch_after = target->dispatch_stats();
-  outcome.steals_delta = dispatch_after.steals - dispatch_before.steals;
-  outcome.cancelled_chunks_delta =
-      dispatch_after.cancelled_chunks - dispatch_before.cancelled_chunks;
-  outcome.straggler_wait_micros_delta =
-      dispatch_after.straggler_wait_micros -
-      dispatch_before.straggler_wait_micros;
-  outcome.replica_trials_delta = dispatch_after.replica_trials;
-  for (size_t i = 0; i < outcome.replica_trials_delta.size() &&
-                     i < dispatch_before.replica_trials.size();
-       ++i) {
-    outcome.replica_trials_delta[i] -= dispatch_before.replica_trials[i];
-  }
+  outcome.delta = target->counters() - before;
   return outcome;
 }
 

@@ -106,15 +106,7 @@ struct ActionOutcome {
   uint64_t budgeted_trials = 0;
 
   /// Target-counter deltas over this dispatch.
-  uint64_t executions_delta = 0;
-  uint64_t trial_micros_delta = 0;
-  uint64_t respawns_delta = 0;
-  uint64_t crashed_trials_delta = 0;
-  uint64_t timed_out_trials_delta = 0;
-  uint64_t steals_delta = 0;
-  uint64_t cancelled_chunks_delta = 0;
-  uint64_t straggler_wait_micros_delta = 0;
-  std::vector<uint64_t> replica_trials_delta;
+  SubstrateCounters delta;
 };
 
 /// Serializes `options` (everything except the observer/telemetry
@@ -187,7 +179,7 @@ class DiscoveryState {
   /// 1-based index the next recorded round will get.
   uint64_t next_round_index() const { return report_.rounds + 1; }
   /// Application executions absorbed so far (the budget's spend ledger).
-  uint64_t executions() const { return executions_; }
+  uint64_t executions() const { return counters_.executions; }
 
  private:
   /// An engine item: a single predicate, or a branch (disjunction of the
@@ -238,7 +230,6 @@ class DiscoveryState {
 
   void FeedRound(const DiscoveryAction& action, const ActionOutcome& outcome);
   void FeedBatch(const DiscoveryAction& action, const ActionOutcome& outcome);
-  void AccumulateDeltas(const ActionOutcome& outcome);
   /// Budgeted-round bookkeeping shared by serial rounds: cost model,
   /// allocated/saved counters, early stops, belief updates.
   void ObserveBudgetedRound(const std::vector<PredicateId>& preds,
@@ -282,16 +273,9 @@ class DiscoveryState {
   std::vector<PredicateId> bp_remaining_;
   std::vector<size_t> bp_live_;
 
-  /// Accumulated ActionOutcome deltas: the report's cost/health/dispatch
-  /// numbers, independent of which target executed which action.
-  uint64_t executions_ = 0;
-  uint64_t respawns_ = 0;
-  uint64_t crashed_trials_ = 0;
-  uint64_t timed_out_trials_ = 0;
-  uint64_t steals_ = 0;
-  uint64_t cancelled_chunks_ = 0;
-  uint64_t straggler_wait_micros_ = 0;
-  std::vector<uint64_t> replica_trials_;
+  /// Accumulated ActionOutcome deltas: the report's substrate counters,
+  /// independent of which target executed which action.
+  SubstrateCounters counters_;
 
   /// Budgeting state (src/budget/); live iff options_.budget.enabled.
   std::unique_ptr<BeliefState> belief_;

@@ -137,8 +137,16 @@ struct InterventionRound {
   std::string phase;  ///< "branch" or "giwp"
 };
 
-/// The outcome of causal path discovery.
-struct DiscoveryReport {
+/// The outcome of causal path discovery. The SubstrateCounters base carries
+/// this run's substrate deltas under their flat names (`executions`,
+/// `respawns`, `steals`, `replica_trials`, ...): the total application
+/// executions the run cost, speculative ones included (rounds * trials +
+/// speculative_executions on targets that run exactly `trials` executions
+/// per span), and the process-isolation and dispatch-schedule turbulence
+/// behind them. All but `executions` are zero/empty on serial in-process
+/// targets, and none of them but `executions` is part of
+/// SameDiscoveryOutcome.
+struct DiscoveryReport : SubstrateCounters {
   /// Causal predicates in topological order, ending with the failure
   /// predicate: the paper's causal path <C0, .., Cn = F>. C0 is the root
   /// cause.
@@ -149,33 +157,12 @@ struct DiscoveryReport {
   /// like `executions`: a long-lived multi-tenant service accumulates
   /// rounds across sessions far past what int can hold.
   uint64_t rounds = 0;
-  /// Total application executions the discovery run cost, speculative ones
-  /// included (rounds * trials + speculative_executions on targets that run
-  /// exactly `trials` executions per span). 64-bit end-to-end: fleet-scale
-  /// replica pools with high trial counts overflow int.
-  uint64_t executions = 0;
   /// The subset of `executions` spent on speculative work: spans submitted
   /// by batched dispatch whose item was already decided (by Definition 2
   /// pruning) before their result was consumed. Those spans execute but are
   /// not rounds -- the wall-clock price of shipping a whole scan to a
   /// batching/parallel backend at once.
   uint64_t speculative_executions = 0;
-  /// Process-isolation health deltas over this run (see TargetHealth): how
-  /// many times a subject process was respawned, and how many trials were
-  /// recorded failing because the subject crashed or hit its deadline. All
-  /// zero for in-process targets.
-  uint64_t respawns = 0;
-  uint64_t crashed_trials = 0;
-  uint64_t timed_out_trials = 0;
-  /// Dispatch-schedule deltas over this run (see DispatchStats): how many
-  /// intervened trials each replica slot executed, how many chunks fast
-  /// replicas stole from queues behind stragglers, and how long workers
-  /// idled at round barriers waiting for the slowest replica. Empty/zero on
-  /// serial targets. Observational only -- the schedule never changes the
-  /// report's bytes, so none of this is part of SameDiscoveryOutcome.
-  std::vector<uint64_t> replica_trials;
-  uint64_t steals = 0;
-  uint64_t straggler_wait_micros = 0;
   std::vector<InterventionRound> history;
   /// True iff the causal predicates are totally ordered by AC-DAG
   /// reachability -- the Definition 1 chain. False signals a violation of
@@ -185,7 +172,7 @@ struct DiscoveryReport {
   /// order rather than a proper chain.
   bool path_is_chain = true;
   /// What the static analysis pass did for this discovery (ran == false
-  /// when analysis was off). Like the dispatch stats above, this describes
+  /// when analysis was off). Like the substrate counters, this describes
   /// how the result was obtained, not the result itself, so it is NOT part
   /// of SameDiscoveryOutcome -- analysis-on vs analysis-off runs that make
   /// identical decisions still compare equal.
@@ -229,8 +216,8 @@ struct DiscoveryReport {
 /// execution counts. This is THE bit-identical contract the execution
 /// substrates (exec/ pools, proc/ subprocesses, net/ fleets) are held to
 /// against a serial in-process run; benches and tests should compare
-/// through it rather than hand-picking fields. Health counters and dispatch
-/// stats (steals, per-replica trial counts, straggler waits) are
+/// through it rather than hand-picking fields. The other substrate counters
+/// (respawns, steals, per-replica trial counts, straggler waits, ...) are
 /// deliberately excluded: they describe substrate turbulence and scheduling
 /// choices, not decisions.
 inline bool SameDiscoveryOutcome(const DiscoveryReport& a,

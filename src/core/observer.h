@@ -1,7 +1,7 @@
 // Observer: progress callbacks for the AID pipeline.
 //
-// Defined in core/ so the engine depends only on core headers; api/observer.h
-// re-exports it as part of the stable public surface. An Observer attached
+// Defined in core/ so the engine depends only on core headers; api/session.h
+// includes it as part of the stable public surface. An Observer attached
 // to an aid::Session (or directly to EngineOptions) is notified as the
 // pipeline moves through its phases and as the intervention engine runs
 // rounds and certifies predicates. This replaces the ad-hoc report plumbing

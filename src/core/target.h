@@ -44,45 +44,35 @@ struct TargetRunResult {
 /// get the full round in a single call.
 using InterventionSpans = std::vector<std::vector<PredicateId>>;
 
-/// Cumulative health counters of a target's execution substrate. In-process
-/// backends never touch them; process-isolated backends (src/proc/) count
-/// subject crashes, per-trial deadline kills, and the child respawns they
-/// triggered; remote-fleet backends (src/net/) count dropped connections
-/// and the reconnects that replaced them, in the same three buckets. The
-/// engine snapshots them around a discovery run the same way it snapshots
-/// executions(), so DiscoveryReport surfaces per-run deltas.
-struct TargetHealth {
-  /// 64-bit on purpose: fleet-scale sessions multiply replicas by trials by
-  /// rounds, and a 32-bit counter silently wraps right where the numbers
-  /// start to matter.
+class WireWriter;
+class WireReader;
+class MetricsRegistry;
+
+/// Cumulative counters of a target's execution substrate: the paper's cost
+/// unit (application executions) and every substrate refinement of it.
+/// In-process backends report executions only; process-isolated backends
+/// (src/proc/) count subject crashes, per-trial deadline kills and the
+/// respawns they triggered; remote fleets (src/net/) count dropped
+/// connections and reconnects in the same buckets; replica pools (src/exec/)
+/// add their dispatch schedule. The engine snapshots them around every
+/// action, so DiscoveryReport carries per-run deltas. Only `executions`
+/// takes part in the bit-identical contract (SameDiscoveryOutcome); the rest
+/// describe substrate turbulence and scheduling, not decisions.
+///
+/// 64-bit on purpose: fleet-scale sessions multiply replicas by trials by
+/// rounds, and a 32-bit counter silently wraps right where the numbers start
+/// to matter.
+struct SubstrateCounters {
+  uint64_t executions = 0;        ///< application executions
   uint64_t respawns = 0;          ///< subject processes/connections replaced
   uint64_t crashed_trials = 0;    ///< trials recorded failing from a crash
   uint64_t timed_out_trials = 0;  ///< trials killed at their deadline
-  /// Cumulative wall-clock the substrate spent executing intervened trials,
-  /// in microseconds. Process-backed substrates (src/proc/, src/net/) time
-  /// every trial at the wire (proc/client); in-process backends may leave it
-  /// zero and let the scheduler's own call-site timing stand in. Feeds the
-  /// latency-aware scheduler's per-replica EWMA (src/exec/scheduler.h).
+  /// Wall-clock the substrate spent executing intervened trials, in
+  /// microseconds. Process-backed substrates time every trial at the wire
+  /// (proc/client); in-process backends leave it zero and the scheduler's
+  /// call-site timing stands in. Feeds the scheduler's per-replica EWMA and
+  /// the budget planner's cost model.
   uint64_t trial_micros = 0;
-
-  TargetHealth& operator+=(const TargetHealth& other) {
-    respawns += other.respawns;
-    crashed_trials += other.crashed_trials;
-    timed_out_trials += other.timed_out_trials;
-    trial_micros += other.trial_micros;
-    return *this;
-  }
-};
-
-/// Cumulative counters of a pooling target's dispatch schedule (the
-/// work-stealing scheduler of src/exec/). Purely observational: the schedule
-/// decides WHERE trials run, never their bytes, so none of this participates
-/// in the bit-identical contract (SameDiscoveryOutcome excludes it). Serial
-/// targets keep the empty default; the engine snapshots per-run deltas into
-/// DiscoveryReport the way it snapshots executions() and health().
-struct DispatchStats {
-  /// Intervened trials each replica slot has executed, in slot order.
-  std::vector<uint64_t> replica_trials;
   /// Chunks a fast replica executed off another replica's queue.
   uint64_t steals = 0;
   /// Chunks dropped unexecuted by fail-fast error cancellation.
@@ -90,6 +80,53 @@ struct DispatchStats {
   /// Worker-time spent idle at round barriers waiting for the slowest
   /// replica to finish (microseconds, summed over workers and rounds).
   uint64_t straggler_wait_micros = 0;
+  /// Intervened trials each replica slot has executed, in slot order. Empty
+  /// on serial targets.
+  std::vector<uint64_t> replica_trials;
+
+  /// One scalar counter: its name (the DiscoveryReport field), member and
+  /// exported telemetry counter.
+  struct Field {
+    const char* name;
+    uint64_t SubstrateCounters::*member;
+    const char* metric;
+  };
+  /// The one list of the scalar counters (defined below). Arithmetic, the
+  /// wire codec and the telemetry fold all walk it, so adding a counter is
+  /// one member plus one table line.
+  static const Field kFields[];
+
+  /// Element-wise sum; replica_trials grows to the longer of the two.
+  SubstrateCounters& operator+=(const SubstrateCounters& other);
+  /// Element-wise difference of two snapshots of one monotone target
+  /// (`after` - `before`); replica_trials subtracts over the shared prefix.
+  friend SubstrateCounters operator-(SubstrateCounters after,
+                                     const SubstrateCounters& before);
+
+  /// Little-endian wire codec shared by the discovery checkpoint and the
+  /// service REPORT frame. Decode latches reader errors (check
+  /// reader.status()) and bounds replica_trials by the bytes left.
+  void Encode(WireWriter& writer) const;
+  static SubstrateCounters Decode(WireReader& reader);
+
+  /// Adds every scalar counter to its `aid_<name>_total` metric.
+  void FoldInto(MetricsRegistry& metrics) const;
+};
+
+inline constexpr SubstrateCounters::Field SubstrateCounters::kFields[] = {
+    {"executions", &SubstrateCounters::executions, "aid_executions_total"},
+    {"respawns", &SubstrateCounters::respawns, "aid_respawns_total"},
+    {"crashed_trials", &SubstrateCounters::crashed_trials,
+     "aid_crashed_trials_total"},
+    {"timed_out_trials", &SubstrateCounters::timed_out_trials,
+     "aid_timed_out_trials_total"},
+    {"trial_micros", &SubstrateCounters::trial_micros,
+     "aid_trial_micros_total"},
+    {"steals", &SubstrateCounters::steals, "aid_steals_total"},
+    {"cancelled_chunks", &SubstrateCounters::cancelled_chunks,
+     "aid_cancelled_chunks_total"},
+    {"straggler_wait_micros", &SubstrateCounters::straggler_wait_micros,
+     "aid_straggler_wait_micros_total"},
 };
 
 class InterventionTarget {
@@ -126,15 +163,15 @@ class InterventionTarget {
   /// fleet-scale sessions.
   virtual uint64_t executions() const = 0;
 
-  /// Cumulative substrate health counters (see TargetHealth). In-process
-  /// backends keep the all-zero default; pooling backends sum their
-  /// replicas' counters the way they sum executions().
-  virtual TargetHealth health() const { return {}; }
-
-  /// Cumulative dispatch-schedule counters (see DispatchStats). Only
-  /// pooling targets (exec::ParallelTarget) report them; everything else
-  /// keeps the empty default.
-  virtual DispatchStats dispatch_stats() const { return {}; }
+  /// Cumulative substrate counters (see SubstrateCounters). Overrides must
+  /// report `executions` equal to executions(); the default reports nothing
+  /// else, which is right for in-process backends. Pooling backends sum
+  /// their replicas' counters the way they sum executions().
+  virtual SubstrateCounters counters() const {
+    SubstrateCounters counters;
+    counters.executions = executions();
+    return counters;
+  }
 };
 
 }  // namespace aid

@@ -97,9 +97,10 @@ uint64_t ParallelTarget::executions() const {
   return total;
 }
 
-TargetHealth ParallelTarget::health() const {
-  TargetHealth total = primary_->health();
-  for (const auto& replica : replicas_) total += replica->health();
+SubstrateCounters ParallelTarget::counters() const {
+  SubstrateCounters total = primary_->counters();
+  for (const auto& replica : replicas_) total += replica->counters();
+  total += scheduler_.stats();
   return total;
 }
 

@@ -31,7 +31,7 @@
 // not-yet-leased chunk, the round returns the serially earliest observed
 // error, and the trial cursor is committed only on success. Chunks a
 // worker had already leased when the failure landed still run to
-// completion and bill executions()/health() -- concurrency makes exact
+// completion and bill executions()/counters() -- concurrency makes exact
 // serial error accounting impossible -- but nothing queued behind the
 // failure is started, which is the bulk of what the old dispatcher
 // over-billed.
@@ -96,16 +96,11 @@ class ParallelTarget : public InterventionTarget {
   /// Primary executions (observation) + every replica's executions.
   uint64_t executions() const override;
 
-  /// Primary health + every replica's health (nonzero only over process-
-  /// isolated or remote replicas, src/proc/ and src/net/). Same quiescence
-  /// argument as executions().
-  TargetHealth health() const override;
-
-  /// Cumulative scheduler counters: per-replica trials, steals, fail-fast
-  /// cancellations, straggler wait (see DispatchStats).
-  DispatchStats dispatch_stats() const override {
-    return scheduler_.stats();
-  }
+  /// Primary + every replica's counters (health is nonzero only over
+  /// process-isolated or remote replicas, src/proc/ and src/net/), plus the
+  /// scheduler's per-replica trials, steals, fail-fast cancellations and
+  /// straggler wait. Same quiescence argument as executions().
+  SubstrateCounters counters() const override;
 
   int parallelism() const { return static_cast<int>(replicas_.size()); }
 

@@ -186,10 +186,10 @@ Status ChunkScheduler::ExecuteChunk(
     std::vector<TargetRunResult>* results, bool stolen) {
   ReplicableTarget* replica = replicas[slot];
   // Latency sample: prefer the substrate's own wire-level timing
-  // (TargetHealth::trial_micros, accumulated in proc/client for process-
+  // (SubstrateCounters::trial_micros, accumulated in proc/client for process-
   // and socket-backed replicas), fall back to call-site wall clock for
   // in-process replicas that do not self-time.
-  const TargetHealth health_before = replica->health();
+  const SubstrateCounters before = replica->counters();
   // The chunk span parents under the engine's active round span (published
   // cross-thread on the Telemetry bundle): this worker's slice of the round
   // in the trace, on its own lane.
@@ -210,17 +210,15 @@ Status ChunkScheduler::ExecuteChunk(
                            {{"replica", std::to_string(slot)}})
         ->Record(wall);
   }
-  const TargetHealth health_after = replica->health();
-  const uint64_t substrate =
-      health_after.trial_micros - health_before.trial_micros;
+  const SubstrateCounters after = replica->counters();
+  const uint64_t substrate = after.trial_micros - before.trial_micros;
   // Chunks that hit subject turbulence are excluded from the EWMA (same
   // rule as the fleet's LatencyBoard): their time is deadline waits plus
   // respawn/reconnect recovery, and crashes follow trial POSITIONS, not
   // replicas -- folding one in would brand a healthy replica a straggler
   // for rounds.
-  const bool turbulent =
-      health_after.crashed_trials != health_before.crashed_trials ||
-      health_after.timed_out_trials != health_before.timed_out_trials;
+  const bool turbulent = after.crashed_trials != before.crashed_trials ||
+                         after.timed_out_trials != before.timed_out_trials;
   if (!turbulent) {
     RecordLatency(slot, substrate > 0 ? substrate : wall, chunk.trials);
   }
@@ -432,8 +430,8 @@ Status ChunkScheduler::RunRound(ThreadPool& pool,
   return Status::OK();
 }
 
-DispatchStats ChunkScheduler::stats() const {
-  DispatchStats stats;
+SubstrateCounters ChunkScheduler::stats() const {
+  SubstrateCounters stats;
   stats.replica_trials = trials_run_;
   for (uint64_t steals : steals_by_) stats.steals += steals;
   stats.cancelled_chunks = cancelled_chunks_;

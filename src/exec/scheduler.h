@@ -22,7 +22,7 @@
 //     chunks from fast queues back to its own pace;
 //   * EWMA: per-replica trial latency is tracked as an exponentially
 //     weighted moving average, fed by the substrate's own wire-level
-//     timing where it exists (TargetHealth::trial_micros, src/proc/ and
+//     timing where it exists (SubstrateCounters::trial_micros, src/proc/ and
 //     src/net/) and by call-site wall clock otherwise.
 //
 // None of this can change a single byte of the results: chunks carry
@@ -145,8 +145,10 @@ class ChunkScheduler {
                   const std::vector<Chunk>& chunks,
                   std::vector<TargetRunResult>* results);
 
-  /// Cumulative counters across every round so far (see DispatchStats).
-  DispatchStats stats() const;
+  /// Cumulative dispatch counters across every round so far: replica_trials,
+  /// steals, cancelled_chunks and straggler_wait_micros of a
+  /// SubstrateCounters (the rest stay zero).
+  SubstrateCounters stats() const;
 
   /// Current latency estimate for one replica slot, microseconds per
   /// trial; 0 before the first sample or for an out-of-range slot.

@@ -67,8 +67,8 @@ class FleetTarget : public ReplicableTarget {
   uint64_t executions() const override {
     return self_ != nullptr ? self_->executions() : 0;
   }
-  TargetHealth health() const override {
-    return self_ != nullptr ? self_->health() : TargetHealth{};
+  SubstrateCounters counters() const override {
+    return self_ != nullptr ? self_->counters() : SubstrateCounters{};
   }
 
   const std::vector<Endpoint>& endpoints() const { return endpoints_; }

@@ -5,7 +5,7 @@
 // replica dealt to the slow runner drags its whole share of each round to
 // the straggler's pace. The board closes the loop. RemoteTargets feed it
 // one sample per trial (the wire-level timing proc/client charges into
-// TargetHealth::trial_micros), it keeps an EWMA per endpoint, and
+// SubstrateCounters::trial_micros), it keeps an EWMA per endpoint, and
 // FleetTarget asks it where the next replica should live:
 //
 //   * endpoints with no measurement yet -- or whose last sample is older

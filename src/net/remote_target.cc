@@ -170,13 +170,13 @@ void RemoteTarget::Disconnect() { channel_.reset(); }
 
 Status RemoteTarget::Reconnect() {
   Disconnect();
-  if (health_.respawns >= static_cast<uint64_t>(options_.max_reconnects)) {
+  if (counters_.respawns >= static_cast<uint64_t>(options_.max_reconnects)) {
     return Status::Aborted(
         "RemoteTarget: remote subject crashed/hung through " +
-        std::to_string(health_.respawns) +
+        std::to_string(counters_.respawns) +
         " reconnects (max_reconnects); giving up on a crash loop");
   }
-  ++health_.respawns;
+  ++counters_.respawns;
   if (latency_board_ != nullptr) {
     // A reconnect stands up a brand-new runner-side replica, so place it
     // like one: lead with the board's lowest-predicted-latency endpoint
@@ -202,13 +202,13 @@ Result<PredicateLog> RemoteTarget::RunOneTrial(
   // dropped connection is also what kills the hung remote subject: the
   // runner-side watchdog sees the hangup and reaps its session child.
   const Endpoint served_by = current_endpoint();
-  const uint64_t micros_before = health_.trial_micros;
+  const uint64_t micros_before = counters_.trial_micros;
   Result<PredicateLog> log =
       RunTrialWithRecovery(*channel_, trial_index, intervened,
-                           options_.trial_deadline_ms, &health_,
+                           options_.trial_deadline_ms, &counters_,
                            [this]() { return Reconnect(); },
                            options_.telemetry.get());
-  const uint64_t trial_micros = health_.trial_micros - micros_before;
+  const uint64_t trial_micros = counters_.trial_micros - micros_before;
   if (latency_board_ != nullptr && log.ok() &&
       log->outcome == TrialOutcome::kCompleted) {
     // Feed the fleet's placement loop with this trial's wire timing,
@@ -237,7 +237,7 @@ Result<TargetRunResult> RemoteTarget::RunIntervened(
   result.logs.reserve(static_cast<size_t>(trials));
   for (int i = 0; i < trials; ++i) {
     const uint64_t trial_index = trial_cursor_++;
-    ++executions_;
+    ++counters_.executions;
     AID_ASSIGN_OR_RETURN(PredicateLog log,
                          RunOneTrial(intervened, trial_index));
     result.logs.push_back(std::move(log));

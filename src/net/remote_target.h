@@ -18,7 +18,7 @@
 //     TrialOutcome::kTimedOut; reconnect as above;
 //   * reconnect budget spent -> Aborted, mirroring max_respawns.
 //
-// Reconnects count as TargetHealth::respawns (each one puts a fresh
+// Reconnects count as SubstrateCounters::respawns (each one puts a fresh
 // session child behind the connection), so fleet turbulence lands in
 // DiscoveryReport::{crashed_trials,timed_out_trials,respawns} unchanged.
 //
@@ -115,8 +115,8 @@ class RemoteTarget : public ReplicableTarget {
   void SeekTrial(uint64_t trial_index) override { trial_cursor_ = trial_index; }
   uint64_t trial_position() const override { return trial_cursor_; }
 
-  uint64_t executions() const override { return executions_; }
-  TargetHealth health() const override { return health_; }
+  uint64_t executions() const override { return counters_.executions; }
+  SubstrateCounters counters() const override { return counters_; }
 
   /// Keepalive probe of the live connection (connecting first if needed):
   /// PING, await the matching PONG. Aborted when the runner is gone.
@@ -174,8 +174,7 @@ class RemoteTarget : public ReplicableTarget {
   std::optional<Endpoint> placed_on_;
 
   uint64_t trial_cursor_ = 0;
-  uint64_t executions_ = 0;
-  TargetHealth health_;
+  SubstrateCounters counters_;
 };
 
 }  // namespace aid

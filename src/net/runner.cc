@@ -173,8 +173,15 @@ void Runner::AcceptLoop() {
         continue;
       }
     }
+    // Count and record the session before its client can observe it: the
+    // count goes up before the fork, and the lock held across the fork
+    // makes live_sessions() wait until the child's pid is recorded. The
+    // child never touches the lock.
+    sessions_started_.fetch_add(1);
+    std::lock_guard<std::mutex> lock(sessions_mu_);
     const pid_t pid = ::fork();
     if (pid < 0) {
+      sessions_started_.fetch_sub(1);
       ::close(*conn);
       continue;
     }
@@ -201,15 +208,11 @@ void Runner::AcceptLoop() {
       host.trial_delay_us = options_.trial_delay_us;
       host.shared_stats = shared_stats_;
       host.daemon_start_micros = start_micros_;
-      // +1: this very connection counts, and the parent increments only
-      // after the fork returns.
       host.daemon_sessions_started =
-          static_cast<uint64_t>(sessions_started_.load()) + 1;
+          static_cast<uint64_t>(sessions_started_.load());
       ::_exit(RunSubjectHost(channel, host));
     }
     ::close(*conn);
-    sessions_started_.fetch_add(1);
-    std::lock_guard<std::mutex> lock(sessions_mu_);
     session_pids_.push_back(pid);
   }
 }

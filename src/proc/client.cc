@@ -191,7 +191,7 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
 Result<PredicateLog> RunTrialWithRecovery(
     FrameChannel& channel, uint64_t trial_index,
     const std::vector<PredicateId>& intervened, int trial_deadline_ms,
-    TargetHealth* health, const std::function<Status()>& replace_peer,
+    SubstrateCounters* counters, const std::function<Status()>& replace_peer,
     Telemetry* telemetry) {
   // Trial timing at the wire, charged on every exit path: the substrate's
   // real per-trial latency -- RPC, streamed events, and any peer
@@ -216,14 +216,14 @@ Result<PredicateLog> RunTrialWithRecovery(
     if (run.code() == StatusCode::kAborted) {
       log.failed = true;
       log.outcome = TrialOutcome::kCrashed;
-      ++health->crashed_trials;
+      ++counters->crashed_trials;
       AID_RETURN_IF_ERROR(replace_peer());
       return log;
     }
     if (run.code() == StatusCode::kDeadlineExceeded) {
       log.failed = true;
       log.outcome = TrialOutcome::kTimedOut;
-      ++health->timed_out_trials;
+      ++counters->timed_out_trials;
       AID_RETURN_IF_ERROR(replace_peer());
       return log;
     }
@@ -233,7 +233,7 @@ Result<PredicateLog> RunTrialWithRecovery(
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                            Clock::now() - start)
                            .count();
-  if (elapsed > 0) health->trial_micros += static_cast<uint64_t>(elapsed);
+  if (elapsed > 0) counters->trial_micros += static_cast<uint64_t>(elapsed);
   if (telemetry != nullptr && elapsed > 0) {
     telemetry
         ->LatencyHistogram("aid_trial_latency_us",

@@ -91,12 +91,12 @@ Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 /// trial, a deadline expiry records a timed-out trial -- both failing,
 /// both keeping the partial log (paper semantics: the failure was
 /// certainly not repressed, and pruning must not reason from an
-/// incomplete observation set), both counted into `*health` -- and in
+/// incomplete observation set), both counted into `*counters` -- and in
 /// either case `replace_peer` is invoked to stand up a fresh subject
 /// (respawn a child, reconnect a socket); its error fails the run.
 /// Other errors (host-side ERROR frames, protocol corruption) propagate.
 /// Every path also charges the trial's wall-clock (wire time plus any peer
-/// replacement) into `health->trial_micros`: the substrate-level timing
+/// replacement) into `counters->trial_micros`: the substrate-level timing
 /// that feeds the latency-aware scheduler (exec/scheduler.h) and the
 /// fleet's endpoint placement (net/latency.h).
 /// With non-null `telemetry`, each trial additionally opens an engine-side
@@ -107,7 +107,7 @@ Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 Result<PredicateLog> RunTrialWithRecovery(
     FrameChannel& channel, uint64_t trial_index,
     const std::vector<PredicateId>& intervened, int trial_deadline_ms,
-    TargetHealth* health, const std::function<Status()>& replace_peer,
+    SubstrateCounters* counters, const std::function<Status()>& replace_peer,
     Telemetry* telemetry = nullptr);
 
 #if AID_PROC_SUPPORTED

@@ -235,13 +235,13 @@ void SubprocessTarget::StopChild(bool force_kill) {
 }
 
 Status SubprocessTarget::Respawn() {
-  if (health_.respawns >= static_cast<uint64_t>(options_.max_respawns)) {
+  if (counters_.respawns >= static_cast<uint64_t>(options_.max_respawns)) {
     return Status::Aborted(
         "SubprocessTarget: subject crashed/hung through " +
-        std::to_string(health_.respawns) +
+        std::to_string(counters_.respawns) +
         " respawns (max_respawns); giving up on a crash loop");
   }
-  ++health_.respawns;
+  ++counters_.respawns;
   return EnsureChild();
 }
 
@@ -252,7 +252,7 @@ Result<PredicateLog> SubprocessTarget::RunOneTrial(
   // way (proc/client.h has the full lifecycle contract).
   return RunTrialWithRecovery(
       *channel_, trial_index, intervened, options_.trial_deadline_ms,
-      &health_,
+      &counters_,
       [this]() {
         StopChild(/*force_kill=*/true);
         return Respawn();
@@ -267,7 +267,7 @@ Result<TargetRunResult> SubprocessTarget::RunIntervened(
   result.logs.reserve(static_cast<size_t>(trials));
   for (int i = 0; i < trials; ++i) {
     const uint64_t trial_index = trial_cursor_++;
-    ++executions_;
+    ++counters_.executions;
     AID_ASSIGN_OR_RETURN(PredicateLog log,
                          RunOneTrial(intervened, trial_index));
     result.logs.push_back(std::move(log));

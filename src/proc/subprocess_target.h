@@ -20,7 +20,7 @@
 //     the target gives up with Aborted rather than burning CPU forever.
 //
 // Counters (respawns / crashed / timed-out trials) surface through
-// InterventionTarget::health() and land in DiscoveryReport.
+// InterventionTarget::counters() and land in DiscoveryReport.
 //
 // SubprocessTarget is a ReplicableTarget: Clone() hands out another
 // lazily-spawning child over the same serialized spec, so replicas pool
@@ -116,8 +116,8 @@ class SubprocessTarget : public ReplicableTarget {
   void SeekTrial(uint64_t trial_index) override { trial_cursor_ = trial_index; }
   uint64_t trial_position() const override { return trial_cursor_; }
 
-  uint64_t executions() const override { return executions_; }
-  TargetHealth health() const override { return health_; }
+  uint64_t executions() const override { return counters_.executions; }
+  SubstrateCounters counters() const override { return counters_; }
 
   /// Catalog size the child reported at handshake; 0 before the first spawn.
   /// Session targets cross-check it against the parent-side catalog.
@@ -152,8 +152,7 @@ class SubprocessTarget : public ReplicableTarget {
   uint32_t child_catalog_size_ = 0;
 
   uint64_t trial_cursor_ = 0;
-  uint64_t executions_ = 0;
-  TargetHealth health_;
+  SubstrateCounters counters_;
 };
 
 }  // namespace aid

@@ -115,15 +115,8 @@ void EncodeDiscoveryReport(const DiscoveryReport& report, WireWriter& w) {
   EncodePreds(report.causal_path, w);
   EncodePreds(report.spurious, w);
   w.U64(report.rounds);
-  w.U64(report.executions);
   w.U64(report.speculative_executions);
-  w.U64(report.respawns);
-  w.U64(report.crashed_trials);
-  w.U64(report.timed_out_trials);
-  w.U64(report.steals);
-  w.U64(report.straggler_wait_micros);
-  w.U32(static_cast<uint32_t>(report.replica_trials.size()));
-  for (uint64_t trials : report.replica_trials) w.U64(trials);
+  report.SubstrateCounters::Encode(w);
   w.U32(static_cast<uint32_t>(report.history.size()));
   for (const InterventionRound& round : report.history) {
     EncodePreds(round.intervened, w);
@@ -147,18 +140,8 @@ Result<DiscoveryReport> DecodeDiscoveryReport(WireReader& r) {
   report.causal_path = DecodePreds(r);
   report.spurious = DecodePreds(r);
   report.rounds = r.U64();
-  report.executions = r.U64();
   report.speculative_executions = r.U64();
-  report.respawns = r.U64();
-  report.crashed_trials = r.U64();
-  report.timed_out_trials = r.U64();
-  report.steals = r.U64();
-  report.straggler_wait_micros = r.U64();
-  const uint32_t replicas = r.Count(sizeof(uint64_t));
-  report.replica_trials.reserve(replicas);
-  for (uint32_t i = 0; i < replicas; ++i) {
-    report.replica_trials.push_back(r.U64());
-  }
+  static_cast<SubstrateCounters&>(report) = SubstrateCounters::Decode(r);
   // Min wire size of a history round: empty preds (4) + flag (1) + empty
   // phase string (4).
   const uint32_t rounds = r.Count(9);

@@ -15,7 +15,6 @@
 #endif
 
 #include "api/target_factory.h"
-#include "casestudies/case_study.h"
 #include "common/logging.h"
 #include "core/discovery_state.h"
 #include "exec/replicable.h"
@@ -107,14 +106,13 @@ class DiscoveryService::Impl {
 
  private:
   /// One live discovery: the client connection, the subject rebuilt from
-  /// its spec (spec/study own the model/program the target borrows), and
+  /// its spec (the spec owns the model/program the target borrows), and
   /// the resumable state machine being interleaved.
   struct Session {
     uint64_t id = 0;
     std::string label;
     std::unique_ptr<SocketChannel> channel;
     OwnedSubjectSpec spec;
-    std::unique_ptr<CaseStudy> study;  ///< kCase: owns program + options
     std::unique_ptr<SessionTarget> target;
     std::optional<AcDag> dag;
     std::unique_ptr<DiscoveryState> state;
@@ -190,15 +188,19 @@ class DiscoveryService::Impl {
     AcceptedMsg accepted;
     accepted.session_id = (*session)->id;
     accepted.resumed = (*session)->folded_rounds > 0;
+    // Count the session before ACCEPTED goes out: a client holding
+    // ACCEPTED must never read a count that misses its own session.
+    sessions_accepted_.fetch_add(1);
+    if (sessions_counter_ != nullptr) sessions_counter_->Add();
     if (!(*session)
              ->channel
              ->Write(AsProcMsgType(ServiceMsgType::kAccepted),
                      EncodeAccepted(accepted), kFrameDeadlineMs)
              .ok()) {
-      return;  // client hung up before the answer; drop the session
+      // The client hung up before the answer: the session fails unrun.
+      if (failures_counter_ != nullptr) failures_counter_->Add();
+      return;
     }
-    sessions_accepted_.fetch_add(1);
-    if (sessions_counter_ != nullptr) sessions_counter_->Add();
     {
       std::lock_guard<std::mutex> lock(mu_);
       const uint64_t id = (*session)->id;
@@ -290,46 +292,41 @@ class DiscoveryService::Impl {
     return session;
   }
 
-  /// Rebuilds the intervention substrate a SubjectSpec describes, shared
-  /// with the daemon's runner fleet. The spec/study stay alive inside the
-  /// session; the target borrows them.
+  /// Rebuilds the target a SubjectSpec describes, its intervention
+  /// replicas on the daemon's runner fleet (in-process without one). The
+  /// spec stays alive inside the session; the target borrows from it.
   Status BuildTarget(Session& session, int parallelism) {
-    if (parallelism <= 0) parallelism = 1;
-    switch (session.spec.kind) {
+    const OwnedSubjectSpec& spec = session.spec;
+    TargetConfig config;
+    config.parallelism = std::max(parallelism, 1);
+    config.fleet = options_.fleet;
+    std::string backend;
+    switch (spec.kind) {
       case SubjectKind::kModel:
-      case SubjectKind::kFlakyModel: {
-        const bool flaky = session.spec.kind == SubjectKind::kFlakyModel;
-        AID_ASSIGN_OR_RETURN(
-            session.target,
-            MakeModelSessionTarget(
-                session.spec.model.get(),
-                flaky ? session.spec.manifest_probability : 1.0,
-                session.spec.flaky_seed, flaky ? "flaky" : "model",
-                parallelism, Isolation::kInProcess, {}, options_.fleet));
-        return Status::OK();
-      }
-      case SubjectKind::kCase: {
-        AID_ASSIGN_OR_RETURN(CaseStudy study,
-                             MakeCaseStudyByKey(session.spec.case_key));
-        session.study = std::make_unique<CaseStudy>(std::move(study));
-        AID_ASSIGN_OR_RETURN(
-            session.target,
-            MakeVmSessionTarget(&session.study->program,
-                                session.study->target_options, "case",
-                                parallelism, Isolation::kInProcess, {},
-                                options_.fleet));
-        return Status::OK();
-      }
-      case SubjectKind::kVmProgram: {
-        AID_ASSIGN_OR_RETURN(
-            session.target,
-            MakeVmSessionTarget(session.spec.program.get(), session.spec.vm,
-                                "vm", parallelism, Isolation::kInProcess, {},
-                                options_.fleet));
-        return Status::OK();
-      }
+        backend = "model";
+        config.model = spec.model.get();
+        break;
+      case SubjectKind::kFlakyModel:
+        backend = "flaky-model";
+        config.model = spec.model.get();
+        config.manifest_probability = spec.manifest_probability;
+        config.flaky_seed = spec.flaky_seed;
+        break;
+      case SubjectKind::kCase:
+        backend = "case";
+        config.case_study = spec.case_key;
+        break;
+      case SubjectKind::kVmProgram:
+        backend = "vm";
+        config.program = spec.program.get();
+        config.vm = spec.vm;
+        break;
+      default:
+        return Status::InvalidArgument("service: unknown subject kind");
     }
-    return Status::InvalidArgument("service: unknown subject kind");
+    AID_ASSIGN_OR_RETURN(session.target,
+                         TargetFactory::Create(backend, config));
+    return Status::OK();
   }
 
   void WorkerLoop() {

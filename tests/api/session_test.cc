@@ -12,12 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "casestudies/case_study.h"
-#include "casestudies/pipeline.h"
 #include "synth/generator.h"
 #include "synth/model.h"
-
-// The parity tests intentionally exercise the deprecated RunPipeline shim.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace aid {
 namespace {
@@ -104,40 +100,6 @@ TEST(SessionTest, RunWithEngineOptionsReusesTheDag) {
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
   EXPECT_LE(aid->discovery.rounds, tagt->discovery.rounds);
-}
-
-// --- parity with the deprecated case-study pipeline -----------------------
-
-TEST(SessionTest, MatchesLegacyRunPipelineOnCaseStudy) {
-  auto study = MakeNpgsqlRace();
-  ASSERT_TRUE(study.ok()) << study.status();
-
-  PipelineConfig config;
-  config.aid.trials_per_intervention = 3;
-  config.tagt.trials_per_intervention = 3;
-  auto legacy = RunPipeline(*study, config);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-
-  auto session = SessionBuilder()
-                     .WithProgram(&study->program, study->target_options)
-                     .WithEngine(EnginePreset::kAid)
-                     .WithTrials(3)
-                     .WithTagtBaselineOptions(config.tagt)
-                     .Build();
-  ASSERT_TRUE(session.ok()) << session.status();
-  auto report = session->Run();
-  ASSERT_TRUE(report.ok()) << report.status();
-
-  EXPECT_EQ(report->sd_predicates, legacy->fully_discriminative);
-  EXPECT_EQ(report->acdag_nodes, legacy->acdag_nodes);
-  EXPECT_EQ(report->discovery.causal_path, legacy->aid.causal_path);
-  EXPECT_EQ(report->discovery.rounds, legacy->aid.rounds);
-  EXPECT_EQ(report->tagt_baseline->causal_path, legacy->tagt.causal_path);
-  EXPECT_EQ(report->root_cause, legacy->root_cause);
-  EXPECT_EQ(report->causal_path, legacy->causal_path);
-  EXPECT_NE(report->root_cause.find(study->expected_root_substring),
-            std::string::npos)
-      << report->root_cause;
 }
 
 // --- target factory -------------------------------------------------------

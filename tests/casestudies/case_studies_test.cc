@@ -8,34 +8,40 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "casestudies/case_study.h"
-#include "casestudies/pipeline.h"
 #include "common/math_util.h"
-
-// This test deliberately drives the deprecated RunPipeline shim to pin its
-// behavior; new code goes through aid::Session (api/session.h).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace aid {
 namespace {
 
-class CaseStudyTest : public ::testing::TestWithParam<int> {
- protected:
-  static PipelineConfig Config() {
-    PipelineConfig config;
-    config.aid.trials_per_intervention = 3;
-    config.tagt.trials_per_intervention = 3;
-    return config;
+/// Observes `study`, then runs AID (and, with `run_tagt`, the TAGT
+/// baseline) at three trials per intervention.
+Result<SessionReport> RunStudy(const CaseStudy& study, bool run_tagt) {
+  EngineOptions aid = EngineOptions::Aid();
+  aid.trials_per_intervention = 3;
+  SessionBuilder builder;
+  builder.WithProgram(&study.program, study.target_options)
+      .WithEngineOptions(aid);
+  if (run_tagt) {
+    EngineOptions tagt = EngineOptions::Tagt();
+    tagt.trials_per_intervention = 3;
+    builder.WithTagtBaselineOptions(tagt);
   }
-};
+  AID_ASSIGN_OR_RETURN(Session session, builder.Build());
+  return session.Run();
+}
+
+class CaseStudyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CaseStudyTest, PipelineFindsTheDocumentedRootCause) {
   auto studies = AllCaseStudies();
   ASSERT_TRUE(studies.ok());
   const CaseStudy& study = (*studies)[static_cast<size_t>(GetParam())];
 
-  auto outcome = RunPipeline(study, Config());
+  auto outcome = RunStudy(study, /*run_tagt=*/true);
   ASSERT_TRUE(outcome.ok()) << study.name << ": " << outcome.status();
+  ASSERT_TRUE(outcome->tagt_baseline.has_value());
 
   // The discovered root cause matches the developers' explanation.
   EXPECT_NE(outcome->root_cause.find(study.expected_root_substring),
@@ -43,35 +49,36 @@ TEST_P(CaseStudyTest, PipelineFindsTheDocumentedRootCause) {
       << study.name << ": got root '" << outcome->root_cause << "'";
 
   // The causal path is non-trivial and ends at the failure predicate.
-  EXPECT_GE(outcome->aid_path_len(), 1) << study.name;
+  EXPECT_GE(outcome->causal_path_len(), 1) << study.name;
   ASSERT_FALSE(outcome->causal_path.empty());
   EXPECT_EQ(outcome->causal_path.back(), "FAILURE");
 
   // SD reports more predicates than the causal path contains -- the
   // imprecision AID resolves (Figure 7, columns 3 vs 4).
-  EXPECT_GT(outcome->fully_discriminative, outcome->aid_path_len())
+  EXPECT_GT(outcome->sd_predicates, outcome->causal_path_len())
       << study.name;
 
   // AID stays below TAGT's worst case D * ceil(log2 N) on the same DAG.
   const int worst_tagt =
-      static_cast<int>(outcome->aid_path_len()) *
+      outcome->causal_path_len() *
       CeilLog2(static_cast<uint64_t>(std::max(outcome->acdag_nodes, 2)));
-  EXPECT_LE(outcome->aid.rounds,
-            std::max<uint64_t>(worst_tagt, outcome->tagt.rounds))
+  EXPECT_LE(outcome->discovery.rounds,
+            std::max<uint64_t>(worst_tagt, outcome->tagt_baseline->rounds))
       << study.name;
 
   // Both engines find the same root cause.
-  EXPECT_EQ(outcome->aid.root_cause(), outcome->tagt.root_cause())
+  EXPECT_EQ(outcome->discovery.root_cause(),
+            outcome->tagt_baseline->root_cause())
       << study.name;
 
   // Causal and spurious sets are disjoint and cover the AC-DAG candidates.
-  for (PredicateId causal : outcome->aid.causal_path) {
-    for (PredicateId spurious : outcome->aid.spurious) {
+  for (PredicateId causal : outcome->discovery.causal_path) {
+    for (PredicateId spurious : outcome->discovery.spurious) {
       EXPECT_NE(causal, spurious) << study.name;
     }
   }
-  EXPECT_EQ(static_cast<int>(outcome->aid.causal_path.size() - 1 +
-                             outcome->aid.spurious.size()),
+  EXPECT_EQ(static_cast<int>(outcome->discovery.causal_path.size() - 1 +
+                             outcome->discovery.spurious.size()),
             outcome->acdag_nodes - 1)
       << study.name;
 }
@@ -104,10 +111,7 @@ TEST(CaseStudyRegistryTest, AllSixAreRegisteredWithPaperNumbers) {
 TEST(CaseStudySpecificTest, NpgsqlExplanationMatchesIssue2485) {
   auto study = MakeNpgsqlRace();
   ASSERT_TRUE(study.ok());
-  PipelineConfig config;
-  config.aid.trials_per_intervention = 3;
-  config.run_tagt = false;
-  auto outcome = RunPipeline(*study, config);
+  auto outcome = RunStudy(*study, /*run_tagt=*/false);
   ASSERT_TRUE(outcome.ok());
   // Path: race on the index variable -> premature read -> exception.
   ASSERT_GE(outcome->causal_path.size(), 3u);
@@ -124,10 +128,7 @@ TEST(CaseStudySpecificTest, NpgsqlExplanationMatchesIssue2485) {
 TEST(CaseStudySpecificTest, KafkaPathLinksSlownessToDisposedCommit) {
   auto study = MakeKafkaUseAfterFree();
   ASSERT_TRUE(study.ok());
-  PipelineConfig config;
-  config.aid.trials_per_intervention = 3;
-  config.run_tagt = false;
-  auto outcome = RunPipeline(*study, config);
+  auto outcome = RunStudy(*study, /*run_tagt=*/false);
   ASSERT_TRUE(outcome.ok());
   EXPECT_NE(outcome->root_cause.find("DoWork runs too slow"),
             std::string::npos);
@@ -143,31 +144,25 @@ TEST(CaseStudySpecificTest, KafkaPathLinksSlownessToDisposedCommit) {
 TEST(CaseStudySpecificTest, NetworkPathIsJustTheCollision) {
   auto study = MakeNetworkCollision();
   ASSERT_TRUE(study.ok());
-  PipelineConfig config;
-  config.aid.trials_per_intervention = 3;
-  config.run_tagt = false;
-  auto outcome = RunPipeline(*study, config);
+  auto outcome = RunStudy(*study, /*run_tagt=*/false);
   ASSERT_TRUE(outcome.ok());
   // The paper reports a single-predicate causal path for Network.
-  EXPECT_EQ(outcome->aid_path_len(), 1);
+  EXPECT_EQ(outcome->causal_path_len(), 1);
   EXPECT_NE(outcome->root_cause.find("same value"), std::string::npos);
 }
 
 TEST(CaseStudySpecificTest, HealthTelemetryHasTheLongestPath) {
   auto studies = AllCaseStudies();
   ASSERT_TRUE(studies.ok());
-  PipelineConfig config;
-  config.aid.trials_per_intervention = 3;
-  config.run_tagt = false;
   int health_len = 0;
   int max_other = 0;
   for (const CaseStudy& study : *studies) {
-    auto outcome = RunPipeline(study, config);
+    auto outcome = RunStudy(study, /*run_tagt=*/false);
     ASSERT_TRUE(outcome.ok()) << study.name;
     if (study.name == "HealthTelemetry") {
-      health_len = outcome->aid_path_len();
+      health_len = outcome->causal_path_len();
     } else {
-      max_other = std::max(max_other, outcome->aid_path_len());
+      max_other = std::max(max_other, outcome->causal_path_len());
     }
   }
   EXPECT_GT(health_len, max_other);

@@ -212,7 +212,11 @@ class UnhealthyTarget : public InterventionTarget {
     return result;
   }
   uint64_t executions() const override { return inner_.executions(); }
-  TargetHealth health() const override { return health_; }
+  SubstrateCounters counters() const override {
+    SubstrateCounters counters = health_;
+    counters.executions = executions();
+    return counters;
+  }
 
   uint64_t crash_period = 0;
   int crash_budget = -1;  ///< max crashed trials; -1 = unlimited
@@ -220,12 +224,12 @@ class UnhealthyTarget : public InterventionTarget {
  private:
   ModelTarget inner_;
   uint64_t trial_cursor_ = 0;
-  TargetHealth health_;
+  SubstrateCounters health_;
 };
 
 }  // namespace
 
-TEST(TargetHealthTest, EngineSurfacesHealthDeltasInTheReport) {
+TEST(SubstrateCountersTest, EngineSurfacesHealthDeltasInTheReport) {
   GroundTruthModel model = MakeChainModel(6, {2});
   auto dag = model.BuildAcDag();
   ASSERT_TRUE(dag.ok());
@@ -239,20 +243,20 @@ TEST(TargetHealthTest, EngineSurfacesHealthDeltasInTheReport) {
   EXPECT_GT(report->crashed_trials, 0);
   EXPECT_EQ(report->respawns, report->crashed_trials);
   EXPECT_EQ(report->timed_out_trials, 0);
-  EXPECT_EQ(report->crashed_trials, target.health().crashed_trials);
+  EXPECT_EQ(report->crashed_trials, target.counters().crashed_trials);
 
   // A second run reports only its own deltas, not the cumulative counters.
   CausalPathDiscovery second(&*dag, &target, options);
   auto second_report = second.Run();
   ASSERT_TRUE(second_report.ok());
   EXPECT_EQ(second_report->crashed_trials,
-            target.health().crashed_trials - report->crashed_trials);
+            target.counters().crashed_trials - report->crashed_trials);
 
   const std::string text = RenderReport(*report, *dag);
   EXPECT_NE(text.find("crashed trials"), std::string::npos);
 }
 
-TEST(TargetHealthTest, PruningIgnoresPartialLogs) {
+TEST(SubstrateCountersTest, PruningIgnoresPartialLogs) {
   // A crashed trial's log is failing but PARTIAL (here: empty). Definition 2
   // would read "failed, and P was not observed" from it and prune every
   // still-undecided candidate -- including the real root cause. The engine

@@ -271,7 +271,7 @@ TEST(SchedulerStealTest, FastReplicasStealFromTheStraggler) {
     EXPECT_EQ(got->logs[i].failed, expected->logs[i].failed) << "log " << i;
   }
 
-  const DispatchStats stats = (*pool)->dispatch_stats();
+  const SubstrateCounters stats = (*pool)->counters();
   ASSERT_EQ(stats.replica_trials.size(), 2u);
   EXPECT_EQ(stats.replica_trials[0] + stats.replica_trials[1], 64u);
   EXPECT_GE(stats.steals, 1u);
@@ -299,7 +299,7 @@ TEST(SchedulerStealTest, StaticPolicyNeverSteals) {
   auto got = (*pool)->RunIntervened({}, 32);
   ASSERT_TRUE(got.ok()) << got.status();
 
-  const DispatchStats stats = (*pool)->dispatch_stats();
+  const SubstrateCounters stats = (*pool)->counters();
   EXPECT_EQ(stats.steals, 0u);
   // The fixed contiguous split: both replicas got exactly half.
   ASSERT_EQ(stats.replica_trials.size(), 2u);
@@ -375,7 +375,7 @@ TEST(SchedulerFailFastTest, MidBatchFailureCancelsUnleasedChunks) {
   // the batch kept executing and billing after the failure.
   EXPECT_EQ((*pool)->executions(),
             static_cast<uint64_t>(poison_index) * trials);
-  const DispatchStats stats = (*pool)->dispatch_stats();
+  const SubstrateCounters stats = (*pool)->counters();
   EXPECT_EQ(stats.cancelled_chunks, spans.size() - poison_index - 1);
 
   // The trial cursor did not commit: the next (successful) dispatch runs

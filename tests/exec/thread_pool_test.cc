@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -95,15 +96,29 @@ bool ShutdownLatched(ThreadPool& pool) {
   }
 }
 
+/// Submits a task that returns 1 once `released` fires, and returns only
+/// after a worker has started it: a shutdown that latches later can no
+/// longer discard the wedged task itself, only what queues behind it.
+std::future<int> SubmitWedge(ThreadPool& pool,
+                             std::shared_future<void> released) {
+  auto started = std::make_shared<std::promise<void>>();
+  std::future<void> running = started->get_future();
+  std::future<int> blocked = pool.Submit([released, started]() {
+    started->set_value();
+    released.wait();
+    return 1;
+  });
+  running.wait();
+  return blocked;
+}
+
 TEST(ThreadPoolTest, DiscardShutdownBreaksPendingPromises) {
   // One worker, wedged on a latch; everything queued behind it must NOT be
   // silently dropped with live futures -- discard shutdown has to deliver
   // broken_promise to each pending future so waiters abort promptly.
   ThreadPool pool(1);
   std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::future<int> blocked =
-      pool.Submit([released]() { released.wait(); return 1; });
+  std::future<int> blocked = SubmitWedge(pool, release.get_future().share());
   std::vector<std::future<int>> pending;
   for (int i = 0; i < 8; ++i) {
     pending.push_back(pool.Submit([]() { return 2; }));
@@ -166,9 +181,8 @@ TEST(ThreadPoolTest, SecondShutdownEscalatesDrainToDiscard) {
   for (int attempt = 0; attempt < 5 && broken == 0; ++attempt) {
     ThreadPool pool(1);
     std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
     std::future<int> blocked =
-        pool.Submit([released]() { released.wait(); return 1; });
+        SubmitWedge(pool, release.get_future().share());
     std::vector<std::future<int>> pending;
     for (int i = 0; i < 8; ++i) {
       pending.push_back(pool.Submit([]() { return 2; }));

@@ -79,8 +79,8 @@ TEST(RemoteTargetTest, TrialsMatchTheInProcessModelTarget) {
   }
   EXPECT_EQ((*remote)->remote_catalog_size(), model->catalog().size());
   EXPECT_EQ((*remote)->executions(), 6);
-  EXPECT_EQ((*remote)->health().crashed_trials, 0);
-  EXPECT_EQ((*remote)->health().respawns, 0);
+  EXPECT_EQ((*remote)->counters().crashed_trials, 0);
+  EXPECT_EQ((*remote)->counters().respawns, 0);
 }
 
 TEST(RemoteTargetTest, FlakySubjectsAreSeekablePositionallyOverTheWire) {
@@ -146,8 +146,8 @@ TEST(RemoteTargetTest, KilledSessionChildBecomesCrashedTrialPlusReconnect) {
   EXPECT_TRUE(second->logs[0].failed);
   EXPECT_EQ(second->logs[0].outcome, TrialOutcome::kCrashed);
   EXPECT_FALSE(second->logs[0].complete());
-  EXPECT_EQ((*remote)->health().crashed_trials, 1);
-  EXPECT_EQ((*remote)->health().respawns, 1);
+  EXPECT_EQ((*remote)->counters().crashed_trials, 1);
+  EXPECT_EQ((*remote)->counters().respawns, 1);
 
   // And the reconnected replica serves the next trial normally, with the
   // same bytes the in-process target produces at that position.
@@ -180,8 +180,8 @@ TEST(RemoteTargetTest, InjectedCrashesAreCountedDeterministically) {
         << "trial " << i;
     if (poisoned) EXPECT_TRUE(result->logs[i].failed);
   }
-  EXPECT_EQ((*remote)->health().crashed_trials, 2);
-  EXPECT_EQ((*remote)->health().respawns, 2);
+  EXPECT_EQ((*remote)->counters().crashed_trials, 2);
+  EXPECT_EQ((*remote)->counters().respawns, 2);
 }
 
 #if defined(POLLRDHUP)
@@ -201,7 +201,7 @@ TEST(RemoteTargetTest, HungSubjectIsReapedOnTheRunnerAfterTimeout) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->logs[1].outcome, TrialOutcome::kTimedOut);
   EXPECT_TRUE(result->logs[2].complete());
-  EXPECT_EQ((*remote)->health().timed_out_trials, 1);
+  EXPECT_EQ((*remote)->counters().timed_out_trials, 1);
 
   // The hung session child must not leak on the runner: its watchdog sees
   // the engine's hangup and exits, leaving only the reconnected session.
@@ -331,8 +331,8 @@ TEST(FleetTargetTest, ReplicaFailsOverWhenItsRunnerDies) {
   ASSERT_TRUE(third.ok()) << third.status();
   EXPECT_TRUE(third->logs[0].complete());
   EXPECT_GE((*runner_b)->sessions_started(), 1);
-  EXPECT_EQ((*fleet)->health().crashed_trials, 1);
-  EXPECT_GE((*fleet)->health().respawns, 1);
+  EXPECT_EQ((*fleet)->counters().crashed_trials, 1);
+  EXPECT_GE((*fleet)->counters().respawns, 1);
 }
 
 #else  // !AID_NET_SUPPORTED

@@ -77,7 +77,7 @@ TEST(SubprocessTargetTest, MatchesInProcessModelDispatch) {
     }
   }
   EXPECT_EQ((*target)->executions(), reference.executions());
-  EXPECT_EQ((*target)->health().respawns, 0);
+  EXPECT_EQ((*target)->counters().respawns, 0);
   EXPECT_EQ((*target)->child_catalog_size(), model->catalog().size());
 }
 
@@ -131,9 +131,9 @@ TEST(SubprocessTargetTest, CrashIsRecordedAsFailingTrialAndRespawns) {
     }
   }
   EXPECT_EQ(crashed, 3);
-  EXPECT_EQ((*target)->health().crashed_trials, 3);
-  EXPECT_EQ((*target)->health().respawns, 3);
-  EXPECT_EQ((*target)->health().timed_out_trials, 0);
+  EXPECT_EQ((*target)->counters().crashed_trials, 3);
+  EXPECT_EQ((*target)->counters().respawns, 3);
+  EXPECT_EQ((*target)->counters().timed_out_trials, 0);
   EXPECT_EQ((*target)->executions(), 9);
 }
 
@@ -154,9 +154,9 @@ TEST(SubprocessTargetTest, HangIsKilledAtDeadlineAndRespawns) {
   for (size_t i : {0u, 1u, 2u, 4u}) {
     EXPECT_EQ(result->logs[i].outcome, TrialOutcome::kCompleted);
   }
-  EXPECT_EQ((*target)->health().timed_out_trials, 1);
-  EXPECT_EQ((*target)->health().respawns, 1);
-  EXPECT_EQ((*target)->health().crashed_trials, 0);
+  EXPECT_EQ((*target)->counters().timed_out_trials, 1);
+  EXPECT_EQ((*target)->counters().respawns, 1);
+  EXPECT_EQ((*target)->counters().crashed_trials, 0);
 }
 
 TEST(SubprocessTargetTest, CrashLoopAbortsAtMaxRespawns) {
@@ -171,7 +171,7 @@ TEST(SubprocessTargetTest, CrashLoopAbortsAtMaxRespawns) {
   auto result = (*target)->RunIntervened({}, 50);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kAborted);
-  EXPECT_EQ((*target)->health().respawns, 3);
+  EXPECT_EQ((*target)->counters().respawns, 3);
 }
 
 TEST(SubprocessTargetTest, PoolsUnderParallelTarget) {
@@ -197,7 +197,7 @@ TEST(SubprocessTargetTest, PoolsUnderParallelTarget) {
     }
   }
   EXPECT_EQ((*pool)->executions(), reference.executions());
-  EXPECT_EQ((*pool)->health().respawns, 0);
+  EXPECT_EQ((*pool)->counters().respawns, 0);
 }
 
 TEST(SubprocessTargetTest, MissingHostBinaryFailsWithClearError) {
