@@ -91,6 +91,7 @@ int main() {
       std::printf("P%d -> ", model.catalog().Get(id).occurrence);
     }
   }
-  std::printf("\nrounds: %d (paper: 8; naive: 11)\n", report->discovery.rounds);
+  std::printf("\nrounds: %llu (paper: 8; naive: 11)\n",
+              (unsigned long long)report->discovery.rounds);
   return report->discovery.rounds <= 11 ? 0 : 1;
 }

@@ -55,9 +55,11 @@ int main() {
   for (size_t i = 0; i < report.causal_path.size(); ++i) {
     std::printf("    %zu. %s\n", i + 1, report.causal_path[i].c_str());
   }
-  std::printf("\n  interventions: %d rounds (TAGT on the same target: %d)\n",
-              report.discovery.rounds,
-              report.tagt_baseline ? report.tagt_baseline->rounds : -1);
+  std::printf("\n  interventions: %llu rounds "
+              "(TAGT on the same target: %lld)\n",
+              (unsigned long long)report.discovery.rounds,
+              report.tagt_baseline ? (long long)report.tagt_baseline->rounds
+                                   : -1LL);
   std::printf("  predicates proven spurious: %zu\n",
               report.discovery.spurious.size());
   std::printf("\npaper reference: 72 SD predicates, 5-predicate path, 17 AID "

@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
               (unsigned long long)report.discovery.timed_out_trials);
   std::printf("  child respawns:   %llu\n",
               (unsigned long long)report.discovery.respawns);
-  std::printf("  executions:       %llu (%d rounds)\n",
+  std::printf("  executions:       %llu (%llu rounds)\n",
               (unsigned long long)report.discovery.executions,
-              report.discovery.rounds);
+              (unsigned long long)report.discovery.rounds);
   if (report.has_root_cause()) {
     std::printf("\nroot cause pinned despite the carnage: %s\n",
                 report.root_cause.c_str());

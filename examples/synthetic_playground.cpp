@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
     }
     std::vector<PredicateId> got = report->discovery.causal_path;
     std::sort(got.begin(), got.end());
-    std::printf("%-32s %3d rounds, %3llu executions -> %s\n",
+    std::printf("%-32s %3llu rounds, %3llu executions -> %s\n",
                 std::string(EnginePresetName(preset)).c_str(),
-                report->discovery.rounds,
+                (unsigned long long)report->discovery.rounds,
                 (unsigned long long)report->discovery.executions,
                 got == truth ? "exact causal path" : "MISMATCH");
   }

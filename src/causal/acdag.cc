@@ -1,6 +1,7 @@
 #include "causal/acdag.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <sstream>
 
@@ -8,6 +9,78 @@
 #include "common/strings.h"
 
 namespace aid {
+
+namespace {
+
+size_t WordsFor(size_t n) { return (n + 63) / 64; }
+
+bool TestBit(std::span<const uint64_t> row, size_t j) {
+  return ((row[j / 64] >> (j % 64)) & 1) != 0;
+}
+
+void SetBit(uint64_t* row, size_t j) { row[j / 64] |= uint64_t{1} << (j % 64); }
+
+/// Calls f(j) for every set bit j of `row`, ascending.
+template <typename F>
+void ForEachBit(std::span<const uint64_t> row, F&& f) {
+  for (size_t w = 0; w < row.size(); ++w) {
+    for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+      f(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+/// Kahn's algorithm over the relation packed in `rows` (n rows of `words`
+/// words), smallest index first among ready nodes. Shorter than n iff the
+/// relation has a cycle.
+std::vector<size_t> KahnOrder(const std::vector<uint64_t>& rows, size_t n,
+                              size_t words) {
+  auto row = [&](size_t i) {
+    return std::span<const uint64_t>(rows.data() + i * words, words);
+  };
+  std::vector<size_t> indegree(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ForEachBit(row(i), [&](size_t j) { ++indegree[j]; });
+  }
+  std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>>
+      ready;
+  for (size_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) ready.push(i);
+  }
+  std::vector<size_t> order;
+  order.reserve(n);
+  while (!ready.empty()) {
+    const size_t i = ready.top();
+    ready.pop();
+    order.push_back(i);
+    ForEachBit(row(i), [&](size_t j) {
+      if (--indegree[j] == 0) ready.push(j);
+    });
+  }
+  return order;
+}
+
+Status CycleError() {
+  return Status::InvalidArgument("edges contain a cycle");
+}
+
+/// Transitively closes the acyclic relation in `rows` in place: each row,
+/// in reverse topological `order`, absorbs the (already closed) rows of its
+/// members.
+void CloseInPlace(std::vector<uint64_t>& rows, size_t words,
+                  const std::vector<size_t>& order) {
+  std::vector<uint64_t> direct(words);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    uint64_t* row = rows.data() + *it * words;
+    direct.assign(row, row + words);
+    ForEachBit(direct, [&](size_t c) {
+      const uint64_t* child = rows.data() + c * words;
+      for (size_t w = 0; w < words; ++w) row[w] |= child[w];
+    });
+  }
+}
+
+}  // namespace
 
 Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
                            const std::vector<PredicateLog>& logs,
@@ -26,32 +99,48 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
   }
 
   const size_t n = nodes.size();
-  // precedes[i][j]: time(i) < time(j) in every failed log where both were
-  // observed; co_occurred[i][j]: they were observed together at least once.
-  // Fully-discriminative predicates co-occur in every failed log, making
-  // this the paper's "in all logs where both appear" rule.
-  std::vector<std::vector<bool>> precedes(n, std::vector<bool>(n, true));
-  std::vector<std::vector<bool>> co_occurred(n, std::vector<bool>(n, false));
+  const size_t words = WordsFor(n);
+  // Row i of co_occurred: the nodes observed together with i at least once.
+  // Row i of violated: the nodes j with time(i) >= time(j) in some failed
+  // log observing both. The edge i -> j is "co-occurred and never violated":
+  // time(i) < time(j) in every failed log where both appear (the paper's
+  // rule; fully-discriminative predicates co-occur in every failed log).
+  std::vector<uint64_t> co_occurred(n * words, 0);
+  std::vector<uint64_t> violated(n * words, 0);
 
   int failed_logs = 0;
-  std::vector<Tick> times(n);
-  std::vector<bool> present(n);
+  std::vector<std::pair<Tick, size_t>> present;  // (time, node index)
+  std::vector<uint64_t> present_mask(words);
+  std::vector<uint64_t> not_later(words);
   for (const PredicateLog& log : logs) {
     if (!log.failed) continue;
     ++failed_logs;
+    present.clear();
+    std::fill(present_mask.begin(), present_mask.end(), 0);
     for (size_t i = 0; i < n; ++i) {
       auto it = log.observed.find(nodes[i]);
-      present[i] = it != log.observed.end();
-      if (present[i]) {
-        times[i] = config.TimeOf(catalog->Get(nodes[i]), it->second);
-      }
+      if (it == log.observed.end()) continue;
+      present.emplace_back(config.TimeOf(catalog->Get(nodes[i]), it->second),
+                           i);
+      SetBit(present_mask.data(), i);
     }
-    for (size_t i = 0; i < n; ++i) {
-      if (!present[i]) continue;
-      for (size_t j = 0; j < n; ++j) {
-        if (i == j || !present[j]) continue;
-        co_occurred[i][j] = true;
-        if (times[i] >= times[j]) precedes[i][j] = false;
+    for (const auto& [time, i] : present) {
+      uint64_t* row = co_occurred.data() + i * words;
+      for (size_t w = 0; w < words; ++w) row[w] |= present_mask[w];
+    }
+    // Walk the observed nodes in time order; each tie group is violated by
+    // everything up to and including itself.
+    std::sort(present.begin(), present.end());
+    std::fill(not_later.begin(), not_later.end(), 0);
+    for (size_t g = 0; g < present.size();) {
+      size_t end = g;
+      while (end < present.size() && present[end].first == present[g].first) {
+        SetBit(not_later.data(), present[end].second);
+        ++end;
+      }
+      for (; g < end; ++g) {
+        uint64_t* row = violated.data() + present[g].second * words;
+        for (size_t w = 0; w < words; ++w) row[w] |= not_later[w];
       }
     }
   }
@@ -60,16 +149,13 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
   }
 
   // The intersection of per-log strict orders is a strict partial order:
-  // irreflexive, transitive, acyclic. It is its own transitive closure.
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      closure[i][j] = i != j && co_occurred[i][j] && precedes[i][j];
-    }
+  // irreflexive (every observed node violates itself), transitive, acyclic.
+  // It is its own transitive closure.
+  for (size_t k = 0; k < co_occurred.size(); ++k) {
+    co_occurred[k] &= ~violated[k];
   }
-  return FromClosure(catalog, std::move(nodes), std::move(closure), failure,
-                     /*drop_unreachable=*/true, filter ? &filter : nullptr,
-                     stats);
+  return FromClosure(catalog, std::move(nodes), std::move(co_occurred),
+                     failure, filter ? &filter : nullptr, stats);
 }
 
 Result<AcDag> AcDag::FromEdges(
@@ -84,120 +170,121 @@ Result<AcDag> AcDag::FromEdges(
         "failure predicate must be among the nodes");
   }
   const size_t n = nodes.size();
-  std::unordered_map<PredicateId, size_t> index;
-  for (size_t i = 0; i < n; ++i) index[nodes[i]] = i;
+  const size_t words = WordsFor(n);
+  auto index_of = [&](PredicateId id) -> size_t {
+    auto it = std::lower_bound(nodes.begin(), nodes.end(), id);
+    return it != nodes.end() && *it == id
+               ? static_cast<size_t>(it - nodes.begin())
+               : n;
+  };
 
-  std::vector<std::vector<size_t>> adj(n);
+  std::vector<uint64_t> rows(n * words, 0);
   for (const auto& [from, to] : edges) {
-    auto fi = index.find(from);
-    auto ti = index.find(to);
-    if (fi == index.end() || ti == index.end()) {
+    const size_t fi = index_of(from);
+    const size_t ti = index_of(to);
+    if (fi == n || ti == n) {
       return Status::InvalidArgument("edge endpoint not among the nodes");
     }
-    if (fi->second == ti->second) {
+    if (fi == ti) {
       return Status::InvalidArgument("self-loop edge");
     }
-    adj[fi->second].push_back(ti->second);
+    SetBit(rows.data() + fi * words, ti);
   }
 
-  // Closure via iterative DFS from each node: O(n * E), which keeps the
-  // synthetic benchmark (thousands of generated DAGs) fast.
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  std::vector<size_t> stack;
-  for (size_t src = 0; src < n; ++src) {
-    stack.assign(adj[src].begin(), adj[src].end());
-    while (!stack.empty()) {
-      const size_t v = stack.back();
-      stack.pop_back();
-      if (closure[src][v]) continue;
-      closure[src][v] = true;
-      for (size_t next : adj[v]) {
-        if (!closure[src][next]) stack.push_back(next);
-      }
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (closure[i][i]) {
-      return Status::InvalidArgument("edges contain a cycle");
-    }
-  }
-  return FromClosure(catalog, std::move(nodes), std::move(closure), failure,
-                     /*drop_unreachable=*/true, filter ? &filter : nullptr,
-                     stats);
+  const std::vector<size_t> order = KahnOrder(rows, n, words);
+  if (order.size() != n) return CycleError();
+  CloseInPlace(rows, words, order);
+  return FromClosure(catalog, std::move(nodes), std::move(rows), failure,
+                     filter ? &filter : nullptr, stats);
 }
 
 Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
                                  std::vector<PredicateId> nodes,
-                                 std::vector<std::vector<bool>> closure,
-                                 PredicateId failure, bool drop_unreachable,
-                                 const EdgeFilter* filter, PruneStats* stats) {
-  const size_t n = nodes.size();
+                                 std::vector<uint64_t> rows,
+                                 PredicateId failure, const EdgeFilter* filter,
+                                 PruneStats* stats) {
+  if (!nodes.empty() && nodes.front() < 0) {
+    return Status::InvalidArgument("predicate ids must be non-negative");
+  }
+  size_t n = nodes.size();
+  size_t words = WordsFor(n);
   if (filter != nullptr) {
     if (stats != nullptr) {
       // Measure against the DAG the unfiltered build would produce.
-      auto baseline = FromClosure(catalog, nodes, closure, failure,
-                                  drop_unreachable);
+      auto baseline = FromClosure(catalog, nodes, rows, failure, nullptr,
+                                  nullptr);
       if (!baseline.ok()) return baseline;
       stats->nodes_before = baseline->size();
       stats->edges_before = baseline->EdgeCount();
     }
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        if (closure[i][j] && !(*filter)(nodes[i], nodes[j])) {
-          closure[i][j] = false;
+      uint64_t* row = rows.data() + i * words;
+      ForEachBit({row, words}, [&](size_t j) {
+        if (!(*filter)(nodes[i], nodes[j])) {
+          row[j / 64] &= ~(uint64_t{1} << (j % 64));
         }
-      }
+      });
     }
-    // Re-close the filtered relation (Floyd-Warshall). A reachability-based
-    // filter leaves a transitive relation transitive, so this is a no-op
-    // for the analysis/ filter -- but the closure invariant must hold for
-    // arbitrary filters, and everything downstream (junction layering,
-    // Definition 2's ancestor guard) depends on it.
-    for (size_t k = 0; k < n; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!closure[i][k]) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if (closure[k][j]) closure[i][j] = true;
-        }
-      }
+    // Re-close the filtered relation. A reachability-based filter leaves a
+    // transitive relation transitive, so this is a no-op for the analysis/
+    // filter -- but the closure invariant must hold for arbitrary filters,
+    // and everything downstream (junction layering, Definition 2's ancestor
+    // guard) depends on it. A subset of an acyclic relation stays acyclic.
+    const std::vector<size_t> order = KahnOrder(rows, n, words);
+    if (order.size() != n) return CycleError();
+    CloseInPlace(rows, words, order);
+  }
+
+  // Keep the failure node and every node that reaches it: a predicate with
+  // no path to F cannot cause F under the temporal over-approximation.
+  const size_t failure_index = static_cast<size_t>(
+      std::lower_bound(nodes.begin(), nodes.end(), failure) - nodes.begin());
+  AID_CHECK(failure_index < n && nodes[failure_index] == failure);
+  std::vector<size_t> keep;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == failure_index ||
+        TestBit({rows.data() + i * words, words}, failure_index)) {
+      keep.push_back(i);
     }
   }
-  if (drop_unreachable) {
-    // Keep the failure node and every node that reaches it: a predicate with
-    // no path to F cannot cause F under the temporal over-approximation.
-    size_t failure_index = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (nodes[i] == failure) failure_index = i;
+  if (keep.size() != n) {
+    std::vector<size_t> new_index(n, n);
+    for (size_t a = 0; a < keep.size(); ++a) new_index[keep[a]] = a;
+    const size_t kept_words = WordsFor(keep.size());
+    std::vector<PredicateId> kept_nodes;
+    std::vector<uint64_t> kept_rows(keep.size() * kept_words, 0);
+    kept_nodes.reserve(keep.size());
+    for (size_t a = 0; a < keep.size(); ++a) {
+      kept_nodes.push_back(nodes[keep[a]]);
+      uint64_t* kept_row = kept_rows.data() + a * kept_words;
+      ForEachBit({rows.data() + keep[a] * words, words}, [&](size_t j) {
+        if (new_index[j] != n) SetBit(kept_row, new_index[j]);
+      });
     }
-    AID_CHECK(failure_index < n);
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == failure_index || closure[i][failure_index]) keep.push_back(i);
-    }
-    if (keep.size() != n) {
-      std::vector<PredicateId> kept_nodes;
-      std::vector<std::vector<bool>> kept_closure(
-          keep.size(), std::vector<bool>(keep.size(), false));
-      kept_nodes.reserve(keep.size());
-      for (size_t a = 0; a < keep.size(); ++a) {
-        kept_nodes.push_back(nodes[keep[a]]);
-        for (size_t b = 0; b < keep.size(); ++b) {
-          kept_closure[a][b] = closure[keep[a]][keep[b]];
-        }
-      }
-      nodes = std::move(kept_nodes);
-      closure = std::move(kept_closure);
-    }
+    nodes = std::move(kept_nodes);
+    rows = std::move(kept_rows);
+    n = nodes.size();
+    words = kept_words;
   }
 
   AcDag dag;
   dag.catalog_ = catalog;
-  dag.nodes_ = std::move(nodes);
-  dag.closure_ = std::move(closure);
   dag.failure_ = failure;
-  for (size_t i = 0; i < dag.nodes_.size(); ++i) {
-    dag.index_[dag.nodes_[i]] = static_cast<int>(i);
+  dag.words_ = words;
+  dag.index_.assign(static_cast<size_t>(nodes.back()) + 1, -1);
+  for (size_t i = 0; i < n; ++i) {
+    dag.index_[static_cast<size_t>(nodes[i])] = static_cast<int>(i);
   }
+  const std::vector<size_t> order = KahnOrder(rows, n, words);
+  if (order.size() != n) return CycleError();
+  dag.topo_order_.reserve(n);
+  dag.topo_pos_.resize(n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    dag.topo_order_.push_back(nodes[order[pos]]);
+    dag.topo_pos_[order[pos]] = static_cast<int>(pos);
+  }
+  dag.nodes_ = std::move(nodes);
+  dag.rows_ = std::move(rows);
   if (filter != nullptr && stats != nullptr) {
     // Filtering only removes edges, so the filtered DAG is never larger
     // than the baseline: the subtractions cannot underflow.
@@ -209,9 +296,7 @@ Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
 
 size_t AcDag::EdgeCount() const {
   size_t count = 0;
-  for (const auto& row : closure_) {
-    for (bool edge : row) count += edge ? 1 : 0;
-  }
+  for (uint64_t word : rows_) count += static_cast<size_t>(std::popcount(word));
   return count;
 }
 
@@ -220,34 +305,32 @@ void AcDag::BuildReduction() const {
   const size_t n = nodes_.size();
   children_.assign(n, {});
   parents_.assign(n, {});
+  // (i, j) is a reduction edge iff no k mediates i ; k ; j: row(i) minus
+  // the union of its members' rows. Ascending i and j keep both lists
+  // sorted.
+  std::vector<uint64_t> direct(words_);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (!closure_[i][j]) continue;
-      // (i, j) is a reduction edge iff no k mediates i ; k ; j.
-      bool mediated = false;
-      for (size_t k = 0; k < n && !mediated; ++k) {
-        mediated = closure_[i][k] && closure_[k][j];
-      }
-      if (!mediated) {
-        children_[i].push_back(nodes_[j]);
-        parents_[j].push_back(nodes_[i]);
-      }
-    }
+    const std::span<const uint64_t> row = Row(i);
+    direct.assign(row.begin(), row.end());
+    ForEachBit(row, [&](size_t k) {
+      const std::span<const uint64_t> mediated = Row(k);
+      for (size_t w = 0; w < words_; ++w) direct[w] &= ~mediated[w];
+    });
+    ForEachBit(direct, [&](size_t j) {
+      children_[i].push_back(nodes_[j]);
+      parents_[j].push_back(nodes_[i]);
+    });
   }
-  for (auto& v : children_) std::sort(v.begin(), v.end());
-  for (auto& v : parents_) std::sort(v.begin(), v.end());
   reduction_built_ = true;
 }
 
 int AcDag::IndexOf(PredicateId id) const {
-  auto it = index_.find(id);
-  AID_CHECK(it != index_.end());
-  return it->second;
+  AID_CHECK(Contains(id));
+  return index_[static_cast<size_t>(id)];
 }
 
 bool AcDag::Reaches(PredicateId from, PredicateId to) const {
-  return closure_[static_cast<size_t>(IndexOf(from))]
-                 [static_cast<size_t>(IndexOf(to))];
+  return TestBit(DescendantMask(from), static_cast<size_t>(IndexOf(to)));
 }
 
 const std::vector<PredicateId>& AcDag::Children(PredicateId id) const {
@@ -260,88 +343,52 @@ const std::vector<PredicateId>& AcDag::Parents(PredicateId id) const {
   return parents_[static_cast<size_t>(IndexOf(id))];
 }
 
-std::vector<PredicateId> AcDag::TopoOrder() const {
-  // Kahn's algorithm over the closure with a min-heap for determinism.
-  const size_t n = nodes_.size();
-  std::vector<int> indegree(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (closure_[j][i]) ++indegree[i];
-    }
-  }
-  std::priority_queue<PredicateId, std::vector<PredicateId>,
-                      std::greater<PredicateId>>
-      ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push(nodes_[i]);
-  }
-  std::vector<PredicateId> order;
-  order.reserve(n);
-  while (!ready.empty()) {
-    const PredicateId id = ready.top();
-    ready.pop();
-    order.push_back(id);
-    const size_t i = static_cast<size_t>(IndexOf(id));
-    for (size_t j = 0; j < n; ++j) {
-      if (closure_[i][j] && --indegree[j] == 0) ready.push(nodes_[j]);
-    }
-  }
-  AID_CHECK(order.size() == n);  // acyclic by construction
-  return order;
+AcDag::NodeMask AcDag::MaskOf(const std::vector<PredicateId>& ids) const {
+  NodeMask mask(words_, 0);
+  for (PredicateId id : ids) AddToMask(id, mask);
+  return mask;
 }
 
-std::vector<std::vector<PredicateId>> AcDag::TopoLevels() const {
-  // Longest-path layering computed over closure parents: the longest chain
-  // below a node has the same length whether counted over the reduction or
-  // the closure.
-  const size_t n = nodes_.size();
-  std::vector<int> level(n, 0);
+void AcDag::AddToMask(PredicateId id, NodeMask& mask) const {
+  AID_CHECK(mask.size() == words_);
+  SetBit(mask.data(), static_cast<size_t>(IndexOf(id)));
+}
+
+std::vector<PredicateId> AcDag::MaskMembers(
+    std::span<const uint64_t> mask) const {
+  AID_CHECK(mask.size() == words_);
+  std::vector<PredicateId> out;
+  ForEachBit(mask, [&](size_t j) { out.push_back(nodes_[j]); });
+  return out;
+}
+
+std::vector<std::vector<PredicateId>> AcDag::TopoLevels(
+    std::span<const uint64_t> mask) const {
+  // Longest-path layering pushed along closure rows in topological order:
+  // the longest chain below a node has the same length whether counted over
+  // the reduction or the closure, and restricting the closure to the mask
+  // is the induced subgraph's closure.
+  AID_CHECK(mask.size() == words_);
+  std::vector<int> level(nodes_.size(), 0);
   int max_level = 0;
-  for (PredicateId id : TopoOrder()) {
+  for (PredicateId id : topo_order_) {
     const size_t i = static_cast<size_t>(IndexOf(id));
-    for (size_t p = 0; p < n; ++p) {
-      if (closure_[p][i]) level[i] = std::max(level[i], level[p] + 1);
-    }
+    if (!TestBit(mask, i)) continue;
     max_level = std::max(max_level, level[i]);
+    const std::span<const uint64_t> row = Row(i);
+    for (size_t w = 0; w < words_; ++w) {
+      for (uint64_t bits = row[w] & mask[w]; bits != 0; bits &= bits - 1) {
+        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        level[j] = std::max(level[j], level[i] + 1);
+      }
+    }
   }
   std::vector<std::vector<PredicateId>> levels(
       static_cast<size_t>(max_level) + 1);
-  for (size_t i = 0; i < n; ++i) {
+  ForEachBit(mask, [&](size_t i) {
     levels[static_cast<size_t>(level[i])].push_back(nodes_[i]);
-  }
-  for (auto& v : levels) std::sort(v.begin(), v.end());
+  });
   return levels;
-}
-
-AcDag AcDag::Restrict(const std::vector<PredicateId>& keep) const {
-  std::vector<PredicateId> kept = keep;
-  kept.push_back(failure_);
-  std::sort(kept.begin(), kept.end());
-  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
-  std::vector<PredicateId> nodes;
-  for (PredicateId id : kept) {
-    if (Contains(id)) nodes.push_back(id);
-  }
-  const size_t m = nodes.size();
-  std::vector<std::vector<bool>> closure(m, std::vector<bool>(m, false));
-  for (size_t a = 0; a < m; ++a) {
-    for (size_t b = 0; b < m; ++b) {
-      if (a != b) closure[a][b] = Reaches(nodes[a], nodes[b]);
-    }
-  }
-  auto result = FromClosure(catalog_, std::move(nodes), std::move(closure),
-                            failure_, /*drop_unreachable=*/false);
-  AID_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-std::vector<PredicateId> AcDag::Descendants(PredicateId id) const {
-  const size_t i = static_cast<size_t>(IndexOf(id));
-  std::vector<PredicateId> out;
-  for (size_t j = 0; j < nodes_.size(); ++j) {
-    if (closure_[i][j]) out.push_back(nodes_[j]);
-  }
-  return out;
 }
 
 std::string AcDag::ToDot(const SymbolTable* methods,

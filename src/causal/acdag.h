@@ -12,13 +12,32 @@
 // Nodes with no path to the failure predicate are discarded at build time --
 // they cannot be causes (this is how the Kafka case study drops 30 of its 72
 // discriminative predicates).
+//
+// Representation. Nodes are indexed 0..n-1 in ascending id order. The
+// closure is n word-packed rows of ceil(n/64) uint64_t words: bit j of row i
+// is set iff nodes()[i] reaches nodes()[j]. Row i is therefore also node i's
+// descendant set, and a NodeMask (the same packing over nodes) selects a
+// subgraph without copying it: the engine's branch pruning narrows the DAG
+// to its surviving candidates with a mask, and Definition 2's ancestor guard
+// ANDs one row with an intervened-node mask. No transposed copy is kept.
+//
+// The deterministic topological order (Kahn's algorithm, smallest id first
+// among ready nodes) is computed once, at construction.
+//
+// Cost, n nodes, w = ceil(n/64), E closure pairs: Build O(L * n * w) over
+// L failed logs, FromEdges O((edges + n) * w), then O(n*w + E) to index
+// the result and order it; Reaches, Contains, TopoPosition O(1); EdgeCount
+// O(n*w); TopoLevels(mask) O(n*w + E within the mask); the reduction
+// (Children/Parents, built lazily once) O(E * w). An edge filter adds one
+// filter call per closure pair and an O(E * w) re-closure.
 
 #ifndef AID_CAUSAL_ACDAG_H_
 #define AID_CAUSAL_ACDAG_H_
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "causal/precedence.h"
@@ -78,7 +97,10 @@ class AcDag {
   PredicateId failure() const { return failure_; }
   const PredicateCatalog* catalog() const { return catalog_; }
 
-  bool Contains(PredicateId id) const { return index_.count(id) > 0; }
+  bool Contains(PredicateId id) const {
+    return id >= 0 && static_cast<size_t>(id) < index_.size() &&
+           index_[static_cast<size_t>(id)] >= 0;
+  }
 
   /// True iff `from` strictly precedes `to` in the closure (from ; to).
   bool Reaches(PredicateId from, PredicateId to) const;
@@ -90,41 +112,73 @@ class AcDag {
   const std::vector<PredicateId>& Parents(PredicateId id) const;
 
   /// Deterministic topological order (ids break ties among incomparables).
-  std::vector<PredicateId> TopoOrder() const;
+  const std::vector<PredicateId>& TopoOrder() const { return topo_order_; }
+  /// Position of `id` in TopoOrder().
+  int TopoPosition(PredicateId id) const {
+    return topo_pos_[static_cast<size_t>(IndexOf(id))];
+  }
 
-  /// Longest-path layering: level(n) = 0 for roots, else
-  /// 1 + max(level(parents)). Returned ascending by level; members sorted.
-  /// A level with more than one member is a junction (Algorithm 2).
-  std::vector<std::vector<PredicateId>> TopoLevels() const;
+  /// A set of nodes: bit i of word i/64 stands for nodes()[i]. Always
+  /// words() long; bits at and past size() stay clear.
+  using NodeMask = std::vector<uint64_t>;
+  size_t words() const { return words_; }
+  /// The mask of `ids` (each must be a node).
+  NodeMask MaskOf(const std::vector<PredicateId>& ids) const;
+  /// Sets `id`'s bit in `mask`.
+  void AddToMask(PredicateId id, NodeMask& mask) const;
+  /// The nodes in `mask`, ascending id.
+  std::vector<PredicateId> MaskMembers(std::span<const uint64_t> mask) const;
+  /// The closure row of `id`: its descendants (excluding `id`) as a mask.
+  std::span<const uint64_t> DescendantMask(PredicateId id) const {
+    return Row(static_cast<size_t>(IndexOf(id)));
+  }
 
-  /// Subgraph induced on `keep` (the failure node is always retained).
-  AcDag Restrict(const std::vector<PredicateId>& keep) const;
+  /// Longest-path layering of the subgraph induced on `mask`: level(n) = 0
+  /// for nodes with no ancestor in the mask, else 1 + max(level(masked
+  /// ancestors)). Returned ascending by level; members sorted. A level with
+  /// more than one member is a junction (Algorithm 2).
+  std::vector<std::vector<PredicateId>> TopoLevels(
+      std::span<const uint64_t> mask) const;
+  /// The layering of the whole DAG.
+  std::vector<std::vector<PredicateId>> TopoLevels() const {
+    return TopoLevels(MaskOf(nodes_));
+  }
 
   /// All descendants of `id` in the closure (excluding `id`).
-  std::vector<PredicateId> Descendants(PredicateId id) const;
+  std::vector<PredicateId> Descendants(PredicateId id) const {
+    return MaskMembers(DescendantMask(id));
+  }
 
   /// Graphviz rendering (transitive reduction) for reports.
   std::string ToDot(const SymbolTable* methods, const SymbolTable* objects) const;
 
  private:
   AcDag() = default;
-  /// Validates, applies the optional edge filter (re-closing the relation
-  /// afterwards), and applies reachability-to-failure pruning.
+  /// Applies the optional edge filter (re-closing the relation afterwards)
+  /// and reachability-to-failure pruning to `rows` (the closure over the
+  /// sorted `nodes`, packed as described above), then indexes the result
+  /// and caches its topological order.
   static Result<AcDag> FromClosure(const PredicateCatalog* catalog,
                                    std::vector<PredicateId> nodes,
-                                   std::vector<std::vector<bool>> closure,
-                                   PredicateId failure, bool drop_unreachable,
-                                   const EdgeFilter* filter = nullptr,
-                                   PruneStats* stats = nullptr);
+                                   std::vector<uint64_t> rows,
+                                   PredicateId failure,
+                                   const EdgeFilter* filter, PruneStats* stats);
   void BuildReduction() const;
   int IndexOf(PredicateId id) const;
+  std::span<const uint64_t> Row(size_t i) const {
+    return {rows_.data() + i * words_, words_};
+  }
 
   const PredicateCatalog* catalog_ = nullptr;
   std::vector<PredicateId> nodes_;
-  std::unordered_map<PredicateId, int> index_;
+  /// index_[id]: position of `id` in nodes_, or -1 (dense over ids).
+  std::vector<int> index_;
   PredicateId failure_ = kInvalidPredicate;
-  /// closure_[i][j]: nodes_[i] ; nodes_[j].
-  std::vector<std::vector<bool>> closure_;
+  size_t words_ = 0;
+  /// The closure: row i occupies words [i * words_, (i + 1) * words_).
+  std::vector<uint64_t> rows_;
+  std::vector<PredicateId> topo_order_;
+  std::vector<int> topo_pos_;  ///< by node index
   mutable bool reduction_built_ = false;
   mutable std::vector<std::vector<PredicateId>> children_;  ///< reduction
   mutable std::vector<std::vector<PredicateId>> parents_;   ///< reduction

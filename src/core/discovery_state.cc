@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -268,14 +267,16 @@ void DiscoveryState::PumpBranchOuter() {
     return;
   }
   // Iteratively reduce the AC-DAG (restricted to surviving candidates) to a
-  // chain by resolving one junction at a time.
-  AcDag sub = dag_->Restrict(bp_remaining_);
-  std::vector<std::vector<PredicateId>> levels = sub.TopoLevels();
+  // chain by resolving one junction at a time. The restriction is a node
+  // mask over the full DAG, not a copy of it.
+  AcDag::NodeMask live = dag_->MaskOf(bp_remaining_);
+  dag_->AddToMask(dag_->failure(), live);
+  std::vector<std::vector<PredicateId>> levels = dag_->TopoLevels(live);
   std::vector<PredicateId> junction_members;
   for (auto& level : levels) {
     // The failure predicate is never part of a junction (it cannot be
     // intervened); a level with >= 2 other members is a junction.
-    std::erase(level, sub.failure());
+    std::erase(level, dag_->failure());
     if (level.size() >= 2) {
       junction_members = level;
       break;
@@ -288,22 +289,29 @@ void DiscoveryState::PumpBranchOuter() {
   }
 
   // Algorithm 2 lines 8-12: one branch per junction member P --
-  // P plus all descendants of P that descend from no other member.
-  items_.clear();
+  // P plus all live descendants of P that descend from no other member,
+  // i.e. the descendants no two members share (members are incomparable).
+  const size_t words = dag_->words();
+  AcDag::NodeMask reached(words, 0);
+  AcDag::NodeMask shared(words, 0);  // reached by two or more members
   for (PredicateId p : junction_members) {
+    const std::span<const uint64_t> desc = dag_->DescendantMask(p);
+    for (size_t w = 0; w < words; ++w) {
+      shared[w] |= reached[w] & desc[w];
+      reached[w] |= desc[w];
+    }
+  }
+  dag_->AddToMask(dag_->failure(), shared);
+  items_.clear();
+  AcDag::NodeMask branch(words);
+  for (PredicateId p : junction_members) {
+    const std::span<const uint64_t> desc = dag_->DescendantMask(p);
+    for (size_t w = 0; w < words; ++w) {
+      branch[w] = desc[w] & live[w] & ~shared[w];
+    }
     Item item;
     item.preds.push_back(p);
-    for (PredicateId q : sub.Descendants(p)) {
-      if (q == sub.failure()) continue;
-      bool exclusive = true;
-      for (PredicateId other : junction_members) {
-        if (other != p && sub.Reaches(other, q)) {
-          exclusive = false;
-          break;
-        }
-      }
-      if (exclusive) item.preds.push_back(q);
-    }
+    for (PredicateId q : dag_->MaskMembers(branch)) item.preds.push_back(q);
     items_.push_back(std::move(item));
   }
   decisions_.assign(items_.size(), ItemDecision::kUndecided);
@@ -713,10 +721,12 @@ void DiscoveryState::Decide(size_t item, ItemDecision decision) {
   }
 }
 
-bool DiscoveryState::ItemReachesItem(size_t a, size_t b) const {
-  for (PredicateId pa : items_[a].preds) {
-    for (PredicateId pb : items_[b].preds) {
-      if (dag_->Reaches(pa, pb)) return true;
+bool DiscoveryState::ReachesAny(const Item& item,
+                                const AcDag::NodeMask& mask) const {
+  for (PredicateId id : item.preds) {
+    const std::span<const uint64_t> row = dag_->DescendantMask(id);
+    for (size_t w = 0; w < mask.size(); ++w) {
+      if ((row[w] & mask[w]) != 0) return true;
     }
   }
   return false;
@@ -735,19 +745,16 @@ void DiscoveryState::InterventionalPruning(
     const std::vector<size_t>& intervened, const TargetRunResult& result) {
   std::unordered_set<size_t> intervened_set(intervened.begin(),
                                             intervened.end());
+  AcDag::NodeMask intervened_mask(dag_->words(), 0);
+  for (size_t j : intervened) {
+    for (PredicateId id : items_[j].preds) dag_->AddToMask(id, intervened_mask);
+  }
   for (size_t i = 0; i < items_.size(); ++i) {
     if (decisions_[i] != ItemDecision::kUndecided) continue;
     if (intervened_set.count(i)) continue;
     // Ancestor guard (Definition 2): an ancestor of an intervened predicate
     // may have had its causal influence muted by the intervention.
-    bool is_ancestor = false;
-    for (size_t j : intervened) {
-      if (ItemReachesItem(i, j)) {
-        is_ancestor = true;
-        break;
-      }
-    }
-    if (is_ancestor) continue;
+    if (ReachesAny(items_[i], intervened_mask)) continue;
 
     for (const PredicateLog& log : result.logs) {
       // A crashed or timed-out trial carries only a partial observation set
@@ -769,16 +776,11 @@ void DiscoveryState::MakeSingletonItems(
     const std::vector<PredicateId>& preds) {
   items_.clear();
   decisions_.clear();
-  std::unordered_map<PredicateId, int> topo_pos;
-  {
-    int pos = 0;
-    for (PredicateId id : dag_->TopoOrder()) topo_pos[id] = pos++;
-  }
   std::vector<PredicateId> ordered = preds;
   if (options_.topological_order) {
     std::sort(ordered.begin(), ordered.end(),
               [&](PredicateId a, PredicateId b) {
-                return topo_pos[a] < topo_pos[b];
+                return dag_->TopoPosition(a) < dag_->TopoPosition(b);
               });
   } else {
     rng_.Shuffle(ordered);
@@ -812,14 +814,9 @@ Result<DiscoveryReport> DiscoveryState::Finalize() {
   // (Definition 1: C0 .. Cn with Cn = F).
   std::sort(causal_.begin(), causal_.end());
   causal_.erase(std::unique(causal_.begin(), causal_.end()), causal_.end());
-  std::unordered_map<PredicateId, int> topo_pos;
-  {
-    int pos = 0;
-    for (PredicateId id : dag_->TopoOrder()) topo_pos[id] = pos++;
-  }
   std::sort(causal_.begin(), causal_.end(),
             [&](PredicateId a, PredicateId b) {
-              return topo_pos[a] < topo_pos[b];
+              return dag_->TopoPosition(a) < dag_->TopoPosition(b);
             });
   report_.causal_path = causal_;
   report_.causal_path.push_back(dag_->failure());

@@ -241,7 +241,8 @@ class DiscoveryState {
   void Decide(size_t item, ItemDecision decision);
   void InterventionalPruning(const std::vector<size_t>& intervened,
                              const TargetRunResult& result);
-  bool ItemReachesItem(size_t a, size_t b) const;
+  /// True iff some predicate of `item` reaches a node in `mask`.
+  bool ReachesAny(const Item& item, const AcDag::NodeMask& mask) const;
   bool ItemObserved(const Item& item, const PredicateLog& log) const;
   void MakeSingletonItems(const std::vector<PredicateId>& preds);
   std::vector<size_t> UndecidedItems() const;

@@ -1,5 +1,8 @@
 #include "causal/acdag.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -165,7 +168,7 @@ TEST_F(AcDagTest, FromEdgesRejectsUnknownEndpointsAndSelfLoops) {
   EXPECT_FALSE(AcDag::FromEdges(&catalog_, {a, f}, {{a, a}}, f).ok());
 }
 
-TEST_F(AcDagTest, RestrictKeepsInducedClosure) {
+TEST_F(AcDagTest, MaskKeepsInducedClosure) {
   const PredicateId a = Pred(1);
   const PredicateId b = Pred(2);
   const PredicateId c = Pred(3);
@@ -173,10 +176,16 @@ TEST_F(AcDagTest, RestrictKeepsInducedClosure) {
   auto dag = AcDag::FromEdges(&catalog_, {a, b, c, f},
                               {{a, b}, {b, c}, {c, f}}, f);
   ASSERT_TRUE(dag.ok());
-  AcDag sub = dag->Restrict({a, c});
-  EXPECT_EQ(sub.size(), 3u);  // failure retained automatically
-  EXPECT_TRUE(sub.Reaches(a, c));  // via the removed b, preserved in closure
-  EXPECT_TRUE(sub.Contains(f));
+  const AcDag::NodeMask mask = dag->MaskOf({a, c, f});
+  EXPECT_EQ(dag->MaskMembers(mask), (std::vector<PredicateId>{a, c, f}));
+  // a reaches c via the masked-out b: the induced closure keeps the edge,
+  // so the masked layering is the chain a, c, f.
+  EXPECT_EQ(dag->TopoLevels(mask),
+            (std::vector<std::vector<PredicateId>>{{a}, {c}, {f}}));
+  AcDag::NodeMask below_a(mask.size());
+  const auto desc = dag->DescendantMask(a);
+  for (size_t w = 0; w < mask.size(); ++w) below_a[w] = desc[w] & mask[w];
+  EXPECT_EQ(dag->MaskMembers(below_a), (std::vector<PredicateId>{c, f}));
 }
 
 TEST_F(AcDagTest, DescendantsAndLevels) {
@@ -264,6 +273,326 @@ TEST_P(AcDagPropertyTest, ClosureIsTransitiveAndAcyclic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AcDagPropertyTest, ::testing::Range(1, 16));
+
+// Differential test: the word-packed AC-DAG against a naive
+// vector<vector<bool>> reference, on random DAGs whose sizes straddle the
+// 64-bit word boundaries.
+
+using Matrix = std::vector<std::vector<bool>>;
+
+void CloseNaive(Matrix& m) {
+  const size_t n = m.size();
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!m[i][k]) continue;
+      for (size_t j = 0; j < n; ++j) {
+        if (m[k][j]) m[i][j] = true;
+      }
+    }
+  }
+}
+
+/// The reference DAG: nodes ascending, closure[i][j] iff nodes[i] ; nodes[j].
+struct NaiveDag {
+  std::vector<PredicateId> nodes;
+  Matrix closure;
+
+  /// Filters (then re-closes) `relation` over the sorted `all` nodes and
+  /// drops the nodes that do not reach `failure`.
+  NaiveDag(std::vector<PredicateId> all, Matrix relation, PredicateId failure,
+           const AcDag::EdgeFilter& filter = {}) {
+    const size_t n = all.size();
+    if (filter) {
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          if (relation[i][j] && !filter(all[i], all[j])) {
+            relation[i][j] = false;
+          }
+        }
+      }
+      CloseNaive(relation);
+    }
+    size_t f = 0;
+    while (all[f] != failure) ++f;
+    std::vector<size_t> keep;
+    for (size_t i = 0; i < n; ++i) {
+      if (i == f || relation[i][f]) keep.push_back(i);
+    }
+    for (size_t a : keep) {
+      nodes.push_back(all[a]);
+      closure.emplace_back();
+      for (size_t b : keep) closure.back().push_back(relation[a][b]);
+    }
+  }
+
+  size_t IndexOf(PredicateId id) const {
+    return static_cast<size_t>(
+        std::find(nodes.begin(), nodes.end(), id) - nodes.begin());
+  }
+  size_t EdgeCount() const {
+    size_t count = 0;
+    for (const auto& row : closure) {
+      count += static_cast<size_t>(std::count(row.begin(), row.end(), true));
+    }
+    return count;
+  }
+  /// Min-id Kahn order: repeatedly take the smallest unplaced node whose
+  /// closure parents are all placed.
+  std::vector<PredicateId> TopoOrder() const {
+    const size_t n = nodes.size();
+    std::vector<bool> placed(n, false);
+    std::vector<PredicateId> order;
+    while (order.size() < n) {
+      for (size_t v = 0; v < n; ++v) {
+        if (placed[v]) continue;
+        bool ready = true;
+        for (size_t u = 0; u < n && ready; ++u) {
+          ready = placed[u] || !closure[u][v];
+        }
+        if (ready) {
+          placed[v] = true;
+          order.push_back(nodes[v]);
+          break;
+        }
+      }
+    }
+    return order;
+  }
+  std::vector<std::vector<PredicateId>> TopoLevels(
+      const std::vector<bool>& in) const {
+    std::vector<int> level(nodes.size(), 0);
+    int max_level = 0;
+    for (PredicateId id : TopoOrder()) {
+      const size_t v = IndexOf(id);
+      if (!in[v]) continue;
+      for (size_t u = 0; u < nodes.size(); ++u) {
+        if (in[u] && closure[u][v]) level[v] = std::max(level[v], level[u] + 1);
+      }
+      max_level = std::max(max_level, level[v]);
+    }
+    std::vector<std::vector<PredicateId>> levels(
+        static_cast<size_t>(max_level) + 1);
+    for (size_t v = 0; v < nodes.size(); ++v) {
+      if (in[v]) levels[static_cast<size_t>(level[v])].push_back(nodes[v]);
+    }
+    return levels;
+  }
+  std::vector<PredicateId> Children(size_t i) const {
+    std::vector<PredicateId> out;
+    for (size_t j = 0; j < nodes.size(); ++j) {
+      if (!closure[i][j]) continue;
+      bool mediated = false;
+      for (size_t k = 0; k < nodes.size() && !mediated; ++k) {
+        mediated = closure[i][k] && closure[k][j];
+      }
+      if (!mediated) out.push_back(nodes[j]);
+    }
+    return out;
+  }
+};
+
+struct RandomDag {
+  PredicateCatalog catalog;
+  std::vector<PredicateId> nodes;  ///< ascending, failure included
+  PredicateId failure = kInvalidPredicate;
+  std::vector<std::pair<PredicateId, PredicateId>> edges;
+};
+
+/// `n` nodes (failure included) under a random hidden order, so ids and
+/// topological positions disagree. Every predicate feeds the failure when
+/// `all_reach`; otherwise about one in five gets no edge of its own to it.
+RandomDag MakeRandomDag(size_t n, uint64_t seed, bool all_reach) {
+  Rng rng(seed);
+  RandomDag g;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    if (i == n / 2) {
+      g.failure = g.catalog.Intern(Predicate{.kind = PredKind::kFailure});
+      g.nodes.push_back(g.failure);
+    }
+    g.nodes.push_back(g.catalog.Intern(Predicate{
+        .kind = PredKind::kSynthetic, .occurrence = static_cast<int>(i)}));
+  }
+  if (g.failure == kInvalidPredicate) {
+    g.failure = g.catalog.Intern(Predicate{.kind = PredKind::kFailure});
+    g.nodes.push_back(g.failure);
+  }
+  std::sort(g.nodes.begin(), g.nodes.end());
+  std::vector<PredicateId> hidden;
+  for (PredicateId id : g.nodes) {
+    if (id != g.failure) hidden.push_back(id);
+  }
+  rng.Shuffle(hidden);
+  const uint64_t fanout = 3;
+  for (size_t a = 0; a < hidden.size(); ++a) {
+    for (size_t b = a + 1; b < hidden.size(); ++b) {
+      if (rng.Uniform(hidden.size()) < fanout) {
+        g.edges.emplace_back(hidden[a], hidden[b]);
+      }
+    }
+    if (all_reach || rng.Uniform(5) != 0) {
+      g.edges.emplace_back(hidden[a], g.failure);
+    }
+  }
+  return g;
+}
+
+Matrix EdgeMatrix(const RandomDag& g) {
+  Matrix m(g.nodes.size(), std::vector<bool>(g.nodes.size(), false));
+  auto index = [&](PredicateId id) {
+    return static_cast<size_t>(
+        std::lower_bound(g.nodes.begin(), g.nodes.end(), id) - g.nodes.begin());
+  };
+  for (const auto& [from, to] : g.edges) m[index(from)][index(to)] = true;
+  CloseNaive(m);
+  return m;
+}
+
+void ExpectSameDag(const AcDag& dag, const NaiveDag& ref, Rng& rng) {
+  ASSERT_EQ(dag.nodes(), ref.nodes);
+  const size_t n = ref.nodes.size();
+  EXPECT_EQ(dag.words(), (n + 63) / 64);
+  EXPECT_EQ(dag.EdgeCount(), ref.EdgeCount());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(dag.Reaches(ref.nodes[i], ref.nodes[j]), ref.closure[i][j])
+          << ref.nodes[i] << " ; " << ref.nodes[j];
+    }
+  }
+  const std::vector<PredicateId> order = ref.TopoOrder();
+  EXPECT_EQ(dag.TopoOrder(), order);
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    EXPECT_EQ(dag.TopoPosition(order[pos]), static_cast<int>(pos));
+  }
+  EXPECT_EQ(dag.TopoLevels(), ref.TopoLevels(std::vector<bool>(n, true)));
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<bool> in(n);
+    std::vector<PredicateId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      in[i] = rng.Uniform(2) == 0;
+      if (in[i]) ids.push_back(ref.nodes[i]);
+    }
+    const AcDag::NodeMask mask = dag.MaskOf(ids);
+    EXPECT_EQ(dag.MaskMembers(mask), ids);
+    EXPECT_EQ(dag.TopoLevels(mask), ref.TopoLevels(in));
+  }
+  std::vector<std::vector<PredicateId>> children(n);
+  std::vector<std::vector<PredicateId>> parents(n);
+  for (size_t i = 0; i < n; ++i) {
+    children[i] = ref.Children(i);
+    for (PredicateId c : children[i]) {
+      parents[ref.IndexOf(c)].push_back(ref.nodes[i]);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<PredicateId> desc;
+    for (size_t j = 0; j < n; ++j) {
+      if (ref.closure[i][j]) desc.push_back(ref.nodes[j]);
+    }
+    EXPECT_EQ(dag.Descendants(ref.nodes[i]), desc);
+    EXPECT_EQ(dag.Children(ref.nodes[i]), children[i]);
+    EXPECT_EQ(dag.Parents(ref.nodes[i]), parents[i]);
+  }
+}
+
+class AcDagDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(AcDagDifferentialTest, FromEdgesMatchesNaiveReference) {
+  const auto [n, all_reach] = GetParam();
+  const RandomDag g = MakeRandomDag(n, 1000 + n, all_reach);
+  auto dag = AcDag::FromEdges(&g.catalog, g.nodes, g.edges, g.failure);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  const NaiveDag ref(g.nodes, EdgeMatrix(g), g.failure);
+  if (all_reach) EXPECT_EQ(ref.nodes.size(), n);
+  Rng rng(n);
+  ExpectSameDag(*dag, ref, rng);
+}
+
+TEST_P(AcDagDifferentialTest, FilteredFromEdgesMatchesNaiveReference) {
+  const auto [n, all_reach] = GetParam();
+  const RandomDag g = MakeRandomDag(n, 2000 + n, all_reach);
+  // An arbitrary (non-reachability) veto: the re-closure must restore
+  // transitivity through the surviving edges.
+  const AcDag::EdgeFilter filter = [](PredicateId from, PredicateId to) {
+    return (from * 7 + to * 3) % 5 != 0;
+  };
+  AcDag::PruneStats stats;
+  auto dag = AcDag::FromEdges(&g.catalog, g.nodes, g.edges, g.failure,
+                              filter, &stats);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  const NaiveDag unfiltered(g.nodes, EdgeMatrix(g), g.failure);
+  const NaiveDag ref(g.nodes, EdgeMatrix(g), g.failure, filter);
+  Rng rng(n + 1);
+  ExpectSameDag(*dag, ref, rng);
+  EXPECT_EQ(stats.nodes_before, unfiltered.nodes.size());
+  EXPECT_EQ(stats.edges_before, unfiltered.EdgeCount());
+  EXPECT_EQ(stats.nodes_pruned, unfiltered.nodes.size() - ref.nodes.size());
+  EXPECT_EQ(stats.edges_pruned, unfiltered.EdgeCount() - ref.EdgeCount());
+}
+
+TEST_P(AcDagDifferentialTest, BuildMatchesNaiveReference) {
+  const auto [n, all_reach] = GetParam();
+  const RandomDag g = MakeRandomDag(n, 3000 + n, all_reach);
+  // Failed logs with coarse random times (ties are common), the failure
+  // last; about one predicate in eight is never observed (it co-occurs with
+  // nothing, so it gets no edge and is dropped). A successful log with
+  // reversed times must be ignored.
+  Rng rng(n + 2);
+  std::vector<PredicateId> observed;
+  for (PredicateId id : g.nodes) {
+    if (id != g.failure && rng.Uniform(8) != 0) observed.push_back(id);
+  }
+  std::vector<PredicateLog> logs;
+  const Tick end = static_cast<Tick>(n + 1);
+  for (int r = 0; r < 5; ++r) {
+    PredicateLog log;
+    log.failed = true;
+    for (PredicateId id : observed) {
+      const Tick t = static_cast<Tick>(rng.Uniform(n / 4 + 1));
+      log.observed[id] = {t, t};
+    }
+    log.observed[g.failure] = {end, end};
+    logs.push_back(std::move(log));
+  }
+  PredicateLog success;
+  for (PredicateId id : observed) {
+    const Tick t = end - static_cast<Tick>(logs[0].observed[id].start);
+    success.observed[id] = {t, t};
+  }
+  logs.push_back(std::move(success));
+  auto dag = AcDag::Build(&g.catalog, logs, g.nodes, g.failure);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+
+  // The rule: i -> j iff both co-occur in some failed log and i's time is
+  // strictly earlier in every failed log observing both.
+  const size_t m = g.nodes.size();
+  Matrix precedes(m, std::vector<bool>(m, true));
+  Matrix co(m, std::vector<bool>(m, false));
+  for (const PredicateLog& log : logs) {
+    if (!log.failed) continue;
+    for (size_t i = 0; i < m; ++i) {
+      auto a = log.observed.find(g.nodes[i]);
+      if (a == log.observed.end()) continue;
+      for (size_t j = 0; j < m; ++j) {
+        auto b = log.observed.find(g.nodes[j]);
+        if (i == j || b == log.observed.end()) continue;
+        co[i][j] = true;
+        if (a->second.start >= b->second.start) precedes[i][j] = false;
+      }
+    }
+  }
+  Matrix relation(m, std::vector<bool>(m, false));
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < m; ++j) relation[i][j] = co[i][j] && precedes[i][j];
+  }
+  const NaiveDag ref(g.nodes, relation, g.failure);
+  ExpectSameDag(*dag, ref, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WordBoundaries, AcDagDifferentialTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 63, 64, 65, 130, 300),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace aid
