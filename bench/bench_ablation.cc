@@ -6,11 +6,6 @@
 //      matching Theorem 3's D(D-1) S2 / 2N term);
 //   3. trials per intervention (robustness cost on nondeterministic
 //      targets: rounds stay constant, executions scale linearly);
-//   4. static dependence analysis (src/analysis/): AC-DAG edges pruned and
-//      executions saved across all six case studies and the fig7/fig8
-//      synthetics, self-checked -- the process exits nonzero unless the
-//      root cause stays bit-identical everywhere, aggregate pruning
-//      reaches 10% of edges, and aggregate executions strictly drop.
 //   5. adaptive intervention budgeting (src/budget/): SPRT trial
 //      allocation vs the fixed-trial engine, self-checked -- nonzero exit
 //      unless every target reaches the identical root cause with no more
@@ -43,151 +38,6 @@ double AverageRounds(const GroundTruthModel& model, EngineOptions options,
     total += static_cast<double>(report->discovery.rounds);
   }
   return total / repeats;
-}
-
-}  // namespace
-
-
-namespace {
-
-struct AblationRow {
-  std::string name;
-  bool ok = false;
-  bool path_identical = false;
-  uint64_t executions_baseline = 0;
-  uint64_t executions_analyzed = 0;
-  size_t edges_before = 0;
-  size_t edges_pruned = 0;
-};
-
-template <typename Configure>
-AblationRow RunStaticAnalysisPair(const std::string& name,
-                                  Configure&& configure) {
-  AblationRow row;
-  row.name = name;
-
-  SessionBuilder baseline_builder;
-  configure(baseline_builder);
-  auto baseline = baseline_builder.WithSeed(11).Build();
-  if (!baseline.ok()) return row;
-  auto baseline_report = baseline->Run();
-  if (!baseline_report.ok()) return row;
-
-  SessionBuilder analyzed_builder;
-  configure(analyzed_builder);
-  auto analyzed = analyzed_builder.WithSeed(11).WithStaticAnalysis().Build();
-  if (!analyzed.ok()) return row;
-  auto analyzed_report = analyzed->Run();
-  if (!analyzed_report.ok()) return row;
-
-  row.ok = true;
-  row.path_identical = analyzed_report->discovery.causal_path ==
-                       baseline_report->discovery.causal_path;
-  row.executions_baseline = baseline_report->discovery.executions;
-  row.executions_analyzed = analyzed_report->discovery.executions;
-  row.edges_before = analyzed_report->discovery.analysis.edges_before;
-  row.edges_pruned = analyzed_report->discovery.analysis.edges_pruned;
-  return row;
-}
-
-/// Runs ablation 4 and returns the process exit code (0 = all invariants
-/// hold).
-int RunStaticAnalysisAblation(bench::BenchJson& profile) {
-  std::printf("\nAblation 4: static dependence analysis (edge pruning)\n");
-  std::printf("%-18s | %8s %8s %7s | %12s %12s | %s\n", "target", "edges",
-              "pruned", "prune%", "exec (base)", "exec (SA)", "same path");
-
-  std::vector<AblationRow> rows;
-  for (const std::string& key : CaseStudyKeys()) {
-    rows.push_back(RunStaticAnalysisPair(
-        key, [&](SessionBuilder& b) { b.WithCaseStudy(key); }));
-  }
-  std::vector<std::unique_ptr<GroundTruthModel>> keep_alive;
-  for (const uint64_t seed : {3ull, 21ull}) {
-    SyntheticAppOptions options;
-    options.max_threads = 12;
-    options.seed = seed;
-    auto model = GenerateSyntheticApp(options);
-    if (!model.ok()) continue;
-    keep_alive.push_back(std::move(*model));
-    const GroundTruthModel* raw = keep_alive.back().get();
-    rows.push_back(RunStaticAnalysisPair(
-        "fig8-seed" + std::to_string(seed),
-        [raw](SessionBuilder& b) { b.WithModel(raw); }));
-  }
-  for (const int branches : {3, 6}) {
-    auto model = MakeSymmetricModel(3, branches, 3, 4, /*seed=*/9);
-    if (!model.ok()) continue;
-    keep_alive.push_back(std::move(*model));
-    const GroundTruthModel* raw = keep_alive.back().get();
-    rows.push_back(RunStaticAnalysisPair(
-        "fig5c-B" + std::to_string(branches),
-        [raw](SessionBuilder& b) { b.WithModel(raw); }));
-  }
-
-  size_t edges_before = 0;
-  size_t edges_pruned = 0;
-  uint64_t exec_baseline = 0;
-  uint64_t exec_analyzed = 0;
-  bool all_ok = true;
-  for (const AblationRow& row : rows) {
-    if (!row.ok) {
-      std::printf("%-18s | failed to run\n", row.name.c_str());
-      all_ok = false;
-      continue;
-    }
-    const double pct =
-        row.edges_before == 0
-            ? 0.0
-            : 100.0 * row.edges_pruned / row.edges_before;
-    std::printf("%-18s | %8zu %8zu %6.1f%% | %12llu %12llu | %s\n",
-                row.name.c_str(), row.edges_before, row.edges_pruned, pct,
-                (unsigned long long)row.executions_baseline,
-                (unsigned long long)row.executions_analyzed,
-                row.path_identical ? "yes" : "NO");
-    all_ok = all_ok && row.path_identical &&
-             row.executions_analyzed <= row.executions_baseline;
-    edges_before += row.edges_before;
-    edges_pruned += row.edges_pruned;
-    exec_baseline += row.executions_baseline;
-    exec_analyzed += row.executions_analyzed;
-  }
-
-  const double aggregate_pct =
-      edges_before == 0 ? 0.0 : 100.0 * edges_pruned / edges_before;
-  profile.Metric("sa_edges_before", static_cast<double>(edges_before));
-  profile.Metric("sa_edges_pruned", static_cast<double>(edges_pruned));
-  profile.Metric("sa_prune_pct", aggregate_pct);
-  profile.Metric("sa_exec_baseline", static_cast<double>(exec_baseline));
-  profile.Metric("sa_exec_analyzed", static_cast<double>(exec_analyzed));
-  std::printf("%-18s | %8zu %8zu %6.1f%% | %12llu %12llu |\n", "aggregate",
-              edges_before, edges_pruned, aggregate_pct,
-              (unsigned long long)exec_baseline,
-              (unsigned long long)exec_analyzed);
-
-  int failures = 0;
-  if (!all_ok) {
-    std::printf("SELF-CHECK FAILED: a target lost root-cause parity or "
-                "executions grew\n");
-    ++failures;
-  }
-  if (aggregate_pct < 10.0) {
-    std::printf("SELF-CHECK FAILED: aggregate pruning %.1f%% < 10%%\n",
-                aggregate_pct);
-    ++failures;
-  }
-  if (exec_analyzed >= exec_baseline) {
-    std::printf("SELF-CHECK FAILED: aggregate executions did not drop "
-                "(%llu -> %llu)\n",
-                (unsigned long long)exec_baseline,
-                (unsigned long long)exec_analyzed);
-    ++failures;
-  }
-  if (failures == 0) {
-    std::printf("self-check: parity, >=10%% pruning, and fewer executions "
-                "all hold\n");
-  }
-  return failures;
 }
 
 struct BudgetRow {
@@ -394,8 +244,7 @@ int main() {
       }
     }
   }
-  int failures = RunStaticAnalysisAblation(profile);
-  failures += RunBudgetingAblation(profile);
+  const int failures = RunBudgetingAblation(profile);
   profile.Write();
   return failures;
 }

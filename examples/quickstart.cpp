@@ -114,7 +114,6 @@ int main() {
                         .WithProgram(&program, options)
                         .WithEngine(EnginePreset::kAid)
                         .WithTrials(3)
-                        .WithStaticAnalysis()    // lint + dependence pruning
                         .WithAdaptiveBudget()    // SPRT trial allocation
                         .WithTelemetry()         // metrics + pipeline trace
                         .WithObserver(&progress)
@@ -140,14 +139,6 @@ int main() {
               report.sd_predicates);
   std::printf("AC-DAG: %d nodes (after safety & reachability filters)\n",
               report.acdag_nodes);
-  const AnalysisSummary& analysis = report.discovery.analysis;
-  if (analysis.ran) {
-    std::printf("static analysis: %llu/%llu candidate edges pruned, "
-                "%llu lint warning(s)\n",
-                (unsigned long long)analysis.edges_pruned,
-                (unsigned long long)analysis.edges_before,
-                (unsigned long long)analysis.lint_warnings);
-  }
   if (report.discovery.budgeted_trials_allocated > 0) {
     std::printf("adaptive budgeting: %llu trials run, %lld saved vs the "
                 "fixed count, %llu early stops\n",

@@ -54,9 +54,6 @@ Result<SessionReport> Session::RunInternal(const EngineOptions& engine_options,
                                   engine);
     AID_ASSIGN_OR_RETURN(report.discovery, discovery.Run());
   }
-  // Attach what static analysis did (lint counts from observation, pruning
-  // counters from the DAG build). ran == false when analysis was off.
-  report.discovery.analysis = target_->analysis_summary();
   if (run_baseline) {
     // The baseline is a silent comparison run: it reuses the target but not
     // the observer.
@@ -193,11 +190,6 @@ SessionBuilder& SessionBuilder::WithRemoteFleet(
   return *this;
 }
 
-SessionBuilder& SessionBuilder::WithStaticAnalysis(AnalysisOptions options) {
-  analysis_ = options;
-  return *this;
-}
-
 SessionBuilder& SessionBuilder::WithTelemetry(TelemetryOptions options) {
   telemetry_ = Telemetry::Create(options);
   return *this;
@@ -308,7 +300,6 @@ Result<Session> SessionBuilder::Build() {
     config_.fleet = *fleet_endpoints_;
     config_.remote.trial_deadline_ms = fleet_trial_deadline_ms_;
   }
-  if (analysis_.has_value()) config_.analysis = *analysis_;
   // The main engine is instrumented; the TAGT baseline never is, so the
   // metric totals stay an exact mirror of the main run's DiscoveryReport.
   config_.telemetry = telemetry_;
@@ -334,13 +325,6 @@ Result<Session> SessionBuilder::Build() {
         "SessionBuilder: a remote fleet requires a factory backend; a "
         "prebuilt SessionTarget cannot be shipped to runners (build it over "
         "net::FleetTarget instead)");
-  }
-  if (target != nullptr && analysis_.has_value() && analysis_->enabled) {
-    return Status::InvalidArgument(
-        "SessionBuilder: static analysis requires a factory backend; a "
-        "prebuilt SessionTarget observes (and builds its DAG) before the "
-        "session could analyze it (pass AnalysisOptions to the backend "
-        "directly, e.g. VmTargetOptions::analysis)");
   }
   if (target == nullptr) {
     if (backend_.empty()) {

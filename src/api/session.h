@@ -242,25 +242,6 @@ class SessionBuilder {
   /// Build() fails with Unimplemented. See docs/remote_protocol.md.
   SessionBuilder& WithRemoteFleet(std::vector<std::string> endpoints,
                                   int trial_deadline_ms = 0);
-  /// Run the static analysis pass (src/analysis/) on the target. For
-  /// VM-backed targets (WithProgram / WithCaseStudy): lint the program
-  /// before the observation scan and fail Build() on error findings
-  /// (options.lint_programs), exclude statically infeasible predicate
-  /// sites from statistical debugging (options.exclude_infeasible), and
-  /// prune AC-DAG edges between instrumentation points with no static
-  /// influence channel (options.prune_edges). For model-backed targets:
-  /// prune temporal edges not covered by the model's declared dependence
-  /// channels. Pruning is sound -- the discovered root cause is
-  /// bit-identical, only cheaper to reach -- and what it did is reported in
-  /// DiscoveryReport::analysis. The no-argument overload enables all
-  /// passes. Requires a factory backend, like WithParallelism.
-  SessionBuilder& WithStaticAnalysis(AnalysisOptions options);
-  SessionBuilder& WithStaticAnalysis() {
-    AnalysisOptions options;
-    options.enabled = true;
-    return WithStaticAnalysis(options);
-  }
-
   /// Collect telemetry for this session (src/telemetry/): pipeline spans
   /// (observation, statistical debugging, AC-DAG construction, every
   /// intervention round and trial -- including spans imported from subject
@@ -301,8 +282,7 @@ class SessionBuilder {
   /// Set iff WithRemoteFleet: the endpoint list and per-trial deadline.
   std::optional<std::vector<std::string>> fleet_endpoints_;
   int fleet_trial_deadline_ms_ = 0;
-  std::optional<AnalysisOptions> analysis_;  ///< set iff WithStaticAnalysis
-  std::shared_ptr<Telemetry> telemetry_;     ///< set iff WithTelemetry
+  std::shared_ptr<Telemetry> telemetry_;  ///< set iff WithTelemetry
 };
 
 }  // namespace aid

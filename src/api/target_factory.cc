@@ -114,10 +114,6 @@ class VmSessionTarget : public SessionTarget {
       program = &target->study_->program;
       effective = target->study_->target_options;
     }
-    // The session-level analysis knob wins over whatever the backend
-    // options carry -- crucially AFTER the owned-study overwrite above, or
-    // WithStaticAnalysis would be silently dropped on case studies.
-    if (config.analysis.enabled) effective.analysis = config.analysis;
     if (program == nullptr) {
       return Status::InvalidArgument(
           "vm target: TargetConfig::program is required");
@@ -170,9 +166,6 @@ class VmSessionTarget : public SessionTarget {
   std::vector<SuspiciousnessScore> sd_suspiciousness() const override {
     return sd_scores_;
   }
-  AnalysisSummary analysis_summary() const override {
-    return vm_target_->analysis_summary();
-  }
 
  private:
   explicit VmSessionTarget(std::string name) : name_(std::move(name)) {}
@@ -205,7 +198,7 @@ class ModelSessionTarget : public SessionTarget {
     const double manifest_probability =
         flaky ? config.manifest_probability : 1.0;
     std::unique_ptr<ModelSessionTarget> target(
-        new ModelSessionTarget(std::move(name), model, config.analysis));
+        new ModelSessionTarget(std::move(name), model));
     SubjectSpec spec;
     spec.model = model;
     if (manifest_probability >= 1.0) {
@@ -226,38 +219,16 @@ class ModelSessionTarget : public SessionTarget {
 
   std::string_view name() const override { return name_; }
   InterventionTarget* intervention_target() override { return stack_.top(); }
-  Result<AcDag> BuildAcDag() override {
-    if (!analysis_.enabled || !analysis_.prune_edges) {
-      return model_->BuildAcDag();
-    }
-    // Dependence-based pruning over the model's declared channels. With no
-    // declared edges the model build is the plain one (all-may-influence),
-    // but the summary still records that analysis ran.
-    summary_.ran = true;
-    AcDag::PruneStats stats{};
-    auto dag = model_->BuildAcDag(/*apply_dependence_pruning=*/true, &stats);
-    if (dag.ok() && !model_->dependence_edges().empty()) {
-      summary_.nodes_before = stats.nodes_before;
-      summary_.nodes_pruned = stats.nodes_pruned;
-      summary_.edges_before = stats.edges_before;
-      summary_.edges_pruned = stats.edges_pruned;
-    }
-    return dag;
-  }
+  Result<AcDag> BuildAcDag() override { return model_->BuildAcDag(); }
   const PredicateCatalog* catalog() const override {
     return &model_->catalog();
   }
-  AnalysisSummary analysis_summary() const override { return summary_; }
-
  private:
-  ModelSessionTarget(std::string name, const GroundTruthModel* model,
-                     const AnalysisOptions& analysis)
-      : name_(std::move(name)), model_(model), analysis_(analysis) {}
+  ModelSessionTarget(std::string name, const GroundTruthModel* model)
+      : name_(std::move(name)), model_(model) {}
 
   std::string name_;
   const GroundTruthModel* model_;
-  AnalysisOptions analysis_;
-  AnalysisSummary summary_;
   /// In-process intervention target over the model.
   std::unique_ptr<ReplicableTarget> local_;
   /// Declared last: it borrows local_.

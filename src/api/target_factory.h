@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/summary.h"
 #include "budget/advice.h"
 #include "causal/acdag.h"
 #include "common/status.h"
@@ -112,17 +111,6 @@ struct TargetConfig {
   /// reconnect budget/backoff, fault injection).
   RemoteOptions remote;
 
-  /// All built-in backends: the static analysis pass (src/analysis/). When
-  /// `analysis.enabled`, VM-backed targets lint the program before the
-  /// observation scan, exclude statically infeasible predicates from
-  /// statistical debugging, and prune dependence-free AC-DAG edges;
-  /// model-backed targets prune temporal edges not covered by the model's
-  /// declared dependence channels. Disabled (all passes off) by default --
-  /// when disabled, backend-specific options (e.g. TargetConfig::vm's own
-  /// analysis field) are left untouched. Usually set through
-  /// SessionBuilder::WithStaticAnalysis.
-  AnalysisOptions analysis;
-
   /// All built-in backends: the session's telemetry bundle (null = off).
   /// Threaded into every execution substrate the factory assembles --
   /// replica pools (chunk spans, replica EWMAs/steals), subprocess children
@@ -179,12 +167,6 @@ class SessionTarget {
   virtual std::vector<SuspiciousnessScore> sd_suspiciousness() const {
     return {};
   }
-
-  /// What the static analysis pass did for this target (ran == false when
-  /// analysis was off or the backend has no analysis stage). Pruning
-  /// counters are filled in by BuildAcDag, so read this after building the
-  /// DAG.
-  virtual AnalysisSummary analysis_summary() const { return {}; }
 };
 
 /// Registry of target backends, keyed by name.

@@ -85,8 +85,7 @@ void CloseInPlace(std::vector<uint64_t>& rows, size_t words,
 Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
                            const std::vector<PredicateLog>& logs,
                            const std::vector<PredicateId>& candidates,
-                           PredicateId failure, const PrecedenceConfig& config,
-                           const EdgeFilter& filter, PruneStats* stats) {
+                           PredicateId failure, const PrecedenceConfig& config) {
   if (catalog == nullptr) {
     return Status::InvalidArgument("catalog must not be null");
   }
@@ -155,13 +154,13 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
     co_occurred[k] &= ~violated[k];
   }
   return FromClosure(catalog, std::move(nodes), std::move(co_occurred),
-                     failure, filter ? &filter : nullptr, stats);
+                     failure);
 }
 
 Result<AcDag> AcDag::FromEdges(
     const PredicateCatalog* catalog, const std::vector<PredicateId>& nodes_in,
     const std::vector<std::pair<PredicateId, PredicateId>>& edges,
-    PredicateId failure, const EdgeFilter& filter, PruneStats* stats) {
+    PredicateId failure) {
   std::vector<PredicateId> nodes = nodes_in;
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -194,46 +193,18 @@ Result<AcDag> AcDag::FromEdges(
   const std::vector<size_t> order = KahnOrder(rows, n, words);
   if (order.size() != n) return CycleError();
   CloseInPlace(rows, words, order);
-  return FromClosure(catalog, std::move(nodes), std::move(rows), failure,
-                     filter ? &filter : nullptr, stats);
+  return FromClosure(catalog, std::move(nodes), std::move(rows), failure);
 }
 
 Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
                                  std::vector<PredicateId> nodes,
                                  std::vector<uint64_t> rows,
-                                 PredicateId failure, const EdgeFilter* filter,
-                                 PruneStats* stats) {
+                                 PredicateId failure) {
   if (!nodes.empty() && nodes.front() < 0) {
     return Status::InvalidArgument("predicate ids must be non-negative");
   }
   size_t n = nodes.size();
   size_t words = WordsFor(n);
-  if (filter != nullptr) {
-    if (stats != nullptr) {
-      // Measure against the DAG the unfiltered build would produce.
-      auto baseline = FromClosure(catalog, nodes, rows, failure, nullptr,
-                                  nullptr);
-      if (!baseline.ok()) return baseline;
-      stats->nodes_before = baseline->size();
-      stats->edges_before = baseline->EdgeCount();
-    }
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t* row = rows.data() + i * words;
-      ForEachBit({row, words}, [&](size_t j) {
-        if (!(*filter)(nodes[i], nodes[j])) {
-          row[j / 64] &= ~(uint64_t{1} << (j % 64));
-        }
-      });
-    }
-    // Re-close the filtered relation. A reachability-based filter leaves a
-    // transitive relation transitive, so this is a no-op for the analysis/
-    // filter -- but the closure invariant must hold for arbitrary filters,
-    // and everything downstream (junction layering, Definition 2's ancestor
-    // guard) depends on it. A subset of an acyclic relation stays acyclic.
-    const std::vector<size_t> order = KahnOrder(rows, n, words);
-    if (order.size() != n) return CycleError();
-    CloseInPlace(rows, words, order);
-  }
 
   // Keep the failure node and every node that reaches it: a predicate with
   // no path to F cannot cause F under the temporal over-approximation.
@@ -285,12 +256,6 @@ Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
   }
   dag.nodes_ = std::move(nodes);
   dag.rows_ = std::move(rows);
-  if (filter != nullptr && stats != nullptr) {
-    // Filtering only removes edges, so the filtered DAG is never larger
-    // than the baseline: the subtractions cannot underflow.
-    stats->nodes_pruned = stats->nodes_before - dag.nodes_.size();
-    stats->edges_pruned = stats->edges_before - dag.EdgeCount();
-  }
   return dag;
 }
 

@@ -28,14 +28,12 @@
 // L failed logs, FromEdges O((edges + n) * w), then O(n*w + E) to index
 // the result and order it; Reaches, Contains, TopoPosition O(1); EdgeCount
 // O(n*w); TopoLevels(mask) O(n*w + E within the mask); the reduction
-// (Children/Parents, built lazily once) O(E * w). An edge filter adds one
-// filter call per closure pair and an O(E * w) re-closure.
+// (Children/Parents, built lazily once) O(E * w).
 
 #ifndef AID_CAUSAL_ACDAG_H_
 #define AID_CAUSAL_ACDAG_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,46 +46,24 @@ namespace aid {
 
 class AcDag {
  public:
-  /// Static-analysis edge veto: returning false discharges a closure edge
-  /// (from, to) before reachability-to-failure pruning. The analysis/
-  /// subsystem supplies a dependence-based filter; a default-constructed
-  /// (empty) filter keeps every edge.
-  using EdgeFilter = std::function<bool(PredicateId from, PredicateId to)>;
-
-  /// What static pruning removed, measured against the DAG the same build
-  /// would have produced with no filter (after the usual
-  /// unreachable-node drop in both cases).
-  struct PruneStats {
-    size_t nodes_before = 0;
-    size_t nodes_pruned = 0;
-    size_t edges_before = 0;
-    size_t edges_pruned = 0;
-  };
-
   /// Builds the AC-DAG from the failed observation logs.
   ///
   /// `candidates` are the fully-discriminative predicate ids (from
   /// StatisticalDebugger::FullyDiscriminative); `failure` must be among
-  /// them. Successful logs in `logs` are ignored. When `filter` is
-  /// non-empty, vetoed closure edges are removed (and `stats`, if given,
-  /// reports the difference against the unfiltered build).
+  /// them. Successful logs in `logs` are ignored.
   static Result<AcDag> Build(const PredicateCatalog* catalog,
                              const std::vector<PredicateLog>& logs,
                              const std::vector<PredicateId>& candidates,
                              PredicateId failure,
                              const PrecedenceConfig& config =
-                                 PrecedenceConfig::Default(),
-                             const EdgeFilter& filter = {},
-                             PruneStats* stats = nullptr);
+                                 PrecedenceConfig::Default());
 
   /// Builds directly from explicit edges (synthetic targets, tests). Edges
-  /// are transitively closed internally; must be acyclic. `filter`/`stats`
-  /// behave as in Build.
+  /// are transitively closed internally; must be acyclic.
   static Result<AcDag> FromEdges(
       const PredicateCatalog* catalog, const std::vector<PredicateId>& nodes,
       const std::vector<std::pair<PredicateId, PredicateId>>& edges,
-      PredicateId failure, const EdgeFilter& filter = {},
-      PruneStats* stats = nullptr);
+      PredicateId failure);
 
   /// All nodes (ascending id), including the failure predicate.
   const std::vector<PredicateId>& nodes() const { return nodes_; }
@@ -154,15 +130,13 @@ class AcDag {
 
  private:
   AcDag() = default;
-  /// Applies the optional edge filter (re-closing the relation afterwards)
-  /// and reachability-to-failure pruning to `rows` (the closure over the
-  /// sorted `nodes`, packed as described above), then indexes the result
-  /// and caches its topological order.
+  /// Applies reachability-to-failure pruning to `rows` (the closure over
+  /// the sorted `nodes`, packed as described above), then indexes the
+  /// result and caches its topological order.
   static Result<AcDag> FromClosure(const PredicateCatalog* catalog,
                                    std::vector<PredicateId> nodes,
                                    std::vector<uint64_t> rows,
-                                   PredicateId failure,
-                                   const EdgeFilter* filter, PruneStats* stats);
+                                   PredicateId failure);
   void BuildReduction() const;
   int IndexOf(PredicateId id) const;
   std::span<const uint64_t> Row(size_t i) const {

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/summary.h"
 #include "budget/options.h"
 #include "causal/acdag.h"
 #include "common/rng.h"
@@ -171,12 +170,6 @@ struct DiscoveryReport : SubstrateCounters {
   /// case the "path" is the set of counterfactual causes in topological
   /// order rather than a proper chain.
   bool path_is_chain = true;
-  /// What the static analysis pass did for this discovery (ran == false
-  /// when analysis was off). Like the substrate counters, this describes
-  /// how the result was obtained, not the result itself, so it is NOT part
-  /// of SameDiscoveryOutcome -- analysis-on vs analysis-off runs that make
-  /// identical decisions still compare equal.
-  AnalysisSummary analysis;
   /// Adaptive budgeting accounting (all zero/empty with budgeting off, so
   /// unbudgeted reports stay bit-identical to earlier releases; none of it
   /// is part of SameDiscoveryOutcome). `budgeted_trials_allocated` counts

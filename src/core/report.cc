@@ -71,20 +71,6 @@ std::string RenderReport(const DiscoveryReport& report, const AcDag& dag,
     }
   }
 
-  if (report.analysis.ran) {
-    out << StrFormat(
-        "static analysis: pruned %llu of %llu AC-DAG edges (%llu of %llu "
-        "nodes); %llu infeasible predicates excluded; lint: %llu errors, "
-        "%llu warnings\n",
-        static_cast<unsigned long long>(report.analysis.edges_pruned),
-        static_cast<unsigned long long>(report.analysis.edges_before),
-        static_cast<unsigned long long>(report.analysis.nodes_pruned),
-        static_cast<unsigned long long>(report.analysis.nodes_before),
-        static_cast<unsigned long long>(report.analysis.infeasible_predicates),
-        static_cast<unsigned long long>(report.analysis.lint_errors),
-        static_cast<unsigned long long>(report.analysis.lint_warnings));
-  }
-
   if (report.respawns > 0 || report.crashed_trials > 0 ||
       report.timed_out_trials > 0) {
     out << StrFormat(

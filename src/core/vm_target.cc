@@ -16,20 +16,6 @@ Result<std::unique_ptr<VmTarget>> VmTarget::Create(
   }
   auto target = std::unique_ptr<VmTarget>(new VmTarget(program, options));
 
-  if (options.analysis.enabled) {
-    // Lint before the first execution: a malformed program should fail
-    // fast with a diagnostic instead of crashing mid-scan.
-    auto analysis =
-        std::make_shared<const ProgramAnalysis>(ProgramAnalysis::Analyze(*program));
-    target->analysis_summary_.ran = true;
-    target->analysis_summary_.lint_errors = analysis->error_count();
-    target->analysis_summary_.lint_warnings = analysis->warning_count();
-    if (options.analysis.lint_programs) {
-      AID_RETURN_IF_ERROR(analysis->LintStatus());
-    }
-    target->analysis_ = std::move(analysis);
-  }
-
   // Seed scan: collect successes and failures.
   Vm vm(program);
   std::vector<ExecutionTrace> successes;
@@ -93,24 +79,13 @@ Result<std::unique_ptr<ReplicableTarget>> VmTarget::Clone() const {
   clone->failing_seeds_ = failing_seeds_;
   clone->signature_ = signature_;
   clone->intervened_runs_ = intervened_runs_;
-  clone->analysis_ = analysis_;
-  clone->analysis_summary_ = analysis_summary_;
   return std::unique_ptr<ReplicableTarget>(std::move(clone));
 }
 
 Result<AcDag> VmTarget::BuildAcDag(const PrecedenceConfig& config) const {
-  // Statically infeasible sites (methods the entry can never reach) leave
-  // the statistical-debugging denominators. With an in-process catalog --
-  // which only interns dynamically observed predicates -- this is a
-  // defensive no-op, but wire-received catalogs make no such promise.
-  std::vector<PredicateId> excluded;
-  if (analysis_ != nullptr && options_.analysis.exclude_infeasible) {
-    excluded = InfeasiblePredicates(*analysis_, extractor_.catalog());
-    analysis_summary_.infeasible_predicates = excluded.size();
-  }
   AID_ASSIGN_OR_RETURN(StatisticalDebugger sd,
-                       StatisticalDebugger::Analyze(
-                           extractor_.catalog(), extractor_.logs(), excluded));
+                       StatisticalDebugger::Analyze(extractor_.catalog(),
+                                                    extractor_.logs()));
   std::vector<PredicateId> discriminative = sd.FullyDiscriminative();
 
   // Safety filter (Section 3.3): drop predicates AID cannot intervene on
@@ -125,50 +100,8 @@ Result<AcDag> VmTarget::BuildAcDag(const PrecedenceConfig& config) const {
     }
   }
 
-  // Dependence-based edge pruning: an AC-DAG edge P -> Q whose methods
-  // cannot influence each other (no control/data/spawn/lock channel) is a
-  // temporal coincidence; discharging it statically saves the intervention
-  // loop the trials it would spend proving Q spurious.
-  AcDag::EdgeFilter filter;
-  AcDag::PruneStats stats;
-  if (analysis_ != nullptr && options_.analysis.prune_edges) {
-    const PredicateCatalog* catalog = &extractor_.catalog();
-    const PredicateId failure_id = extractor_.failure_predicate();
-    const SymbolId failure_method = signature_.method;
-    auto methods_by_id =
-        std::make_shared<std::vector<std::vector<SymbolId>>>(catalog->size());
-    for (size_t i = 0; i < catalog->size(); ++i) {
-      auto& methods = (*methods_by_id)[i];
-      methods = PredicateMethods(*catalog, static_cast<PredicateId>(i));
-      if (methods.empty() && static_cast<PredicateId>(i) == failure_id &&
-          failure_method != kInvalidSymbol) {
-        methods.push_back(failure_method);
-      }
-    }
-    const ProgramAnalysis* analysis = analysis_.get();
-    filter = [analysis, methods_by_id](PredicateId from, PredicateId to) {
-      const auto& from_methods = (*methods_by_id)[static_cast<size_t>(from)];
-      const auto& to_methods = (*methods_by_id)[static_cast<size_t>(to)];
-      // Predicates with no method information stay conservative.
-      if (from_methods.empty() || to_methods.empty()) return true;
-      for (SymbolId a : from_methods) {
-        for (SymbolId b : to_methods) {
-          if (analysis->MayInfluence(a, b)) return true;
-        }
-      }
-      return false;
-    };
-  }
-  auto dag = AcDag::Build(&extractor_.catalog(), extractor_.logs(), candidates,
-                          extractor_.failure_predicate(), config, filter,
-                          filter ? &stats : nullptr);
-  if (dag.ok() && filter) {
-    analysis_summary_.nodes_before = stats.nodes_before;
-    analysis_summary_.nodes_pruned = stats.nodes_pruned;
-    analysis_summary_.edges_before = stats.edges_before;
-    analysis_summary_.edges_pruned = stats.edges_pruned;
-  }
-  return dag;
+  return AcDag::Build(&extractor_.catalog(), extractor_.logs(), candidates,
+                      extractor_.failure_predicate(), config);
 }
 
 Result<TargetRunResult> VmTarget::RunIntervened(

@@ -20,8 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/analyzer.h"
-#include "analysis/summary.h"
 #include "causal/acdag.h"
 #include "core/target.h"
 #include "exec/replicable.h"
@@ -41,9 +39,6 @@ struct VmTargetOptions {
   int max_seed_scan = 20000;
   ExtractionOptions extraction;
   VmOptions vm;
-  /// Static analysis pass (off by default): lint before running, prune
-  /// dependence-free AC-DAG edges, exclude infeasible predicates from SD.
-  AnalysisOptions analysis;
 };
 
 class VmTarget : public ReplicableTarget {
@@ -87,12 +82,6 @@ class VmTarget : public ReplicableTarget {
   int observed_failures() const { return static_cast<int>(failing_seeds_.size()); }
   const FailureSignature& primary_signature() const { return signature_; }
 
-  /// What the static analysis did (ran == false when analysis is off).
-  /// The pruning counters are filled in by BuildAcDag.
-  const AnalysisSummary& analysis_summary() const { return analysis_summary_; }
-  /// The program analysis, when options.analysis.enabled; else null.
-  const ProgramAnalysis* analysis() const { return analysis_.get(); }
-
  private:
   VmTarget(const Program* program, const VmTargetOptions& options)
       : program_(program), options_(options), extractor_(options.extraction) {}
@@ -104,11 +93,6 @@ class VmTarget : public ReplicableTarget {
   FailureSignature signature_;
   uint64_t executions_ = 0;
   uint64_t intervened_runs_ = 0;  ///< round-robin cursor into failing seeds
-  /// Shared across clones (immutable once built).
-  std::shared_ptr<const ProgramAnalysis> analysis_;
-  /// Mutable: BuildAcDag (const, like every read of the frozen observation
-  /// state) records what pruning achieved.
-  mutable AnalysisSummary analysis_summary_;
 };
 
 }  // namespace aid

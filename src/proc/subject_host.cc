@@ -5,7 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/analyzer.h"
 #include "casestudies/case_study.h"
 #include "common/logging.h"
 #include "core/vm_target.h"
@@ -55,13 +54,6 @@ Result<HostSubject> BuildHostSubject(const OwnedSubjectSpec& spec) {
       if (spec.program == nullptr) {
         return Status::InvalidArgument("subject host: spec carries no program");
       }
-      // Pre-execution lint on every wire-received program, regardless of
-      // the spec's analysis options: undefined registers, unreachable
-      // predicate sites, out-of-range targets and the like become a
-      // structured ERROR frame here instead of a child crash mid-scan.
-      const ProgramAnalysis analysis =
-          ProgramAnalysis::Analyze(*spec.program);
-      AID_RETURN_IF_ERROR(analysis.LintStatus());
       AID_ASSIGN_OR_RETURN(std::unique_ptr<VmTarget> target,
                            VmTarget::Create(spec.program.get(), spec.vm));
       subject.catalog_size = target->extractor().catalog().size();

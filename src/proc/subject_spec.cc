@@ -12,7 +12,8 @@ namespace {
 // Version history:
 //   1  initial format
 //   2  model dependence edges; VmTargetOptions analysis flags
-constexpr uint32_t kSpecFormatVersion = 2;
+//   3  dependence edges and analysis flags removed
+constexpr uint32_t kSpecFormatVersion = 3;
 
 void SerializeVmTargetOptions(const VmTargetOptions& options,
                               WireWriter& writer) {
@@ -33,10 +34,6 @@ void SerializeVmTargetOptions(const VmTargetOptions& options,
   writer.U64(options.vm.seed);
   writer.I64(options.vm.max_steps);
   writer.U8(options.vm.stop_on_failure ? 1 : 0);
-  writer.U8(options.analysis.enabled ? 1 : 0);
-  writer.U8(options.analysis.prune_edges ? 1 : 0);
-  writer.U8(options.analysis.lint_programs ? 1 : 0);
-  writer.U8(options.analysis.exclude_infeasible ? 1 : 0);
 }
 
 VmTargetOptions DeserializeVmTargetOptions(WireReader& reader) {
@@ -58,10 +55,6 @@ VmTargetOptions DeserializeVmTargetOptions(WireReader& reader) {
   options.vm.seed = reader.U64();
   options.vm.max_steps = reader.I64();
   options.vm.stop_on_failure = reader.U8() != 0;
-  options.analysis.enabled = reader.U8() != 0;
-  options.analysis.prune_edges = reader.U8() != 0;
-  options.analysis.lint_programs = reader.U8() != 0;
-  options.analysis.exclude_infeasible = reader.U8() != 0;
   return options;
 }
 
@@ -126,14 +119,6 @@ void SerializeModel(const GroundTruthModel& model, WireWriter& writer) {
   // in sequence, and topological tie-breaking downstream is order-sensitive.
   writer.U32(static_cast<uint32_t>(model.temporal_edges().size()));
   for (const auto& [from, to] : model.temporal_edges()) {
-    writer.I32(from);
-    writer.I32(to);
-  }
-
-  // Dependence channels (format version 2): the static-analysis analog the
-  // dependence-aware DAG pruning consumes.
-  writer.U32(static_cast<uint32_t>(model.dependence_edges().size()));
-  for (const auto& [from, to] : model.dependence_edges()) {
     writer.I32(from);
     writer.I32(to);
   }
@@ -236,17 +221,6 @@ Result<std::unique_ptr<GroundTruthModel>> DeserializeModel(WireReader& reader) {
     AID_RETURN_IF_ERROR(CheckModelId(*model, from, "temporal edge"));
     AID_RETURN_IF_ERROR(CheckModelId(*model, to, "temporal edge"));
     model->AddTemporalEdge(from, to);
-  }
-
-  const uint32_t dep_count = reader.Count(2 * sizeof(PredicateId));
-  AID_RETURN_IF_ERROR(reader.status());
-  for (uint32_t i = 0; i < dep_count; ++i) {
-    const PredicateId from = reader.I32();
-    const PredicateId to = reader.I32();
-    AID_RETURN_IF_ERROR(reader.status());
-    AID_RETURN_IF_ERROR(CheckModelId(*model, from, "dependence edge"));
-    AID_RETURN_IF_ERROR(CheckModelId(*model, to, "dependence edge"));
-    model->AddDependenceEdge(from, to);
   }
   AID_RETURN_IF_ERROR(reader.status());
   return model;

@@ -5,8 +5,7 @@
 namespace aid {
 
 Result<StatisticalDebugger> StatisticalDebugger::Analyze(
-    const PredicateCatalog& catalog, const std::vector<PredicateLog>& logs,
-    const std::vector<PredicateId>& excluded) {
+    const PredicateCatalog& catalog, const std::vector<PredicateLog>& logs) {
   int failed = 0;
   int successful = 0;
   for (const PredicateLog& log : logs) {
@@ -35,14 +34,6 @@ Result<StatisticalDebugger> StatisticalDebugger::Analyze(
         ++sd.stats_[static_cast<size_t>(id)].true_in_successful;
       }
     }
-  }
-  // Statically infeasible sites leave the denominators entirely: zeroed
-  // stats make them neither fully discriminative (failed_runs == 0) nor
-  // rankable (true_total == 0), instead of skewing scores with
-  // structurally impossible observations.
-  for (PredicateId id : excluded) {
-    if (id < 0 || static_cast<size_t>(id) >= sd.stats_.size()) continue;
-    sd.stats_[static_cast<size_t>(id)] = PredicateStats{};
   }
   return sd;
 }

@@ -69,14 +69,8 @@ struct RankedPredicate {
 class StatisticalDebugger {
  public:
   /// `logs` must contain at least one failed and one successful run.
-  ///
-  /// `excluded` (optional) lists predicate ids that must not enter any
-  /// denominator -- e.g. sites the static analyzer proved can never fire
-  /// (analysis/analyzer.h). Their stats are zeroed: they are neither
-  /// fully discriminative nor ranked.
   static Result<StatisticalDebugger> Analyze(
-      const PredicateCatalog& catalog, const std::vector<PredicateLog>& logs,
-      const std::vector<PredicateId>& excluded = {});
+      const PredicateCatalog& catalog, const std::vector<PredicateLog>& logs);
 
   const PredicateStats& stats(PredicateId id) const {
     return stats_[static_cast<size_t>(id)];

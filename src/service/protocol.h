@@ -124,8 +124,7 @@ Result<ReportMsg> DecodeReportMsg(std::string_view payload);
 
 /// DiscoveryReport codec: every decision-bearing and accounting field the
 /// engine computes (path, verdicts, rounds/executions, history, budgeting,
-/// confidence). AnalysisSummary stays process-local -- it describes how the
-/// serving process obtained the result, not the result.
+/// confidence).
 void EncodeDiscoveryReport(const DiscoveryReport& report, WireWriter& writer);
 Result<DiscoveryReport> DecodeDiscoveryReport(WireReader& reader);
 

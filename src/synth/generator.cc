@@ -20,22 +20,6 @@ std::vector<size_t> PickPositions(size_t n, size_t count, Rng& rng) {
   return all;
 }
 
-/// Declares a dependence channel for every true-cause relation of the
-/// model. This is the soundness floor of dependence-based pruning: a true
-/// cause always has a channel to its effect, so pruning can never cut a
-/// causal edge. Iterates in predicate order (not map order) so the declared
-/// edge list is deterministic.
-void DeclareTrueParentDependences(GroundTruthModel& model) {
-  const auto& parents_map = model.true_parents();
-  auto declare = [&](PredicateId id) {
-    auto it = parents_map.find(id);
-    if (it == parents_map.end()) return;
-    for (PredicateId parent : it->second) model.AddDependenceEdge(parent, id);
-  };
-  for (PredicateId id : model.predicates()) declare(id);
-  declare(model.failure());
-}
-
 }  // namespace
 
 Result<std::unique_ptr<GroundTruthModel>> GenerateSyntheticApp(
@@ -69,11 +53,6 @@ Result<std::unique_ptr<GroundTruthModel>> GenerateSyntheticApp(
       const PredicateId id = model->AddPredicate(next_index++);
       if (prev_tail != kInvalidPredicate) {
         model->AddTemporalEdge(prev_tail, id);
-        // Intra-thread serial adjacency and the fork edge into a branch
-        // head are real influence channels; the join edges into a merge
-        // head (below) are not declared, which is exactly what makes the
-        // cross-branch temporal edges prunable.
-        model->AddDependenceEdge(prev_tail, id);
       }
       prev_tail = id;
       chain.push_back(id);
@@ -112,7 +91,6 @@ Result<std::unique_ptr<GroundTruthModel>> GenerateSyntheticApp(
         for (PredicateId tail : branch_tails) model->AddTemporalEdge(tail, id);
       } else {
         model->AddTemporalEdge(prev_tail, id);
-        model->AddDependenceEdge(prev_tail, id);
       }
       prev_tail = id;
       merge_chain.push_back(id);
@@ -152,19 +130,6 @@ Result<std::unique_ptr<GroundTruthModel>> GenerateSyntheticApp(
     model->SetTrueParents(id, {rng.Pick(ancestors)});
   }
 
-  // Static dependence channels: the true-cause relations (mandatory for
-  // pruning soundness) plus random spurious channels, drawn from a
-  // DEDICATED Rng so the observable model is byte-identical to what this
-  // seed has always produced -- dependence declarations only feed the
-  // optional pruning pass.
-  DeclareTrueParentDependences(*model);
-  Rng dep_rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
-  const std::vector<PredicateId>& preds = model->predicates();
-  for (size_t i = 1; i < preds.size(); ++i) {
-    if (!dep_rng.Bernoulli(options.dependence_noise_prob)) continue;
-    const size_t j = dep_rng.Uniform(static_cast<uint64_t>(i));
-    model->AddDependenceEdge(preds[j], preds[i]);
-  }
   return model;
 }
 
@@ -196,9 +161,6 @@ Result<std::unique_ptr<GroundTruthModel>> MakeSymmetricModel(int junctions,
         const PredicateId id = model->AddPredicate(next_index++);
         if (prev != kInvalidPredicate) {
           model->AddTemporalEdge(prev, id);
-          // Serial adjacency is a dependence channel; the junction join
-          // edges below are temporal-only and therefore prunable.
-          model->AddDependenceEdge(prev, id);
         } else {
           for (PredicateId tail : prev_tails) model->AddTemporalEdge(tail, id);
         }
@@ -215,7 +177,6 @@ Result<std::unique_ptr<GroundTruthModel>> MakeSymmetricModel(int junctions,
   std::vector<PredicateId> chain;
   for (size_t pos : chosen) chain.push_back(path[pos]);
   model->SetCausalChain(chain);
-  DeclareTrueParentDependences(*model);
   return model;
 }
 

@@ -40,11 +40,6 @@ struct SyntheticAppOptions {
   /// Probability that a non-causal predicate is a symptom (true effect of a
   /// causal predicate) rather than spontaneous noise.
   double symptom_prob = 0.5;
-  /// Probability that a predicate gets a spurious static dependence channel
-  /// from a random earlier predicate (see GroundTruthModel dependence
-  /// edges). Drawn from a dedicated Rng, so the observable model -- nodes,
-  /// temporal edges, true-cause rules -- is byte-identical for any value.
-  double dependence_noise_prob = 0.15;
 };
 
 /// Generates one synthetic application with a known root cause.

@@ -1,7 +1,6 @@
 #include "synth/model.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/logging.h"
 
@@ -38,10 +37,6 @@ void GroundTruthModel::SetCausalChain(std::vector<PredicateId> chain) {
 
 void GroundTruthModel::AddTemporalEdge(PredicateId from, PredicateId to) {
   temporal_edges_.emplace_back(from, to);
-}
-
-void GroundTruthModel::AddDependenceEdge(PredicateId from, PredicateId to) {
-  dependence_edges_.emplace_back(from, to);
 }
 
 PredicateLog GroundTruthModel::Execute(
@@ -100,52 +95,12 @@ PredicateLog GroundTruthModel::Execute(
 }
 
 Result<AcDag> GroundTruthModel::BuildAcDag() const {
-  return BuildAcDag(/*apply_dependence_pruning=*/false, nullptr);
-}
-
-Result<AcDag> GroundTruthModel::BuildAcDag(bool apply_dependence_pruning,
-                                           AcDag::PruneStats* stats) const {
   std::vector<PredicateId> nodes = predicates_;
   nodes.push_back(failure_);
   std::vector<std::pair<PredicateId, PredicateId>> edges = temporal_edges_;
   // Every predicate temporally precedes the failure.
   for (PredicateId id : predicates_) edges.emplace_back(id, failure_);
-
-  AcDag::EdgeFilter filter;
-  if (apply_dependence_pruning && !dependence_edges_.empty()) {
-    // Transitive reachability over the declared dependence channels. The
-    // failure is reachable from anything that reaches a declared edge into
-    // it; everything else is only self-reachable (filters never see
-    // reflexive pairs, but keep them correct anyway).
-    const size_t n = catalog_.size();
-    auto reach = std::make_shared<std::vector<std::vector<bool>>>(
-        n, std::vector<bool>(n, false));
-    for (size_t i = 0; i < n; ++i) (*reach)[i][i] = true;
-    for (const auto& [from, to] : dependence_edges_) {
-      if (from >= 0 && to >= 0 && static_cast<size_t>(from) < n &&
-          static_cast<size_t>(to) < n) {
-        (*reach)[static_cast<size_t>(from)][static_cast<size_t>(to)] = true;
-      }
-    }
-    for (size_t k = 0; k < n; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!(*reach)[i][k]) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if ((*reach)[k][j]) (*reach)[i][j] = true;
-        }
-      }
-    }
-    filter = [reach, n](PredicateId from, PredicateId to) {
-      if (from < 0 || to < 0 || static_cast<size_t>(from) >= n ||
-          static_cast<size_t>(to) >= n) {
-        return true;  // unknown ids stay conservative
-      }
-      return static_cast<bool>(
-          (*reach)[static_cast<size_t>(from)][static_cast<size_t>(to)]);
-    };
-  }
-  return AcDag::FromEdges(&catalog_, nodes, edges, failure_, filter,
-                          filter ? stats : nullptr);
+  return AcDag::FromEdges(&catalog_, nodes, edges, failure_);
 }
 
 Result<TargetRunResult> ModelTarget::RunIntervened(

@@ -47,15 +47,6 @@ class GroundTruthModel {
   /// Adds an observed temporal edge (AC-DAG construction input).
   void AddTemporalEdge(PredicateId from, PredicateId to);
 
-  /// Declares a static dependence channel from -> to: the abstract
-  /// "program" has a control/data path by which `from` could influence
-  /// `to`. This is the model-level analog of what analysis/ derives from
-  /// VM programs; BuildAcDag's pruning overload keeps only temporal edges
-  /// covered by dependence reachability. Generators must declare a channel
-  /// for every true-cause edge (or pruning would be unsound); extra
-  /// channels merely cost precision.
-  void AddDependenceEdge(PredicateId from, PredicateId to);
-
   /// Evaluates which predicates occur under `intervened`.
   /// Returns a PredicateLog (failed = F occurred).
   PredicateLog Execute(const std::vector<PredicateId>& intervened) const;
@@ -63,16 +54,6 @@ class GroundTruthModel {
   /// Builds the observable AC-DAG (temporal edges, transitively closed).
   /// The model must outlive the returned DAG (it borrows the catalog).
   Result<AcDag> BuildAcDag() const;
-
-  /// BuildAcDag with optional dependence-based pruning: when
-  /// `apply_dependence_pruning` is true and the model declares dependence
-  /// edges, temporal edges not covered by dependence reachability are
-  /// dropped before closure (stats, if non-null, record the delta against
-  /// the unpruned DAG). With no declared dependence edges this degrades to
-  /// the plain build -- an undeclared program is all-may-influence, never
-  /// influence-free.
-  Result<AcDag> BuildAcDag(bool apply_dependence_pruning,
-                           AcDag::PruneStats* stats) const;
 
   const PredicateCatalog& catalog() const { return catalog_; }
   PredicateId failure() const { return failure_; }
@@ -88,10 +69,6 @@ class GroundTruthModel {
       const {
     return temporal_edges_;
   }
-  const std::vector<std::pair<PredicateId, PredicateId>>& dependence_edges()
-      const {
-    return dependence_edges_;
-  }
   PredicateId root_cause() const {
     return causal_chain_.empty() ? kInvalidPredicate : causal_chain_.front();
   }
@@ -104,7 +81,6 @@ class GroundTruthModel {
   std::unordered_map<PredicateId, std::vector<PredicateId>> true_parents_;
   std::vector<PredicateId> causal_chain_;
   std::vector<std::pair<PredicateId, PredicateId>> temporal_edges_;
-  std::vector<std::pair<PredicateId, PredicateId>> dependence_edges_;
 };
 
 /// InterventionTarget over a ground-truth model. Deterministic: one trial is

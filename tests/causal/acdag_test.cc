@@ -297,21 +297,11 @@ struct NaiveDag {
   std::vector<PredicateId> nodes;
   Matrix closure;
 
-  /// Filters (then re-closes) `relation` over the sorted `all` nodes and
-  /// drops the nodes that do not reach `failure`.
-  NaiveDag(std::vector<PredicateId> all, Matrix relation, PredicateId failure,
-           const AcDag::EdgeFilter& filter = {}) {
+  /// Keeps the sorted `all` nodes of the closed `relation` that reach
+  /// `failure`.
+  NaiveDag(const std::vector<PredicateId>& all, const Matrix& relation,
+           PredicateId failure) {
     const size_t n = all.size();
-    if (filter) {
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          if (relation[i][j] && !filter(all[i], all[j])) {
-            relation[i][j] = false;
-          }
-        }
-      }
-      CloseNaive(relation);
-    }
     size_t f = 0;
     while (all[f] != failure) ++f;
     std::vector<size_t> keep;
@@ -506,28 +496,6 @@ TEST_P(AcDagDifferentialTest, FromEdgesMatchesNaiveReference) {
   if (all_reach) EXPECT_EQ(ref.nodes.size(), n);
   Rng rng(n);
   ExpectSameDag(*dag, ref, rng);
-}
-
-TEST_P(AcDagDifferentialTest, FilteredFromEdgesMatchesNaiveReference) {
-  const auto [n, all_reach] = GetParam();
-  const RandomDag g = MakeRandomDag(n, 2000 + n, all_reach);
-  // An arbitrary (non-reachability) veto: the re-closure must restore
-  // transitivity through the surviving edges.
-  const AcDag::EdgeFilter filter = [](PredicateId from, PredicateId to) {
-    return (from * 7 + to * 3) % 5 != 0;
-  };
-  AcDag::PruneStats stats;
-  auto dag = AcDag::FromEdges(&g.catalog, g.nodes, g.edges, g.failure,
-                              filter, &stats);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-  const NaiveDag unfiltered(g.nodes, EdgeMatrix(g), g.failure);
-  const NaiveDag ref(g.nodes, EdgeMatrix(g), g.failure, filter);
-  Rng rng(n + 1);
-  ExpectSameDag(*dag, ref, rng);
-  EXPECT_EQ(stats.nodes_before, unfiltered.nodes.size());
-  EXPECT_EQ(stats.edges_before, unfiltered.EdgeCount());
-  EXPECT_EQ(stats.nodes_pruned, unfiltered.nodes.size() - ref.nodes.size());
-  EXPECT_EQ(stats.edges_pruned, unfiltered.EdgeCount() - ref.EdgeCount());
 }
 
 TEST_P(AcDagDifferentialTest, BuildMatchesNaiveReference) {

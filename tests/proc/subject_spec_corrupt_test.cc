@@ -30,8 +30,6 @@ std::unique_ptr<GroundTruthModel> MakeModel() {
   model->SetTrueParents(c, {a});
   model->AddTemporalEdge(a, c);
   model->AddTemporalEdge(c, f);
-  model->AddDependenceEdge(a, c);
-  model->AddDependenceEdge(b, f);
   return model;
 }
 
@@ -56,7 +54,7 @@ std::string EncodeModelSpec() {
 
 // --- round trips ----------------------------------------------------------
 
-TEST(SubjectSpecTest, ModelRoundTripKeepsDependenceEdges) {
+TEST(SubjectSpecTest, ModelRoundTripKeepsStructure) {
   auto model = MakeModel();
   SubjectSpec spec;
   spec.kind = SubjectKind::kModel;
@@ -67,30 +65,32 @@ TEST(SubjectSpecTest, ModelRoundTripKeepsDependenceEdges) {
   auto decoded = DecodeSubjectSpec(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_NE(decoded->model, nullptr);
-  EXPECT_EQ(decoded->model->dependence_edges(), model->dependence_edges());
   EXPECT_EQ(decoded->model->temporal_edges(), model->temporal_edges());
+  EXPECT_EQ(decoded->model->true_parents(), model->true_parents());
   EXPECT_EQ(decoded->model->causal_chain(), model->causal_chain());
   EXPECT_EQ(decoded->model->failure(), model->failure());
 }
 
-TEST(SubjectSpecTest, VmProgramRoundTripKeepsAnalysisOptions) {
+TEST(SubjectSpecTest, VmProgramRoundTripKeepsTargetOptions) {
   const Program program = MakeProgram();
   SubjectSpec spec;
   spec.kind = SubjectKind::kVmProgram;
   spec.program = &program;
-  spec.vm.analysis.enabled = true;
-  spec.vm.analysis.prune_edges = false;
-  spec.vm.analysis.lint_programs = true;
-  spec.vm.analysis.exclude_infeasible = false;
+  spec.vm.first_seed = 17;
+  spec.vm.min_failures = 12;
+  spec.vm.extraction.durations = false;
+  spec.vm.extraction.duration_slack = 4;
+  spec.vm.vm.stop_on_failure = false;
   auto encoded = EncodeSubjectSpec(spec);
   ASSERT_TRUE(encoded.ok()) << encoded.status();
 
   auto decoded = DecodeSubjectSpec(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->vm.analysis.enabled);
-  EXPECT_FALSE(decoded->vm.analysis.prune_edges);
-  EXPECT_TRUE(decoded->vm.analysis.lint_programs);
-  EXPECT_FALSE(decoded->vm.analysis.exclude_infeasible);
+  EXPECT_EQ(decoded->vm.first_seed, 17u);
+  EXPECT_EQ(decoded->vm.min_failures, 12);
+  EXPECT_FALSE(decoded->vm.extraction.durations);
+  EXPECT_EQ(decoded->vm.extraction.duration_slack, 4);
+  EXPECT_FALSE(decoded->vm.vm.stop_on_failure);
   ASSERT_NE(decoded->program, nullptr);
   EXPECT_EQ(decoded->program->methods().size(), program.methods().size());
 }
@@ -126,16 +126,20 @@ TEST(SubjectSpecCorruptTest, TrailingGarbageIsRejected) {
 }
 
 TEST(SubjectSpecCorruptTest, WrongVersionIsRejected) {
-  std::string bytes = EncodeModelSpec();
-  bytes[0] = 1;  // pre-dependence-edge format
-  const auto decoded = DecodeSubjectSpec(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+  // 1: the initial format; 2: the format with model dependence edges and
+  // VM analysis flags.
+  for (const char version : {'\x01', '\x02'}) {
+    std::string bytes = EncodeModelSpec();
+    bytes[0] = version;
+    const auto decoded = DecodeSubjectSpec(bytes);
+    ASSERT_FALSE(decoded.ok()) << int{version};
+    EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+  }
 }
 
 TEST(SubjectSpecCorruptTest, UnknownSubjectKindIsRejected) {
   WireWriter w;
-  w.U32(2);   // format version
+  w.U32(3);   // format version
   w.U8(9);    // no such SubjectKind
   w.U64(0);   // crash_period
   w.U64(0);   // hang_period
@@ -149,7 +153,7 @@ TEST(SubjectSpecCorruptTest, UnknownSubjectKindIsRejected) {
 // Writes the spec envelope for a kModel subject; the caller appends the
 // model payload (mirroring SerializeModel's layout) with hostile ids.
 void WriteModelSpecHeader(WireWriter& w) {
-  w.U32(2);    // format version
+  w.U32(3);    // format version
   w.U8(0);     // SubjectKind::kModel
   w.U64(0);    // crash_period
   w.U64(0);    // hang_period
@@ -181,7 +185,6 @@ TEST(SubjectSpecCorruptTest, ChainIdOutsideCatalogIsRejected) {
   w.I32(7);   // ...naming a predicate that does not exist
   w.U32(0);   // rules
   w.U32(0);   // temporal edges
-  w.U32(0);   // dependence edges
   ExpectRejected(w, "causal chain");
 }
 
@@ -195,7 +198,6 @@ TEST(SubjectSpecCorruptTest, RuleIdOutsideCatalogIsRejected) {
   w.U32(1);   // one parent
   w.I32(0);
   w.U32(0);   // temporal edges
-  w.U32(0);   // dependence edges
   ExpectRejected(w, "true-cause rule");
 }
 
@@ -209,7 +211,6 @@ TEST(SubjectSpecCorruptTest, RuleParentOutsideCatalogIsRejected) {
   w.U32(1);   // one parent
   w.I32(-4);  // hostile parent id
   w.U32(0);   // temporal edges
-  w.U32(0);   // dependence edges
   ExpectRejected(w, "true-cause parent");
 }
 
@@ -222,21 +223,7 @@ TEST(SubjectSpecCorruptTest, TemporalEdgeOutsideCatalogIsRejected) {
   w.U32(1);   // one temporal edge
   w.I32(0);
   w.I32(9);   // hostile endpoint
-  w.U32(0);   // dependence edges
   ExpectRejected(w, "temporal edge");
-}
-
-TEST(SubjectSpecCorruptTest, DependenceEdgeOutsideCatalogIsRejected) {
-  WireWriter w;
-  WriteModelSpecHeader(w);
-  WriteTwoPredicateCatalog(w);
-  w.U32(0);   // chain
-  w.U32(0);   // rules
-  w.U32(0);   // temporal edges
-  w.U32(1);   // one dependence edge
-  w.I32(9);   // hostile endpoint
-  w.I32(0);
-  ExpectRejected(w, "dependence edge");
 }
 
 TEST(SubjectSpecCorruptTest, NonDensePredicateIdsAreRejected) {
@@ -249,7 +236,6 @@ TEST(SubjectSpecCorruptTest, NonDensePredicateIdsAreRejected) {
   w.U32(0);   // chain
   w.U32(0);   // rules
   w.U32(0);   // temporal edges
-  w.U32(0);   // dependence edges
   ExpectRejected(w, "dense");
 }
 

@@ -214,6 +214,10 @@ INSTANTIATE_TEST_SUITE_P(
                              instr.imm = 9;
                              instr.imm2 = 2;
                            }},
+        SemanticCorruption{"NegativeDelayMin", "delay range",
+                           [](Program& p) {
+                             MutableMethod(p, "Main").code[3].imm = -1;
+                           }},
         SemanticCorruption{"NonPositiveCost", "cost",
                            [](Program& p) {
                              MutableMethod(p, "Worker").code[2].cost = 0;

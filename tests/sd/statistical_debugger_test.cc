@@ -146,53 +146,5 @@ TEST_P(SdPropertyTest, FullyDiscriminativeIffPerfectScores) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SdPropertyTest, ::testing::Range(1, 21));
 
-// --- statically excluded predicates (analysis/analyzer.h) -----------------
-
-TEST_F(SdTest, ExcludedPredicatesAreZeroedOut) {
-  const PredicateId live = Pred(1);
-  const PredicateId dead = Pred(2);
-  // Both predicates look fully discriminative in the logs; exclusion must
-  // still erase the infeasible one from every statistic.
-  std::vector<PredicateLog> logs{MakeLog(true, {live, dead}),
-                                 MakeLog(true, {live, dead}),
-                                 MakeLog(false, {})};
-  auto sd = StatisticalDebugger::Analyze(catalog_, logs, {dead});
-  ASSERT_TRUE(sd.ok());
-
-  const PredicateStats& excluded = sd->stats(dead);
-  EXPECT_EQ(excluded.true_in_failed, 0);
-  EXPECT_EQ(excluded.true_in_successful, 0);
-  EXPECT_DOUBLE_EQ(excluded.precision(), 0.0);
-  EXPECT_DOUBLE_EQ(excluded.recall(), 0.0);
-  EXPECT_FALSE(excluded.fully_discriminative());
-
-  // The surviving predicate is untouched by its neighbor's exclusion.
-  const PredicateStats& kept = sd->stats(live);
-  EXPECT_TRUE(kept.fully_discriminative());
-  EXPECT_DOUBLE_EQ(kept.precision(), 1.0);
-  EXPECT_DOUBLE_EQ(kept.recall(), 1.0);
-}
-
-TEST_F(SdTest, ExcludedPredicatesNeverRank) {
-  const PredicateId live = Pred(1);
-  const PredicateId dead = Pred(2);
-  std::vector<PredicateLog> logs{MakeLog(true, {live, dead}),
-                                 MakeLog(false, {})};
-  auto sd = StatisticalDebugger::Analyze(catalog_, logs, {dead});
-  ASSERT_TRUE(sd.ok());
-  for (const RankedPredicate& ranked : sd->Ranked()) {
-    EXPECT_NE(ranked.id, dead);
-  }
-}
-
-TEST_F(SdTest, OutOfRangeExclusionsAreIgnored) {
-  const PredicateId live = Pred(1);
-  std::vector<PredicateLog> logs{MakeLog(true, {live}), MakeLog(false, {})};
-  auto sd = StatisticalDebugger::Analyze(catalog_, logs,
-                                         {kInvalidPredicate, 9999});
-  ASSERT_TRUE(sd.ok());
-  EXPECT_TRUE(sd->stats(live).fully_discriminative());
-}
-
 }  // namespace
 }  // namespace aid

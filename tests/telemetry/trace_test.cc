@@ -22,6 +22,11 @@ const SpanRecord* FindSpan(const std::vector<SpanRecord>& spans,
   return nullptr;
 }
 
+// Tracer::Spans() returns a snapshot by value; a pointer into a temporary
+// snapshot dangles, so bind the snapshot first.
+const SpanRecord* FindSpan(std::vector<SpanRecord>&& spans, uint64_t id) =
+    delete;
+
 TEST(TracerTest, SpanIdsAreDenseFromOne) {
   Tracer tracer;
   EXPECT_EQ(tracer.StartSpan("a"), 1u);
@@ -98,11 +103,13 @@ TEST(TracerTest, ImportSpanMarksImportedAndInheritsParentLane) {
   });
   worker.join();
 
-  const SpanRecord* parent_span = FindSpan(tracer.Spans(), parent);
+  const auto before = tracer.Spans();
+  const SpanRecord* parent_span = FindSpan(before, parent);
   ASSERT_NE(parent_span, nullptr);
   const uint64_t imported = tracer.ImportSpan(
       "host.trial", parent, parent_span->start_us, parent_span->end_us);
-  const SpanRecord* span = FindSpan(tracer.Spans(), imported);
+  const auto spans = tracer.Spans();
+  const SpanRecord* span = FindSpan(spans, imported);
   ASSERT_NE(span, nullptr);
   EXPECT_TRUE(span->imported);
   EXPECT_EQ(span->parent, parent);
@@ -115,7 +122,8 @@ TEST(TracerTest, ImportSpanClampsIntoParentWindow) {
   Tracer tracer;
   const uint64_t parent = tracer.StartSpan("trial");
   tracer.EndSpan(parent);
-  const SpanRecord* parent_span = FindSpan(tracer.Spans(), parent);
+  const auto before = tracer.Spans();
+  const SpanRecord* parent_span = FindSpan(before, parent);
   ASSERT_NE(parent_span, nullptr);
 
   // Deliberately skewed child: starts before the parent and ends after it.
@@ -124,7 +132,8 @@ TEST(TracerTest, ImportSpanClampsIntoParentWindow) {
   const uint64_t end = parent_span->end_us + 1000000;
   const uint64_t imported = tracer.ImportSpan("host.trial", parent, start, end);
 
-  const SpanRecord* span = FindSpan(tracer.Spans(), imported);
+  const auto spans = tracer.Spans();
+  const SpanRecord* span = FindSpan(spans, imported);
   ASSERT_NE(span, nullptr);
   EXPECT_GE(span->start_us, parent_span->start_us);
   EXPECT_LE(span->end_us, parent_span->end_us);
@@ -134,7 +143,8 @@ TEST(TracerTest, ImportSpanClampsIntoParentWindow) {
 TEST(TracerTest, ImportSpanWithoutParentKeepsCallerTimes) {
   Tracer tracer;
   const uint64_t imported = tracer.ImportSpan("orphan", 0, 10, 20);
-  const SpanRecord* span = FindSpan(tracer.Spans(), imported);
+  const auto spans = tracer.Spans();
+  const SpanRecord* span = FindSpan(spans, imported);
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->start_us, 10u);
   EXPECT_EQ(span->end_us, 20u);
