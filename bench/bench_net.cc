@@ -3,13 +3,13 @@
 //
 // The subject is a synthetic ground-truth model whose executions cost
 // microseconds, so the numbers isolate what the net/ machinery itself
-// charges per trial: one RUN_TRIAL frame out, streamed TRACE_EVENT frames
-// plus a VERDICT back, across a loopback TCP connection into a forked
-// runner-side subject process. The paper's real subjects take seconds per
-// execution (Section 7), which is why per-trial overhead in the hundreds
-// of microseconds makes a fleet effectively free -- and every
-// configuration must still produce the bit-identical discovery report,
-// which the bench asserts (exit 1 on divergence).
+// charges per trial: one RUN_TRIAL frame out and one VERDICT frame carrying
+// the whole predicate log back, across a loopback TCP connection into a
+// forked runner-side subject process. The paper's real subjects take
+// seconds per execution (Section 7), which is why per-trial overhead in
+// the tens to hundreds of microseconds makes a fleet effectively free --
+// and every configuration must still produce the bit-identical discovery
+// report, which the bench asserts (exit 1 on divergence).
 //
 // Usage: bench_net [model_threads] (default 14)
 

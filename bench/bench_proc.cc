@@ -3,12 +3,12 @@
 //
 // The subject is a synthetic ground-truth model whose executions cost
 // microseconds, so the numbers isolate what the proc/ machinery itself
-// charges per trial: one RUN_TRIAL frame out, streamed TRACE_EVENT frames
-// plus a VERDICT back, across two pipes and a context switch. The paper's
-// real subjects take seconds per execution (Section 7), which is exactly
-// why per-trial overhead in the microsecond range makes isolation free in
-// practice -- and every configuration must still produce the bit-identical
-// discovery report, which the bench asserts.
+// charges per trial: one RUN_TRIAL frame out and one VERDICT frame carrying
+// the whole predicate log back, across two pipes and a context switch. The
+// paper's real subjects take seconds per execution (Section 7), which is
+// exactly why per-trial overhead in the microsecond range makes isolation
+// free in practice -- and every configuration must still produce the
+// bit-identical discovery report, which the bench asserts.
 //
 // Usage: bench_proc [model_threads] (default 14)
 

@@ -45,48 +45,20 @@ std::vector<size_t> DecodeIndexVector(WireReader& r) {
   return out;
 }
 
-void EncodeLog(const PredicateLog& log, WireWriter& w) {
-  w.U8(log.failed ? 1 : 0);
-  w.U8(static_cast<uint8_t>(log.outcome));
-  // The observation map is unordered; sort by id so equal logs encode to
-  // equal bytes (checkpoints of identical states must compare equal).
-  std::vector<std::pair<PredicateId, PredicateObservation>> obs(
-      log.observed.begin(), log.observed.end());
-  std::sort(obs.begin(), obs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.U32(static_cast<uint32_t>(obs.size()));
-  for (const auto& [id, o] : obs) {
-    w.I32(id);
-    w.I64(o.start);
-    w.I64(o.end);
-  }
-}
-
-PredicateLog DecodeLog(WireReader& r) {
-  PredicateLog log;
-  log.failed = r.U8() != 0;
-  log.outcome = static_cast<TrialOutcome>(r.U8());
-  const uint32_t n = r.Count(sizeof(int32_t) + 2 * sizeof(int64_t));
-  for (uint32_t i = 0; i < n; ++i) {
-    const PredicateId id = r.I32();
-    PredicateObservation o;
-    o.start = r.I64();
-    o.end = r.I64();
-    log.observed.emplace(id, o);
-  }
-  return log;
-}
-
 void EncodeRunResult(const TargetRunResult& result, WireWriter& w) {
   w.U32(static_cast<uint32_t>(result.logs.size()));
-  for (const PredicateLog& log : result.logs) EncodeLog(log, w);
+  for (const PredicateLog& log : result.logs) EncodePredicateLog(log, w);
 }
 
-TargetRunResult DecodeRunResult(WireReader& r) {
+Result<TargetRunResult> DecodeRunResult(WireReader& r) {
   TargetRunResult result;
-  const uint32_t n = r.Count(2);  // failed + outcome bytes at minimum
+  // failed + outcome bytes + observation count at minimum.
+  const uint32_t n = r.Count(2 + sizeof(uint32_t));
   result.logs.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) result.logs.push_back(DecodeLog(r));
+  for (uint32_t i = 0; i < n; ++i) {
+    AID_ASSIGN_OR_RETURN(PredicateLog log, DecodePredicateLog(r));
+    result.logs.push_back(std::move(log));
+  }
   return result;
 }
 
@@ -1010,7 +982,7 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
     frame.pool = DecodeIndexVector(r);
     frame.has_pending_prune = r.U8() != 0;
     frame.pending_selected = DecodeIndexVector(r);
-    frame.pending_result = DecodeRunResult(r);
+    AID_ASSIGN_OR_RETURN(frame.pending_result, DecodeRunResult(r));
     state->giwp_stack_.push_back(std::move(frame));
   }
   state->bp_remaining_ = DecodePredVector(r);

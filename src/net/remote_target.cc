@@ -205,7 +205,8 @@ Result<PredicateLog> RemoteTarget::RunOneTrial(
   const uint64_t micros_before = counters_.trial_micros;
   Result<PredicateLog> log =
       RunTrialWithRecovery(*channel_, trial_index, intervened,
-                           options_.trial_deadline_ms, &counters_,
+                           remote_catalog_size_, options_.trial_deadline_ms,
+                           &counters_,
                            [this]() { return Reconnect(); },
                            options_.telemetry.get());
   const uint64_t trial_micros = counters_.trial_micros - micros_before;

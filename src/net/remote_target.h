@@ -10,8 +10,10 @@
 //
 //   * connection lost mid-trial (runner's session child crashed, runner
 //     died, network broke)   -> the trial is recorded failing with
-//     TrialOutcome::kCrashed and the partial log; the target reconnects
-//     with exponential backoff, failing over across its endpoint list;
+//     TrialOutcome::kCrashed and an empty observation set (the runner
+//     answers each trial with one VERDICT frame, so nothing of a dying
+//     trial arrives); the target reconnects with exponential backoff,
+//     failing over across its endpoint list;
 //   * per-trial deadline     -> the connection is dropped -- which is also
 //     what kills the hung subject: the runner-side watchdog sees the
 //     hangup and exits the session child -- and the trial records

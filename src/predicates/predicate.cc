@@ -1,6 +1,10 @@
 #include "predicates/predicate.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/strings.h"
+#include "trace/serialize.h"
 
 namespace aid {
 namespace {
@@ -57,6 +61,63 @@ std::string_view TrialOutcomeName(TrialOutcome outcome) {
       return "timed_out";
   }
   return "unknown";
+}
+
+void EncodePredicateLog(const PredicateLog& log, WireWriter& writer) {
+  writer.U8(log.failed ? 1 : 0);
+  writer.U8(static_cast<uint8_t>(log.outcome));
+  // The observation map is unordered; sort by id so equal logs encode to
+  // equal bytes (checkpoints of identical states must compare equal).
+  std::vector<std::pair<PredicateId, PredicateObservation>> obs(
+      log.observed.begin(), log.observed.end());
+  std::sort(obs.begin(), obs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  writer.U32(static_cast<uint32_t>(obs.size()));
+  for (const auto& [id, o] : obs) {
+    writer.I32(id);
+    writer.I64(o.start);
+    writer.I64(o.end);
+  }
+}
+
+Result<PredicateLog> DecodePredicateLog(WireReader& reader,
+                                        uint32_t catalog_size) {
+  PredicateLog log;
+  log.failed = reader.U8() != 0;
+  const uint8_t outcome = reader.U8();
+  const uint32_t n = reader.Count(sizeof(int32_t) + 2 * sizeof(int64_t));
+  AID_RETURN_IF_ERROR(reader.status());
+  if (outcome > static_cast<uint8_t>(TrialOutcome::kTimedOut)) {
+    return Status::InvalidArgument("predicate log: unknown trial outcome " +
+                                   std::to_string(outcome));
+  }
+  log.outcome = static_cast<TrialOutcome>(outcome);
+  log.observed.reserve(n);
+  PredicateId previous = kInvalidPredicate;
+  for (uint32_t i = 0; i < n; ++i) {
+    const PredicateId id = reader.I32();
+    PredicateObservation o;
+    o.start = reader.I64();
+    o.end = reader.I64();
+    if (id < 0) {
+      return Status::InvalidArgument("predicate log: negative predicate id " +
+                                     std::to_string(id));
+    }
+    if (id <= previous) {
+      return Status::InvalidArgument(
+          "predicate log: predicate ids not strictly increasing (" +
+          std::to_string(id) + " after " + std::to_string(previous) + ")");
+    }
+    if (static_cast<uint32_t>(id) >= catalog_size) {
+      return Status::InvalidArgument(
+          "predicate log: predicate id " + std::to_string(id) +
+          " outside the catalog of " + std::to_string(catalog_size));
+    }
+    previous = id;
+    log.observed.emplace(id, o);
+  }
+  AID_RETURN_IF_ERROR(reader.status());
+  return log;
 }
 
 std::string PredicateCatalog::Describe(PredicateId id,

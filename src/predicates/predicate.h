@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +24,9 @@
 #include "trace/event.h"
 
 namespace aid {
+
+class WireReader;  // trace/serialize.h
+class WireWriter;
 
 using PredicateId = int32_t;
 inline constexpr PredicateId kInvalidPredicate = -1;
@@ -87,10 +91,12 @@ struct PredicateObservation {
 
 /// How one trial execution ended. In-process targets always complete;
 /// process-isolated targets (src/proc/) additionally report subject crashes
-/// and per-trial deadline kills. Non-completed trials carry a *partial*
-/// predicate log -- whatever the subject streamed before dying -- so
-/// consumers that reason counterfactually about absence (Definition 2
-/// pruning) must skip them, while the failed flag stays trustworthy (a
+/// and per-trial deadline kills. Only the engine side classifies a trial as
+/// crashed or timed out, and such a trial carries an *empty* observation
+/// set: a subject host answers with its whole log in one frame after the
+/// subject finished, so nothing of a dying trial ever arrives. Consumers
+/// that reason counterfactually about absence (Definition 2 pruning) must
+/// skip non-completed logs, while the failed flag stays trustworthy (a
 /// subject that crashed or hung did fail).
 enum class TrialOutcome : uint8_t {
   kCompleted = 0,
@@ -113,6 +119,23 @@ struct PredicateLog {
   /// TrialOutcome): only complete logs admit absence-based reasoning.
   bool complete() const { return outcome == TrialOutcome::kCompleted; }
 };
+
+/// The one binary encoding of a PredicateLog, shared by discovery-state
+/// checkpoints and the subject wire protocol's VERDICT frame:
+///
+///   u8 failed, u8 outcome, u32 n, then (i32 id, i64 start, i64 end) x n
+///
+/// with the observations sorted by id, so equal logs encode to equal bytes.
+void EncodePredicateLog(const PredicateLog& log, WireWriter& writer);
+
+/// Decodes one log written by EncodePredicateLog. Fails with
+/// InvalidArgument on truncated input, an unknown outcome byte, or ids that
+/// are negative, not strictly increasing, or at least `catalog_size`
+/// (callers that know the catalog pass its size; the default leaves ids
+/// unbounded).
+Result<PredicateLog> DecodePredicateLog(
+    WireReader& reader,
+    uint32_t catalog_size = std::numeric_limits<uint32_t>::max());
 
 /// Interning table: Predicate <-> dense PredicateId.
 class PredicateCatalog {

@@ -103,10 +103,10 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
   return ready_msg.catalog_size;
 }
 
-Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
-                           const std::vector<PredicateId>& intervened,
-                           int trial_deadline_ms, PredicateLog* log,
-                           Telemetry* telemetry, uint64_t trial_span_id) {
+Result<PredicateLog> RunTrialOverChannel(
+    FrameChannel& channel, uint64_t trial_index,
+    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
+    int trial_deadline_ms, Telemetry* telemetry, uint64_t trial_span_id) {
   const bool has_deadline = trial_deadline_ms > 0;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(trial_deadline_ms);
@@ -129,8 +129,8 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
                                     has_deadline ? trial_deadline_ms : 0));
 
   for (;;) {
-    // The deadline budgets the WHOLE trial, not each frame: a subject that
-    // streams events forever must still die at the deadline.
+    // The deadline budgets the WHOLE trial, not each frame: stale PONGs
+    // must not extend it.
     const int budget = RemainingMs(has_deadline, deadline);
     if (budget < 0) {
       return Status::DeadlineExceeded("trial " + std::to_string(trial_index) +
@@ -139,17 +139,10 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
     Result<ProcFrame> frame = channel.Read(budget);
     if (!frame.ok()) return frame.status();
     switch (frame->type) {
-      case ProcMsgType::kTraceEvent: {
-        Result<TraceEventMsg> event = DecodeTraceEvent(frame->payload);
-        if (!event.ok()) return event.status();
-        log->observed[event->predicate] = {event->start, event->end};
-        break;
-      }
       case ProcMsgType::kVerdict: {
-        Result<VerdictMsg> verdict = DecodeVerdict(frame->payload);
+        Result<VerdictMsg> verdict =
+            DecodeVerdict(frame->payload, catalog_size);
         if (!verdict.ok()) return verdict.status();
-        log->failed = verdict->failed;
-        log->outcome = TrialOutcome::kCompleted;
         if (propagate && verdict->has_host_telemetry) {
           // Re-base the host's steady-clock span times into this tracer's
           // timeline: the host anchored them on its RUN_TRIAL receive
@@ -170,7 +163,7 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
             tracer->ImportSpan(span.name, trial_span_id, start, end);
           }
         }
-        return Status::OK();
+        return std::move(verdict->log);
       }
       case ProcMsgType::kError: {
         Result<ErrorMsg> error = DecodeError(frame->payload);
@@ -190,13 +183,13 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
 
 Result<PredicateLog> RunTrialWithRecovery(
     FrameChannel& channel, uint64_t trial_index,
-    const std::vector<PredicateId>& intervened, int trial_deadline_ms,
-    SubstrateCounters* counters, const std::function<Status()>& replace_peer,
-    Telemetry* telemetry) {
+    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
+    int trial_deadline_ms, SubstrateCounters* counters,
+    const std::function<Status()>& replace_peer, Telemetry* telemetry) {
   // Trial timing at the wire, charged on every exit path: the substrate's
-  // real per-trial latency -- RPC, streamed events, and any peer
-  // replacement -- feeds the latency-aware scheduler's per-replica EWMA
-  // (exec/scheduler.h) and the fleet's endpoint placement (net/latency.h).
+  // real per-trial latency -- RPC round trip and any peer replacement --
+  // feeds the latency-aware scheduler's per-replica EWMA (exec/scheduler.h)
+  // and the fleet's endpoint placement (net/latency.h).
   const Clock::time_point start = Clock::now();
   // The engine-side "trial" span, parented under whatever round span the
   // engine published. It covers the whole trial including any peer
@@ -207,27 +200,23 @@ Result<PredicateLog> RunTrialWithRecovery(
                             telemetry->active_parent());
   }
   Result<PredicateLog> out = [&]() -> Result<PredicateLog> {
+    Result<PredicateLog> run =
+        RunTrialOverChannel(channel, trial_index, intervened, catalog_size,
+                            trial_deadline_ms, telemetry, trial_span.id());
+    if (run.ok()) return run;
     PredicateLog log;
-    const Status run =
-        RunTrialOverChannel(channel, trial_index, intervened,
-                            trial_deadline_ms, &log, telemetry,
-                            trial_span.id());
-    if (run.ok()) return log;
-    if (run.code() == StatusCode::kAborted) {
-      log.failed = true;
+    log.failed = true;
+    if (run.status().code() == StatusCode::kAborted) {
       log.outcome = TrialOutcome::kCrashed;
       ++counters->crashed_trials;
-      AID_RETURN_IF_ERROR(replace_peer());
-      return log;
-    }
-    if (run.code() == StatusCode::kDeadlineExceeded) {
-      log.failed = true;
+    } else if (run.status().code() == StatusCode::kDeadlineExceeded) {
       log.outcome = TrialOutcome::kTimedOut;
       ++counters->timed_out_trials;
-      AID_RETURN_IF_ERROR(replace_peer());
-      return log;
+    } else {
+      return run;
     }
-    return run;
+    AID_RETURN_IF_ERROR(replace_peer());
+    return log;
   }();
   trial_span.End();
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -2,8 +2,9 @@
 //
 // proc::SubprocessTarget (pipes to a fork/exec'd child) and
 // net::RemoteTarget (TCP to an aid_runner) speak the identical conversation
-// -- HELLO/SPEC/READY handshake, then RUN_TRIAL / TRACE_EVENT* / VERDICT
-// trials -- and differ only in how they create, kill, and replace the peer.
+// -- HELLO/SPEC/READY handshake, then RUN_TRIAL / VERDICT trials, one
+// answer frame carrying the whole predicate log per trial -- and differ
+// only in how they create, kill, and replace the peer.
 // These helpers implement the shared conversation over any FrameChannel so
 // the transports implement nothing but lifecycle.
 //
@@ -59,27 +60,25 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
                                   std::string_view spec_bytes,
                                   const SubjectHandshake& options);
 
-/// Runs one trial over `channel`: sends RUN_TRIAL, collects the streamed
-/// TRACE_EVENTs into `*log`, and closes it on VERDICT. `trial_deadline_ms`
-/// budgets the WHOLE trial (send included): a subject that streams events
-/// forever still times out. Stray PONGs from an earlier keepalive probe are
-/// skipped. A host-side ERROR frame is returned as its carried Status;
-/// Aborted / DeadlineExceeded surface the channel's classification for the
-/// caller to turn into crashed / timed-out trial accounting -- in both
-/// cases the events streamed before the failure are KEPT in `*log`
-/// (outcome stays non-complete), so pruning can still see the partial
-/// observation set.
+/// Runs one trial over `channel`: sends RUN_TRIAL and returns the predicate
+/// log its VERDICT carries. `catalog_size` is what the handshake returned:
+/// a VERDICT naming a predicate outside it is rejected (InvalidArgument),
+/// as is one claiming a non-completed outcome. `trial_deadline_ms` budgets
+/// the WHOLE trial (send included). Stray PONGs from an earlier keepalive
+/// probe are skipped. A host-side ERROR frame is returned as its carried
+/// Status; Aborted / DeadlineExceeded surface the channel's classification
+/// for the caller to turn into crashed / timed-out trial accounting.
 ///
 /// Telemetry (both optional): with a non-null `telemetry` and a nonzero
 /// `trial_span_id`, the RUN_TRIAL carries the engine-side span context over
 /// the wire and any host-side spans returned in the VERDICT are re-based
 /// into the engine tracer's timeline and imported under `trial_span_id` --
 /// the cross-process nesting of docs/telemetry.md.
-Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
-                           const std::vector<PredicateId>& intervened,
-                           int trial_deadline_ms, PredicateLog* log,
-                           Telemetry* telemetry = nullptr,
-                           uint64_t trial_span_id = 0);
+Result<PredicateLog> RunTrialOverChannel(
+    FrameChannel& channel, uint64_t trial_index,
+    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
+    int trial_deadline_ms, Telemetry* telemetry = nullptr,
+    uint64_t trial_span_id = 0);
 
 /// Keepalive probe: sends PING with `token` and waits for the PONG echoing
 /// it, skipping unrelated stale frames. DeadlineExceeded after `timeout_ms`,
@@ -89,7 +88,7 @@ Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 /// RunTrialOverChannel plus the shared failure lifecycle of the
 /// process-backed transports: a peer death (Aborted) records a crashed
 /// trial, a deadline expiry records a timed-out trial -- both failing,
-/// both keeping the partial log (paper semantics: the failure was
+/// both with an empty observation set (paper semantics: the failure was
 /// certainly not repressed, and pruning must not reason from an
 /// incomplete observation set), both counted into `*counters` -- and in
 /// either case `replace_peer` is invoked to stand up a fresh subject
@@ -106,7 +105,8 @@ Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 /// RunTrialOverChannel. Null = zero overhead.
 Result<PredicateLog> RunTrialWithRecovery(
     FrameChannel& channel, uint64_t trial_index,
-    const std::vector<PredicateId>& intervened, int trial_deadline_ms,
+    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
+    int trial_deadline_ms,
     SubstrateCounters* counters, const std::function<Status()>& replace_peer,
     Telemetry* telemetry = nullptr);
 

@@ -85,19 +85,13 @@ uint64_t HostNowMicros() {
           .count());
 }
 
-Status SendTrialAnswer(FrameChannel& channel, const PredicateLog& log,
+/// Answers a trial with its one VERDICT frame: the whole predicate log plus,
+/// when asked for, the host telemetry block.
+Status SendTrialAnswer(FrameChannel& channel, PredicateLog log,
                        bool with_telemetry, uint64_t host_recv_us,
                        std::vector<WireHostSpan> host_spans) {
-  for (const auto& [id, observation] : log.observed) {
-    TraceEventMsg event;
-    event.predicate = id;
-    event.start = observation.start;
-    event.end = observation.end;
-    AID_RETURN_IF_ERROR(
-        channel.Write(ProcMsgType::kTraceEvent, EncodeTraceEvent(event)));
-  }
   VerdictMsg verdict;
-  verdict.failed = log.failed;
+  verdict.log = std::move(log);
   if (with_telemetry) {
     // The engine asked for span context on the RUN_TRIAL; answer with the
     // host-side spans in OUR clock domain, anchored on the receive
@@ -346,7 +340,7 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
           host_spans.push_back(
               WireHostSpan{"host.subject_run", run_start_us, run_end_us});
         }
-        if (!SendTrialAnswer(channel, result->logs.front(),
+        if (!SendTrialAnswer(channel, std::move(result->logs.front()),
                              request->has_span_context, recv_us,
                              std::move(host_spans))
                  .ok()) {

@@ -8,8 +8,8 @@
 // corresponding ReplicableTarget (running the backend's observation phase
 // where one exists), acknowledges (READY), and then answers RUN_TRIAL
 // requests by seeking to the requested global trial index, executing one
-// trial, streaming the observed predicates as TRACE_EVENT frames, and
-// closing the trial with a VERDICT frame.
+// trial, and answering with exactly one VERDICT frame that carries the
+// trial's whole predicate log.
 //
 // The host is deliberately a library function plus a thin main(): tests can
 // drive RunSubjectHost over plain pipes without fork/exec, and the binary

@@ -251,8 +251,8 @@ Result<PredicateLog> SubprocessTarget::RunOneTrial(
   // Crash -> kCrashed, deadline -> SIGKILL + kTimedOut, fresh child either
   // way (proc/client.h has the full lifecycle contract).
   return RunTrialWithRecovery(
-      *channel_, trial_index, intervened, options_.trial_deadline_ms,
-      &counters_,
+      *channel_, trial_index, intervened, child_catalog_size_,
+      options_.trial_deadline_ms, &counters_,
       [this]() {
         StopChild(/*force_kill=*/true);
         return Respawn();

@@ -12,8 +12,9 @@
 //
 //   * child crash (EOF / EPIPE mid-trial)  -> the trial is recorded as a
 //     failing execution with TrialOutcome::kCrashed and a fresh child is
-//     spawned; the partial predicate log streamed before death is kept
-//     (complete() == false, so Definition 2 pruning skips it);
+//     spawned; the trial's observation set is empty (the host answers each
+//     trial with one frame, so nothing of a dying trial arrives) and
+//     complete() == false, so Definition 2 pruning skips it;
 //   * per-trial deadline expiring          -> the child is SIGKILLed, the
 //     trial is recorded failing with TrialOutcome::kTimedOut, respawn;
 //   * crash loops                          -> after max_respawns respawns

@@ -22,7 +22,6 @@ std::string_view ProcMsgTypeName(ProcMsgType type) {
     case ProcMsgType::kReady: return "READY";
     case ProcMsgType::kError: return "ERROR";
     case ProcMsgType::kRunTrial: return "RUN_TRIAL";
-    case ProcMsgType::kTraceEvent: return "TRACE_EVENT";
     case ProcMsgType::kVerdict: return "VERDICT";
     case ProcMsgType::kShutdown: return "SHUTDOWN";
     case ProcMsgType::kPing: return "PING";
@@ -387,30 +386,12 @@ Result<RunTrialMsg> DecodeRunTrial(std::string_view payload) {
   return msg;
 }
 
-std::string EncodeTraceEvent(const TraceEventMsg& msg) {
-  WireWriter writer;
-  writer.I32(msg.predicate);
-  writer.I64(msg.start);
-  writer.I64(msg.end);
-  return writer.Release();
-}
-
-Result<TraceEventMsg> DecodeTraceEvent(std::string_view payload) {
-  WireReader reader(payload);
-  TraceEventMsg msg;
-  msg.predicate = reader.I32();
-  msg.start = reader.I64();
-  msg.end = reader.I64();
-  AID_RETURN_IF_ERROR(reader.Finish());
-  return msg;
-}
-
 std::string EncodeVerdict(const VerdictMsg& msg) {
   WireWriter writer;
-  writer.U8(msg.failed ? 1 : 0);
+  EncodePredicateLog(msg.log, writer);
   if (msg.has_host_telemetry) {
     // Optional trailing host-telemetry block, mirrored on RUN_TRIAL's
-    // SPAN_CONTEXT: absent = pre-telemetry bytes.
+    // SPAN_CONTEXT: absent = no trailing bytes.
     writer.U64(msg.host_recv_us);
     writer.U32(static_cast<uint32_t>(msg.host_spans.size()));
     for (const WireHostSpan& span : msg.host_spans) {
@@ -422,11 +403,20 @@ std::string EncodeVerdict(const VerdictMsg& msg) {
   return writer.Release();
 }
 
-Result<VerdictMsg> DecodeVerdict(std::string_view payload) {
+Result<VerdictMsg> DecodeVerdict(std::string_view payload,
+                                 uint32_t catalog_size) {
   WireReader reader(payload);
   VerdictMsg msg;
-  msg.failed = reader.U8() != 0;
-  if (reader.ok() && reader.remaining() > 0) {
+  AID_ASSIGN_OR_RETURN(msg.log, DecodePredicateLog(reader, catalog_size));
+  if (msg.log.outcome != TrialOutcome::kCompleted) {
+    // Crashes and timeouts are the engine's call, made at the transport;
+    // a host claiming one is confused or hostile.
+    return Status::InvalidArgument(
+        "proc wire: VERDICT reports a " +
+        std::string(TrialOutcomeName(msg.log.outcome)) +
+        " trial; only the engine classifies crashes and timeouts");
+  }
+  if (reader.remaining() > 0) {
     msg.host_recv_us = reader.U64();
     const uint32_t count = reader.Count(sizeof(uint32_t) + 2 * sizeof(uint64_t));
     AID_RETURN_IF_ERROR(reader.status());

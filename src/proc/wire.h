@@ -1,4 +1,4 @@
-// The AID subject wire protocol (version 2).
+// The AID subject wire protocol (version 3).
 //
 // A debugging engine and a subject host speak length-prefixed binary frames
 // over any byte transport -- the pipe pair of a fork/exec'd child
@@ -17,8 +17,8 @@
 //                   or ERROR      status code + message (bad spec, failed
 //                                 observation, version mismatch)
 //   engine -> host     RUN_TRIAL  global trial index + intervened predicates
-//   host   -> engine   TRACE_EVENT * N    streamed predicate observations
-//   host   -> engine   VERDICT    failed flag (closes the trial)
+//   host   -> engine   VERDICT    the trial's whole predicate log (one frame
+//                                 answers the trial)
 //                   or ERROR      subject-level error for this trial
 //   ...                (RUN_TRIAL repeats)
 //   engine -> host     PING       keepalive probe (any time between trials)
@@ -28,17 +28,20 @@
 //   engine -> host     SHUTDOWN   host exits 0
 //
 // Version 2 added the PING/PONG keepalive pair (idle fleet connections need
-// a liveness probe; over pipes the pair is a harmless no-op).
+// a liveness probe; over pipes the pair is a harmless no-op). Additive
+// within version 2: RUN_TRIAL may carry an optional trailing SPAN_CONTEXT
+// (trace id + parent span id) and VERDICT an optional trailing
+// host-telemetry block (receive timestamp + host-side spans), appended only
+// when the sender's telemetry is enabled; and the STATS / STATS_REPLY pair,
+// which hosts that predate it answer with their normal unexpected-frame
+// ERROR (stats clients surface it as "unsupported").
 //
-// Still version 2 (additive, no version bump): RUN_TRIAL may carry an
-// optional trailing SPAN_CONTEXT (trace id + parent span id) and VERDICT an
-// optional trailing host-telemetry block (receive timestamp + host-side
-// spans). Both are appended only when the sender's telemetry is enabled;
-// with telemetry off the encoded bytes are identical to pre-telemetry
-// builds, and current decoders accept frames with or without the trailing
-// block. The STATS / STATS_REPLY pair is likewise additive: hosts that
-// predate it answer with their normal unexpected-frame ERROR, which stats
-// clients surface as "unsupported".
+// Version 3 answers each trial with exactly one frame: the VERDICT carries
+// the whole predicate log in the shared PredicateLog encoding
+// (predicates/predicate.h), followed by the optional host-telemetry block.
+// The per-observation TRACE_EVENT frame (type 6) is retired. A host always
+// reports a completed trial; only the engine classifies crashes and
+// timeouts.
 //
 // Failure semantics live at the transport layer: an EOF or write error means
 // the peer died (the engine records a crashed trial and respawns or
@@ -82,8 +85,9 @@ constexpr bool SubprocessIsolationSupported() {
 }
 
 inline constexpr uint32_t kProcMagic = 0x41494450;  // "AIDP"
-/// v2 = v1 + the PING/PONG keepalive pair.
-inline constexpr uint32_t kProcProtocolVersion = 2;
+/// v2 = v1 + the PING/PONG keepalive pair; v3 = the whole predicate log in
+/// one VERDICT frame per trial.
+inline constexpr uint32_t kProcProtocolVersion = 3;
 
 /// Frames larger than this are rejected as corrupt before any allocation;
 /// real frames are dominated by subject specs (programs/models, ~KBs).
@@ -95,7 +99,7 @@ enum class ProcMsgType : uint8_t {
   kReady = 3,
   kError = 4,
   kRunTrial = 5,
-  kTraceEvent = 6,
+  // 6 was TRACE_EVENT, retired in v3 (the VERDICT carries the whole log).
   kVerdict = 7,
   kShutdown = 8,
   kPing = 9,
@@ -230,13 +234,6 @@ struct RunTrialMsg {
   uint64_t parent_span_id = 0;
 };
 
-/// One streamed predicate observation of the running trial.
-struct TraceEventMsg {
-  PredicateId predicate = kInvalidPredicate;
-  int64_t start = 0;
-  int64_t end = 0;
-};
-
 /// One host-side span carried back in a VERDICT's telemetry block. Times
 /// are microseconds on the HOST's steady clock; the engine re-bases them
 /// into its tracer timeline (see proc/client.cc).
@@ -247,7 +244,10 @@ struct WireHostSpan {
 };
 
 struct VerdictMsg {
-  bool failed = false;
+  /// The trial's whole predicate log, in the shared PredicateLog encoding.
+  /// Its outcome is always kCompleted: a host that answers finished the
+  /// trial.
+  PredicateLog log;
   /// Optional trailing host telemetry, sent only when the RUN_TRIAL carried
   /// a SPAN_CONTEXT: the host clock's timestamp at which the RUN_TRIAL was
   /// received (the engine's re-basing anchor) and the host-side spans of
@@ -280,10 +280,11 @@ std::string EncodeError(const Status& status);
 Result<ErrorMsg> DecodeError(std::string_view payload);
 std::string EncodeRunTrial(const RunTrialMsg& msg);
 Result<RunTrialMsg> DecodeRunTrial(std::string_view payload);
-std::string EncodeTraceEvent(const TraceEventMsg& msg);
-Result<TraceEventMsg> DecodeTraceEvent(std::string_view payload);
 std::string EncodeVerdict(const VerdictMsg& msg);
-Result<VerdictMsg> DecodeVerdict(std::string_view payload);
+/// Rejects (InvalidArgument) a log whose outcome is not kCompleted or whose
+/// predicate ids fall outside the `catalog_size` the handshake reported.
+Result<VerdictMsg> DecodeVerdict(std::string_view payload,
+                                 uint32_t catalog_size);
 std::string EncodePing(const PingMsg& msg);
 Result<PingMsg> DecodePing(std::string_view payload);
 std::string EncodeStatsReply(const StatsReplyMsg& msg);

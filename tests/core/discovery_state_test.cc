@@ -250,6 +250,78 @@ TEST(DiscoveryStateCheckpointTest, DeserializeRejectsCorruptedBytes) {
         &*dag, std::string_view(blob->data(), len), nullptr, nullptr);
     EXPECT_FALSE(truncated.ok()) << "prefix of " << len << " bytes";
   }
+
+  // A mid-GIWP checkpoint carries pending predicate logs, decoded by the
+  // shared PredicateLog codec. Drive until one with two or more
+  // observations is serialized, then corrupt it in place.
+  ModelTarget target(&fig.model);
+  DiscoveryState running(&*dag, EngineOptions::Aid(), Rng(1));
+  std::string checkpoint;
+  size_t log_at = std::string::npos;
+  while (log_at == std::string::npos) {
+    auto action = running.NextAction();
+    ASSERT_TRUE(action.ok()) << action.status();
+    ASSERT_NE(action->kind, DiscoveryAction::Kind::kDone)
+        << "no checkpoint ever carried a pending log";
+    auto outcome = ExecuteDiscoveryAction(running, *action, &target);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(running.Feed(*action, *outcome).ok());
+    auto mid = running.Serialize();
+    ASSERT_TRUE(mid.ok()) << mid.status();
+    for (const PredicateLog& log : outcome->result.logs) {
+      if (log.observed.size() < 2) continue;
+      WireWriter encoded;
+      EncodePredicateLog(log, encoded);
+      log_at = mid->rfind(encoded.buffer());
+      if (log_at != std::string::npos) {
+        checkpoint = *mid;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(
+      DiscoveryState::Deserialize(&*dag, checkpoint, nullptr, nullptr).ok());
+
+  // Layout of the embedded log: failed, outcome, u32 count, then 20-byte
+  // (i32 id, i64 start, i64 end) records sorted by id.
+  const size_t outcome_at = log_at + 1;
+  const auto id_at = [&](size_t i) { return log_at + 6 + 20 * i; };
+  const auto put_id = [](std::string& bytes, size_t at, int32_t id) {
+    WireWriter w;
+    w.I32(id);
+    bytes.replace(at, 4, w.buffer());
+  };
+  const auto expect_rejected = [&](const std::string& bytes,
+                                   const std::string& what) {
+    auto resumed = DiscoveryState::Deserialize(&*dag, bytes, nullptr, nullptr);
+    ASSERT_FALSE(resumed.ok()) << what;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  for (int outcome : {3, 200, 255}) {
+    std::string bytes = checkpoint;
+    bytes[outcome_at] = static_cast<char>(outcome);
+    expect_rejected(bytes, "outcome byte " + std::to_string(outcome));
+  }
+  WireReader first_reader(std::string_view(checkpoint).substr(id_at(0), 4));
+  const int32_t first_id = first_reader.I32();
+  WireReader second_reader(std::string_view(checkpoint).substr(id_at(1), 4));
+  const int32_t second_id = second_reader.I32();
+  {
+    std::string bytes = checkpoint;
+    put_id(bytes, id_at(0), -1);
+    expect_rejected(bytes, "negative id");
+  }
+  {
+    std::string bytes = checkpoint;
+    put_id(bytes, id_at(1), first_id);
+    expect_rejected(bytes, "duplicate id");
+  }
+  {
+    std::string bytes = checkpoint;
+    put_id(bytes, id_at(0), second_id);
+    put_id(bytes, id_at(1), first_id);
+    expect_rejected(bytes, "decreasing ids");
+  }
 }
 
 TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {

@@ -103,7 +103,7 @@ TEST(SocketChannelTest, FramesRoundTripOverASocketPair) {
   EXPECT_EQ(decoded->intervened, request.intervened);
 
   VerdictMsg verdict;
-  verdict.failed = true;
+  verdict.log.failed = true;
   ASSERT_TRUE(host.Write(ProcMsgType::kVerdict, EncodeVerdict(verdict)).ok());
   auto answer = engine.Read();
   ASSERT_TRUE(answer.ok());
@@ -263,7 +263,7 @@ TEST(SocketChannelTest, SignalStormDoesNotAbortFrameIo) {
   SocketChannel reader(pair.ReleaseB());
 
   VerdictMsg verdict;
-  verdict.failed = true;
+  verdict.log.failed = true;
   WireWriter writer;
   const std::string payload = EncodeVerdict(verdict);
   writer.U32(static_cast<uint32_t>(payload.size()) + 1);
@@ -294,9 +294,9 @@ TEST(SocketChannelTest, SignalStormDoesNotAbortFrameIo) {
 
   ASSERT_TRUE(frame.ok()) << frame.status();
   EXPECT_EQ(frame->type, ProcMsgType::kVerdict);
-  auto decoded = DecodeVerdict(frame->payload);
+  auto decoded = DecodeVerdict(frame->payload, /*catalog_size=*/1);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->failed);
+  EXPECT_TRUE(decoded->log.failed);
 }
 
 #else  // !AID_NET_SUPPORTED

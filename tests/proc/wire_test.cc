@@ -1,16 +1,20 @@
 // Tests of the process-isolation wire protocol: frame transport over real
-// pipes (framing, EOF, deadlines, corrupt lengths), message codecs, and the
+// pipes (framing, EOF, deadlines, corrupt lengths), message codecs including
+// the shared PredicateLog codec a VERDICT carries (and its rejection of
+// hostile bytes), the engine's refusal of older protocol versions, and the
 // subject-spec codec that ships whole subjects across the process boundary.
 
 #include "proc/wire.h"
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "proc/client.h"
 #include "proc/subject_spec.h"
 #include "runtime/program.h"
 #include "runtime/program_io.h"
@@ -138,7 +142,7 @@ TEST(ProcWireTest, DeadlineReadStillDeliversPromptFrames) {
   PipePair pipe;
   std::thread writer([&pipe]() {
     VerdictMsg verdict;
-    verdict.failed = true;
+    verdict.log.failed = true;
     EXPECT_TRUE(WriteFrame(pipe.write_fd(), ProcMsgType::kVerdict,
                            EncodeVerdict(verdict))
                     .ok());
@@ -146,9 +150,60 @@ TEST(ProcWireTest, DeadlineReadStillDeliversPromptFrames) {
   auto frame = ReadFrameDeadline(pipe.read_fd(), 5000);
   writer.join();
   ASSERT_TRUE(frame.ok()) << frame.status();
-  auto verdict = DecodeVerdict(frame->payload);
+  auto verdict = DecodeVerdict(frame->payload, /*catalog_size=*/1);
   ASSERT_TRUE(verdict.ok());
-  EXPECT_TRUE(verdict->failed);
+  EXPECT_TRUE(verdict->log.failed);
+}
+
+/// The engine's end of a conversation with a scripted fake host: the test
+/// writes the host's frames by hand and reads what the engine sent.
+struct FakeHost {
+  PipePair to_engine;
+  PipePair to_host;
+  PipeChannel engine{to_engine.read_fd(), to_host.write_fd(),
+                     /*owns_fds=*/false};
+
+  void Send(ProcMsgType type, std::string_view payload) {
+    ASSERT_TRUE(WriteFrame(to_engine.write_fd(), type, payload).ok());
+  }
+};
+
+TEST(ProcWireTest, HandshakeRefusesAVersion2Host) {
+  FakeHost host;
+  HelloMsg hello;
+  hello.version = 2;  // per-event TRACE_EVENT streaming; v3 engines refuse it
+  host.Send(ProcMsgType::kHello, EncodeHello(hello));
+  SubjectHandshake options;
+  options.timeout_ms = 5000;
+  auto catalog = HandshakeSubject(host.engine, "spec", options);
+  ASSERT_FALSE(catalog.ok());
+  EXPECT_EQ(catalog.status().code(), StatusCode::kFailedPrecondition)
+      << catalog.status();
+}
+
+TEST(ProcWireTest, TrialRejectsAVerdictOutsideTheHandshakeCatalog) {
+  FakeHost host;
+  PredicateLog log;
+  log.observed[2] = {1, 1};
+  log.observed[5] = {2, 3};  // the handshake reported 5 predicates: 0..4
+  VerdictMsg verdict;
+  verdict.log = log;
+  host.Send(ProcMsgType::kVerdict, EncodeVerdict(verdict));
+  auto answer = RunTrialOverChannel(host.engine, /*trial_index=*/0, {},
+                                    /*catalog_size=*/5,
+                                    /*trial_deadline_ms=*/5000);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+      << answer.status();
+
+  // The same log is accepted once the catalog covers it.
+  host.Send(ProcMsgType::kVerdict, EncodeVerdict(verdict));
+  answer = RunTrialOverChannel(host.engine, /*trial_index=*/1, {},
+                               /*catalog_size=*/6,
+                               /*trial_deadline_ms=*/5000);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->observed.size(), 2u);
+  EXPECT_TRUE(answer->complete());
 }
 
 #else  // !AID_PROC_SUPPORTED
@@ -186,6 +241,153 @@ TEST(ProcWireTest, TruncatedMessagePayloadsFailCleanly) {
   const std::string run = EncodeRunTrial(request);
   for (size_t cut = 0; cut < run.size(); ++cut) {
     EXPECT_FALSE(DecodeRunTrial(run.substr(0, cut)).ok());
+  }
+}
+
+// --- predicate logs (the shared checkpoint / VERDICT codec) ---------------
+
+PredicateLog ThreeObservationLog() {
+  PredicateLog log;
+  log.failed = true;
+  log.observed[7] = {5, 9};
+  log.observed[1] = {0, 0};
+  log.observed[3] = {-2, 4};
+  return log;
+}
+
+std::string EncodeLogBytes(const PredicateLog& log) {
+  WireWriter writer;
+  EncodePredicateLog(log, writer);
+  return writer.Release();
+}
+
+Result<PredicateLog> DecodeLogBytes(std::string_view bytes,
+                                    uint32_t catalog_size = 1000) {
+  WireReader reader(bytes);
+  AID_ASSIGN_OR_RETURN(PredicateLog log,
+                       DecodePredicateLog(reader, catalog_size));
+  AID_RETURN_IF_ERROR(reader.Finish());
+  return log;
+}
+
+/// Byte offset of observation `i`'s id in an encoded log: failed and
+/// outcome bytes, the u32 count, then 20-byte (i32, i64, i64) records.
+size_t IdOffset(size_t i) { return 2 + 4 + 20 * i; }
+
+void PutId(std::string& bytes, size_t i, int32_t id) {
+  WireWriter writer;
+  writer.I32(id);
+  bytes.replace(IdOffset(i), 4, writer.buffer());
+}
+
+TEST(PredicateLogCodecTest, RoundTripsWithIdsSorted) {
+  const PredicateLog log = ThreeObservationLog();
+  const std::string bytes = EncodeLogBytes(log);
+  ASSERT_EQ(bytes.size(), IdOffset(3));
+  auto decoded = DecodeLogBytes(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->failed);
+  EXPECT_EQ(decoded->outcome, TrialOutcome::kCompleted);
+  ASSERT_EQ(decoded->observed.size(), 3u);
+  EXPECT_EQ(decoded->observed.at(3).start, -2);
+  EXPECT_EQ(decoded->observed.at(3).end, 4);
+  // Sorted on the wire, so equal logs encode to equal bytes.
+  EXPECT_EQ(EncodeLogBytes(*decoded), bytes);
+  WireReader first(std::string_view(bytes).substr(IdOffset(0), 4));
+  EXPECT_EQ(first.I32(), 1);
+}
+
+TEST(PredicateLogCodecTest, RejectsUnknownOutcomeBytes) {
+  std::string bytes = EncodeLogBytes(ThreeObservationLog());
+  for (int outcome : {3, 4, 127, 255}) {
+    bytes[1] = static_cast<char>(outcome);
+    auto decoded = DecodeLogBytes(bytes);
+    ASSERT_FALSE(decoded.ok()) << "outcome byte " << outcome;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (TrialOutcome known : {TrialOutcome::kCrashed, TrialOutcome::kTimedOut}) {
+    bytes[1] = static_cast<char>(known);
+    auto decoded = DecodeLogBytes(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->outcome, known);
+  }
+}
+
+TEST(PredicateLogCodecTest, RejectsNegativeDuplicateAndUnsortedIds) {
+  const std::string good = EncodeLogBytes(ThreeObservationLog());  // 1, 3, 7
+  struct Case {
+    const char* what;
+    size_t index;
+    int32_t id;
+  };
+  for (const Case& c : {Case{"negative", 0, -1}, Case{"duplicate", 1, 1},
+                        Case{"decreasing", 2, 2},
+                        Case{"min int", 0, INT32_MIN}}) {
+    std::string bytes = good;
+    PutId(bytes, c.index, c.id);
+    auto decoded = DecodeLogBytes(bytes);
+    ASSERT_FALSE(decoded.ok()) << c.what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << c.what;
+  }
+}
+
+TEST(PredicateLogCodecTest, RejectsIdsOutsideTheCatalog) {
+  const std::string bytes = EncodeLogBytes(ThreeObservationLog());  // max 7
+  EXPECT_TRUE(DecodeLogBytes(bytes, /*catalog_size=*/8).ok());
+  auto decoded = DecodeLogBytes(bytes, /*catalog_size=*/7);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PredicateLogCodecTest, TruncationsAndHugeCountsFailCleanly) {
+  const std::string bytes = EncodeLogBytes(ThreeObservationLog());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(DecodeLogBytes(bytes.substr(0, cut)).ok()) << cut;
+  }
+  // A count far beyond the bytes present is refused before any allocation.
+  std::string huge = bytes;
+  WireWriter count;
+  count.U32(0xFFFFFFFFu);
+  huge.replace(2, 4, count.buffer());
+  EXPECT_FALSE(DecodeLogBytes(huge).ok());
+}
+
+TEST(ProcWireTest, VerdictRejectsHostClaimedCrashesAndTimeouts) {
+  for (TrialOutcome outcome :
+       {TrialOutcome::kCrashed, TrialOutcome::kTimedOut}) {
+    VerdictMsg verdict;
+    verdict.log = ThreeObservationLog();
+    verdict.log.outcome = outcome;
+    auto decoded = DecodeVerdict(EncodeVerdict(verdict), /*catalog_size=*/8);
+    ASSERT_FALSE(decoded.ok()) << TrialOutcomeName(outcome);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ProcWireTest, VerdictRejectsIdsAtOrBeyondTheCatalogSize) {
+  VerdictMsg verdict;
+  verdict.log = ThreeObservationLog();  // ids 1, 3, 7
+  const std::string payload = EncodeVerdict(verdict);
+  EXPECT_TRUE(DecodeVerdict(payload, /*catalog_size=*/8).ok());
+  for (uint32_t catalog : {0u, 1u, 7u}) {
+    auto decoded = DecodeVerdict(payload, catalog);
+    ASSERT_FALSE(decoded.ok()) << catalog;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ProcWireTest, TruncatedVerdictsFailCleanly) {
+  VerdictMsg verdict;
+  verdict.log = ThreeObservationLog();
+  verdict.has_host_telemetry = true;
+  verdict.host_recv_us = 9;
+  verdict.host_spans.push_back(WireHostSpan{"host.trial", 1, 2});
+  const std::string payload = EncodeVerdict(verdict);
+  const size_t log_bytes = IdOffset(3);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    if (cut == log_bytes) continue;  // the log alone is a valid VERDICT
+    EXPECT_FALSE(DecodeVerdict(payload.substr(0, cut), 8).ok()) << cut;
   }
 }
 

@@ -1,15 +1,17 @@
 // Wire-level tests of the telemetry extensions to the subject protocol:
 // the optional SPAN_CONTEXT trailing fields on RUN_TRIAL and the optional
-// host-telemetry block on VERDICT. The extensions are additive -- with the
-// flags off the encoded bytes are identical to the pre-telemetry layout,
-// and a decoder fed a context-free payload (what an old peer would send)
-// reports the extension absent instead of failing.
+// host-telemetry block that follows the predicate log on VERDICT. The
+// extensions are additive -- with the flags off no trailing bytes are
+// encoded, and a decoder fed a context-free payload reports the extension
+// absent instead of failing.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "predicates/predicate.h"
 #include "proc/wire.h"
+#include "trace/serialize.h"
 
 namespace aid {
 namespace {
@@ -72,30 +74,51 @@ TEST(RunTrialWireTest, ContextFreeBytesMatchPreTelemetryLayout) {
   EXPECT_EQ(longer.compare(0, shorter.size(), shorter), 0);
 }
 
+/// A completed trial's log with a few observations, as a host reports it.
+PredicateLog SampleLog(bool failed) {
+  PredicateLog log;
+  log.failed = failed;
+  log.observed[4] = {10, 10};
+  log.observed[0] = {1, 7};
+  log.observed[9] = {-3, 12};
+  return log;
+}
+
+void ExpectSameLog(const PredicateLog& a, const PredicateLog& b) {
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.outcome, b.outcome);
+  ASSERT_EQ(a.observed.size(), b.observed.size());
+  for (const auto& [id, obs] : a.observed) {
+    ASSERT_TRUE(b.Has(id)) << id;
+    EXPECT_EQ(b.observed.at(id).start, obs.start) << id;
+    EXPECT_EQ(b.observed.at(id).end, obs.end) << id;
+  }
+}
+
 TEST(VerdictWireTest, RoundTripsWithoutHostTelemetry) {
   VerdictMsg msg;
-  msg.failed = true;
+  msg.log = SampleLog(/*failed=*/true);
   const std::string payload = EncodeVerdict(msg);
 
-  auto decoded = DecodeVerdict(payload);
+  auto decoded = DecodeVerdict(payload, /*catalog_size=*/10);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->failed);
+  ExpectSameLog(msg.log, decoded->log);
   EXPECT_FALSE(decoded->has_host_telemetry);
   EXPECT_TRUE(decoded->host_spans.empty());
 }
 
-TEST(VerdictWireTest, RoundTripsHostTelemetryBlock) {
+TEST(VerdictWireTest, RoundTripsHostTelemetryBlockWithALog) {
   VerdictMsg msg;
-  msg.failed = false;
+  msg.log = SampleLog(/*failed=*/false);
   msg.has_host_telemetry = true;
   msg.host_recv_us = 123456789;
   msg.host_spans.push_back(WireHostSpan{"host.trial", 100, 900});
   msg.host_spans.push_back(WireHostSpan{"host.subject_run", 150, 850});
   const std::string payload = EncodeVerdict(msg);
 
-  auto decoded = DecodeVerdict(payload);
+  auto decoded = DecodeVerdict(payload, /*catalog_size=*/10);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_FALSE(decoded->failed);
+  ExpectSameLog(msg.log, decoded->log);
   ASSERT_TRUE(decoded->has_host_telemetry);
   EXPECT_EQ(decoded->host_recv_us, 123456789u);
   ASSERT_EQ(decoded->host_spans.size(), 2u);
@@ -107,14 +130,19 @@ TEST(VerdictWireTest, RoundTripsHostTelemetryBlock) {
   EXPECT_EQ(decoded->host_spans[1].end_us, 850u);
 }
 
-TEST(VerdictWireTest, TelemetryFreeBytesMatchPreTelemetryLayout) {
+TEST(VerdictWireTest, TelemetryFreeBytesCarryNoTrailer) {
   VerdictMsg plain;
-  plain.failed = false;
+  plain.log = SampleLog(/*failed=*/false);
 
   VerdictMsg with_garbage = plain;
   with_garbage.host_recv_us = 777;  // has_host_telemetry still false
   with_garbage.host_spans.push_back(WireHostSpan{"ignored", 1, 2});
   EXPECT_EQ(EncodeVerdict(plain), EncodeVerdict(with_garbage));
+
+  // Without telemetry the payload is exactly the encoded log.
+  WireWriter log_only;
+  EncodePredicateLog(plain.log, log_only);
+  EXPECT_EQ(EncodeVerdict(plain), log_only.buffer());
 
   VerdictMsg with_block = plain;
   with_block.has_host_telemetry = true;
@@ -131,11 +159,12 @@ TEST(VerdictWireTest, EmptyHostSpanListStillRoundTrips) {
   VerdictMsg msg;
   msg.has_host_telemetry = true;
   msg.host_recv_us = 42;
-  auto decoded = DecodeVerdict(EncodeVerdict(msg));
+  auto decoded = DecodeVerdict(EncodeVerdict(msg), /*catalog_size=*/1);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(decoded->has_host_telemetry);
   EXPECT_EQ(decoded->host_recv_us, 42u);
   EXPECT_TRUE(decoded->host_spans.empty());
+  EXPECT_TRUE(decoded->log.observed.empty());
 }
 
 TEST(StatsWireTest, StatsReplyRoundTripsItsJsonDocument) {
