@@ -54,7 +54,7 @@ void BM_ModelExecute(benchmark::State& state) {
     benchmark::DoNotOptimize(log);
   }
 }
-BENCHMARK(BM_ModelExecute)->Arg(4)->Arg(16)->Arg(40);
+BENCHMARK(BM_ModelExecute)->Arg(4)->Arg(16)->Arg(40)->Arg(400);
 
 void BM_CausalPathDiscovery(benchmark::State& state) {
   SyntheticAppOptions options;

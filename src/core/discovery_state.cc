@@ -50,13 +50,15 @@ void EncodeRunResult(const TargetRunResult& result, WireWriter& w) {
   for (const PredicateLog& log : result.logs) EncodePredicateLog(log, w);
 }
 
-Result<TargetRunResult> DecodeRunResult(WireReader& r) {
+/// `catalog_size` bounds the logs' predicate ids: a hostile id would
+/// otherwise size a log's occurrence bitset to gigabytes.
+Result<TargetRunResult> DecodeRunResult(WireReader& r, uint32_t catalog_size) {
   TargetRunResult result;
   // failed + outcome bytes + observation count at minimum.
   const uint32_t n = r.Count(2 + sizeof(uint32_t));
   result.logs.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    AID_ASSIGN_OR_RETURN(PredicateLog log, DecodePredicateLog(r));
+    AID_ASSIGN_OR_RETURN(PredicateLog log, DecodePredicateLog(r, catalog_size));
     result.logs.push_back(std::move(log));
   }
   return result;
@@ -729,11 +731,11 @@ void DiscoveryState::InterventionalPruning(
     if (ReachesAny(items_[i], intervened_mask)) continue;
 
     for (const PredicateLog& log : result.logs) {
-      // A crashed or timed-out trial carries only a partial observation set
-      // (whatever the subject streamed before dying); concluding "P was
-      // absent" from it would prune soundly-causal predicates. Its failed
-      // flag still feeds the group verdict (AnyFailed), just not Definition
-      // 2's absence reasoning.
+      // A crashed or timed-out trial carries an empty observation set (the
+      // subject's log never arrived); concluding "P was absent" from it
+      // would prune soundly-causal predicates. Its failed flag still feeds
+      // the group verdict (AnyFailed), just not Definition 2's absence
+      // reasoning.
       if (!log.complete()) continue;
       const bool observed = ItemObserved(items_[i], log);
       if ((observed && !log.failed) || (!observed && log.failed)) {
@@ -975,6 +977,7 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
 
   state->counters_ = SubstrateCounters::Decode(r);
 
+  const auto catalog_size = static_cast<uint32_t>(dag->catalog()->size());
   const uint32_t frame_count = r.Count(2 * sizeof(uint32_t) + 1);
   state->giwp_stack_.reserve(frame_count);
   for (uint32_t i = 0; i < frame_count; ++i) {
@@ -982,7 +985,8 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
     frame.pool = DecodeIndexVector(r);
     frame.has_pending_prune = r.U8() != 0;
     frame.pending_selected = DecodeIndexVector(r);
-    AID_ASSIGN_OR_RETURN(frame.pending_result, DecodeRunResult(r));
+    AID_ASSIGN_OR_RETURN(frame.pending_result,
+                         DecodeRunResult(r, catalog_size));
     state->giwp_stack_.push_back(std::move(frame));
   }
   state->bp_remaining_ = DecodePredVector(r);

@@ -23,10 +23,12 @@ void Register(const Predicate& pred, PredicateObservation obs,
     id = frozen.Find(pred);
     if (id == kInvalidPredicate) return;
   }
-  auto it = log->observed.find(id);
-  if (it == log->observed.end() || obs.start < it->second.start) {
+  if (!log->observed.Has(id)) {
     log->observed[id] = obs;
+    return;
   }
+  PredicateObservation& kept = log->observed[id];
+  if (obs.start < kept.start) kept = obs;
 }
 
 }  // namespace
@@ -323,8 +325,11 @@ Result<PredicateId> PredicateExtractor::AddCompound(PredicateId a,
     auto ia = log.observed.find(a);
     auto ib = log.observed.find(b);
     if (ia == log.observed.end() || ib == log.observed.end()) continue;
-    log.observed[id] = {std::min(ia->second.start, ib->second.start),
-                        std::max(ia->second.end, ib->second.end)};
+    // Computed before operator[], whose insert may move the entries.
+    const PredicateObservation window{
+        std::min(ia->second.start, ib->second.start),
+        std::max(ia->second.end, ib->second.end)};
+    log.observed[id] = window;
   }
   return id;
 }

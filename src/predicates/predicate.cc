@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "trace/serialize.h"
 
@@ -63,17 +64,48 @@ std::string_view TrialOutcomeName(TrialOutcome outcome) {
   return "unknown";
 }
 
+const PredicateObservation& ObservationSet::at(PredicateId id) const {
+  AID_CHECK(Has(id));
+  return LowerBound(id)->second;
+}
+
+size_t ObservationSet::erase(PredicateId id) {
+  if (!Has(id)) return 0;
+  bits_[static_cast<size_t>(id) >> 6] &= ~(uint64_t{1} << (id & 63));
+  entries_.erase(LowerBound(id));
+  return 1;
+}
+
+ObservationSet::iterator ObservationSet::LowerBound(PredicateId id) {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const value_type& entry, PredicateId key) { return entry.first < key; });
+}
+
+ObservationSet::const_iterator ObservationSet::LowerBound(
+    PredicateId id) const {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const value_type& entry, PredicateId key) { return entry.first < key; });
+}
+
+void ObservationSet::GrowFor(PredicateId id) {
+  AID_CHECK(id >= 0);
+  bits_.resize((static_cast<size_t>(id) >> 6) + 1, 0);
+}
+
+PredicateObservation& ObservationSet::InsertSorted(PredicateId id) {
+  const iterator it = LowerBound(id);
+  if (it != entries_.end() && it->first == id) return it->second;
+  SetBit(id);
+  return entries_.emplace(it, id, PredicateObservation{})->second;
+}
+
 void EncodePredicateLog(const PredicateLog& log, WireWriter& writer) {
   writer.U8(log.failed ? 1 : 0);
   writer.U8(static_cast<uint8_t>(log.outcome));
-  // The observation map is unordered; sort by id so equal logs encode to
-  // equal bytes (checkpoints of identical states must compare equal).
-  std::vector<std::pair<PredicateId, PredicateObservation>> obs(
-      log.observed.begin(), log.observed.end());
-  std::sort(obs.begin(), obs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  writer.U32(static_cast<uint32_t>(obs.size()));
-  for (const auto& [id, o] : obs) {
+  writer.U32(static_cast<uint32_t>(log.observed.size()));
+  for (const auto& [id, o] : log.observed) {
     writer.I32(id);
     writer.I64(o.start);
     writer.I64(o.end);
@@ -114,7 +146,7 @@ Result<PredicateLog> DecodePredicateLog(WireReader& reader,
           " outside the catalog of " + std::to_string(catalog_size));
     }
     previous = id;
-    log.observed.emplace(id, o);
+    log.observed[id] = o;  // ids strictly increase: an append
   }
   AID_RETURN_IF_ERROR(reader.status());
   return log;

@@ -17,6 +17,7 @@
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -87,6 +88,79 @@ struct PredicateHash {
 struct PredicateObservation {
   Tick start = 0;
   Tick end = 0;
+
+  bool operator==(const PredicateObservation&) const = default;
+};
+
+/// The observations of one execution, keyed by (non-negative) predicate id:
+/// an id-indexed occurrence bitset for O(1) Has() plus the (id, window)
+/// entries in a flat array sorted by id. The surface is map-like: find/end,
+/// at, operator[], erase, size/empty, and iteration as (id, observation)
+/// pairs in id order. Inserting an id above every present id appends; an
+/// out-of-order insert (only the trace extractor does that) shifts the tail.
+/// Iterators expose the id mutably for structured bindings; callers must not
+/// change it.
+class ObservationSet {
+ public:
+  using value_type = std::pair<PredicateId, PredicateObservation>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  bool Has(PredicateId id) const {
+    if (id < 0) return false;
+    const size_t word = static_cast<size_t>(id) >> 6;
+    return word < bits_.size() && ((bits_[word] >> (id & 63)) & 1) != 0;
+  }
+
+  iterator find(PredicateId id) { return Has(id) ? LowerBound(id) : end(); }
+  const_iterator find(PredicateId id) const {
+    return Has(id) ? LowerBound(id) : end();
+  }
+  /// The observation of a present id (checked).
+  const PredicateObservation& at(PredicateId id) const;
+  /// The observation of `id`, inserting a zero window if absent.
+  PredicateObservation& operator[](PredicateId id) {
+    if (entries_.empty() || id > entries_.back().first) {
+      SetBit(id);
+      return entries_.emplace_back(id, PredicateObservation{}).second;
+    }
+    return InsertSorted(id);
+  }
+  /// Removes `id`; returns the number of entries removed (0 or 1).
+  size_t erase(PredicateId id);
+
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  /// Room for `n` entries and, ids being dense, for ids below `n`.
+  void reserve(size_t n) {
+    entries_.reserve(n);
+    bits_.reserve((n + 63) / 64);
+  }
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+
+  bool operator==(const ObservationSet& other) const {
+    return entries_ == other.entries_;
+  }
+
+ private:
+  iterator LowerBound(PredicateId id);
+  const_iterator LowerBound(PredicateId id) const;
+  void SetBit(PredicateId id) {
+    // A negative id wraps to a huge word index and lands in GrowFor, which
+    // rejects it.
+    const size_t word = static_cast<size_t>(id) >> 6;
+    if (word >= bits_.size()) GrowFor(id);
+    bits_[word] |= uint64_t{1} << (id & 63);
+  }
+  void GrowFor(PredicateId id);
+  PredicateObservation& InsertSorted(PredicateId id);
+
+  std::vector<uint64_t> bits_;
+  std::vector<value_type> entries_;
 };
 
 /// How one trial execution ended. In-process targets always complete;
@@ -112,9 +186,9 @@ std::string_view TrialOutcomeName(TrialOutcome outcome);
 struct PredicateLog {
   bool failed = false;
   TrialOutcome outcome = TrialOutcome::kCompleted;
-  std::unordered_map<PredicateId, PredicateObservation> observed;
+  ObservationSet observed;
 
-  bool Has(PredicateId id) const { return observed.count(id) > 0; }
+  bool Has(PredicateId id) const { return observed.Has(id); }
   /// True iff the log is a complete observation of its execution (see
   /// TrialOutcome): only complete logs admit absence-based reasoning.
   bool complete() const { return outcome == TrialOutcome::kCompleted; }
@@ -125,14 +199,16 @@ struct PredicateLog {
 ///
 ///   u8 failed, u8 outcome, u32 n, then (i32 id, i64 start, i64 end) x n
 ///
-/// with the observations sorted by id, so equal logs encode to equal bytes.
+/// with the observations in id order (ObservationSet's own order), so equal
+/// logs encode to equal bytes.
 void EncodePredicateLog(const PredicateLog& log, WireWriter& writer);
 
 /// Decodes one log written by EncodePredicateLog. Fails with
 /// InvalidArgument on truncated input, an unknown outcome byte, or ids that
-/// are negative, not strictly increasing, or at least `catalog_size`
-/// (callers that know the catalog pass its size; the default leaves ids
-/// unbounded).
+/// are negative, not strictly increasing, or at least `catalog_size`. The
+/// occurrence bitset is sized by the largest id, so decoders of untrusted
+/// bytes (the VERDICT frame, checkpoints) pass their catalog's size; the
+/// default leaves ids unbounded.
 Result<PredicateLog> DecodePredicateLog(
     WireReader& reader,
     uint32_t catalog_size = std::numeric_limits<uint32_t>::max());

@@ -102,17 +102,17 @@ void SerializeModel(const GroundTruthModel& model, WireWriter& writer) {
   writer.U32(static_cast<uint32_t>(model.causal_chain().size()));
   for (PredicateId id : model.causal_chain()) writer.I32(id);
 
-  // True-cause rules, in id order for byte-stable encodings.
-  std::vector<PredicateId> ruled;
-  ruled.reserve(model.true_parents().size());
-  for (const auto& [id, parents] : model.true_parents()) ruled.push_back(id);
-  std::sort(ruled.begin(), ruled.end());
-  writer.U32(static_cast<uint32_t>(ruled.size()));
-  for (PredicateId id : ruled) {
-    writer.I32(id);
-    const auto& parents = model.true_parents().at(id);
-    writer.U32(static_cast<uint32_t>(parents.size()));
-    for (PredicateId parent : parents) writer.I32(parent);
+  // True-cause rules, in id order for byte-stable encodings. Declared empty
+  // rules (the chain head's) are encoded too.
+  const auto& rules = model.true_parents();
+  writer.U32(static_cast<uint32_t>(
+      std::count_if(rules.begin(), rules.end(),
+                    [](const auto& rule) { return rule.has_value(); })));
+  for (size_t id = 0; id < rules.size(); ++id) {
+    if (!rules[id]) continue;
+    writer.I32(static_cast<PredicateId>(id));
+    writer.U32(static_cast<uint32_t>(rules[id]->size()));
+    for (PredicateId parent : *rules[id]) writer.I32(parent);
   }
 
   // Temporal edges keep their exact order: AC-DAG construction consumes them

@@ -1,27 +1,60 @@
 #include "synth/model.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace aid {
+namespace {
+
+/// The model is deterministic: every trial yields the same log, so the one
+/// execution's log is copied into all but the last slot and moved there.
+std::vector<PredicateLog> ReplicateTrials(PredicateLog log, int trials) {
+  std::vector<PredicateLog> logs;
+  logs.reserve(static_cast<size_t>(trials));
+  logs.assign(static_cast<size_t>(trials) - 1, log);
+  logs.push_back(std::move(log));
+  return logs;
+}
+
+}  // namespace
 
 PredicateId GroundTruthModel::AddPredicate(int index) {
   const PredicateId id = catalog_.Intern(
       Predicate{.kind = PredKind::kSynthetic, .occurrence = index});
   predicates_.push_back(id);
+  true_parents_.resize(catalog_.size());
   return id;
 }
 
 PredicateId GroundTruthModel::AddFailure() {
   AID_CHECK(failure_ == kInvalidPredicate);
   failure_ = catalog_.Intern(Predicate{.kind = PredKind::kFailure});
+  true_parents_.resize(catalog_.size());
   return failure_;
 }
 
 void GroundTruthModel::SetTrueParents(PredicateId id,
                                       std::vector<PredicateId> parents) {
-  true_parents_[id] = std::move(parents);
+  const auto in_catalog = [this](PredicateId p) {
+    return p >= 0 && static_cast<size_t>(p) < catalog_.size();
+  };
+  AID_CHECK(in_catalog(id));
+  AID_CHECK(std::all_of(parents.begin(), parents.end(), in_catalog));
+  // Predicates are created in id order, so a rule is forward iff every
+  // parent has a smaller id. F's rule is evaluated after all others and
+  // never counts; an F parent reads "not occurred" in either evaluation.
+  const auto backward = [&](const std::vector<PredicateId>& rule) {
+    return id != failure_ &&
+           std::any_of(rule.begin(), rule.end(),
+                       [id](PredicateId p) { return p >= id; });
+  };
+  std::optional<std::vector<PredicateId>>& slot =
+      true_parents_[static_cast<size_t>(id)];
+  if (slot && backward(*slot)) --backward_rules_;
+  slot = std::move(parents);
+  if (backward(*slot)) ++backward_rules_;
 }
 
 void GroundTruthModel::SetCausalChain(std::vector<PredicateId> chain) {
@@ -41,56 +74,62 @@ void GroundTruthModel::AddTemporalEdge(PredicateId from, PredicateId to) {
 
 PredicateLog GroundTruthModel::Execute(
     const std::vector<PredicateId>& intervened) const {
-  std::vector<bool> blocked(catalog_.size(), false);
+  // Per predicate: not (yet) occurred, occurs, or intervened.
+  enum : uint8_t { kAbsent, kOccurs, kBlocked };
+  std::vector<uint8_t> state(catalog_.size(), kAbsent);
   for (PredicateId id : intervened) {
-    if (id >= 0 && static_cast<size_t>(id) < blocked.size()) {
-      blocked[static_cast<size_t>(id)] = true;
+    if (id >= 0 && static_cast<size_t>(id) < state.size()) {
+      state[static_cast<size_t>(id)] = kBlocked;
     }
   }
 
-  // Propagate occurrence to a fixpoint. The true-cause relation is acyclic
-  // (generators build it over an existing order), and occurrence is
-  // monotone, so iterating passes converges within the DAG depth.
-  std::vector<bool> occurs(catalog_.size(), false);
-  auto eval = [&](PredicateId id) {
-    if (blocked[static_cast<size_t>(id)]) return false;
-    auto it = true_parents_.find(id);
-    if (it == true_parents_.end()) return true;  // spontaneous
-    for (PredicateId parent : it->second) {
-      if (!occurs[static_cast<size_t>(parent)]) return false;
+  // Least fixpoint of the rules, starting from "nothing occurs". Occurrence
+  // is monotone in the parents, so the passes only ever add predicates and
+  // a cycle never bootstraps itself. With no backward rule every parent is
+  // final before its child is evaluated, and the first pass is the answer.
+  const auto rule_holds = [&](PredicateId id) {
+    const auto& rule = true_parents_[static_cast<size_t>(id)];
+    if (!rule) return true;  // spontaneous
+    for (PredicateId parent : *rule) {
+      if (state[static_cast<size_t>(parent)] != kOccurs) return false;
     }
     return true;
   };
+  size_t occurred = 0;
   bool changed = true;
   while (changed) {
     changed = false;
     for (PredicateId id : predicates_) {
-      const bool now = eval(id);
-      if (now != occurs[static_cast<size_t>(id)]) {
-        occurs[static_cast<size_t>(id)] = now;
-        changed = true;
-      }
+      uint8_t& s = state[static_cast<size_t>(id)];
+      if (s != kAbsent || !rule_holds(id)) continue;
+      s = kOccurs;
+      ++occurred;
+      changed = true;
     }
+    if (backward_rules_ == 0) break;
   }
+  // The failure predicate cannot be intervened, only caused.
+  const bool failed = failure_ == kInvalidPredicate || rule_holds(failure_);
 
+  // Ticks are creation positions with F last; entries go out in id order
+  // (F, created first by the generators, is slotted in at its id).
   PredicateLog log;
+  log.failed = failed;
+  log.observed.reserve(occurred + (failed ? 1 : 0));
+  const Tick failure_tick = static_cast<Tick>(predicates_.size());
+  bool failure_pending = failed && failure_ != kInvalidPredicate;
   Tick tick = 0;
   for (PredicateId id : predicates_) {
-    if (occurs[static_cast<size_t>(id)]) {
+    if (failure_pending && failure_ < id) {
+      log.observed[failure_] = {failure_tick, failure_tick};
+      failure_pending = false;
+    }
+    if (state[static_cast<size_t>(id)] == kOccurs) {
       log.observed[id] = {tick, tick};
     }
     ++tick;
   }
-  // The failure predicate cannot be intervened, only caused.
-  auto it = true_parents_.find(failure_);
-  bool failed = true;
-  if (it != true_parents_.end()) {
-    for (PredicateId parent : it->second) {
-      if (!occurs[static_cast<size_t>(parent)]) failed = false;
-    }
-  }
-  log.failed = failed;
-  if (failed) log.observed[failure_] = {tick, tick};
+  if (failure_pending) log.observed[failure_] = {failure_tick, failure_tick};
   return log;
 }
 
@@ -107,10 +146,8 @@ Result<TargetRunResult> ModelTarget::RunIntervened(
     const std::vector<PredicateId>& intervened, int trials) {
   TargetRunResult result;
   if (trials < 1) trials = 1;
-  PredicateLog log = model_->Execute(intervened);
+  result.logs = ReplicateTrials(model_->Execute(intervened), trials);
   executions_ += trials;
-  // The model is deterministic: all trials yield the same log.
-  for (int i = 0; i < trials; ++i) result.logs.push_back(log);
   return result;
 }
 
@@ -119,9 +156,8 @@ Result<std::vector<TargetRunResult>> ModelTarget::RunInterventionsBatch(
   if (trials < 1) trials = 1;
   std::vector<TargetRunResult> results(spans.size());
   for (size_t i = 0; i < spans.size(); ++i) {
-    PredicateLog log = model_->Execute(spans[i]);
+    results[i].logs = ReplicateTrials(model_->Execute(spans[i]), trials);
     executions_ += trials;
-    results[i].logs.assign(static_cast<size_t>(trials), log);
   }
   return results;
 }

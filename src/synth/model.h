@@ -9,6 +9,11 @@
 //   P occurs  iff  P is not intervened  and  all true parents of P occurred
 //   (no parents = spontaneous: occurs unless intervened)
 //
+// taking the least fixpoint, so a predicate on or below a cycle of rules
+// never occurs. The rules live in a dense id-indexed table; when every
+// rule's parents precede its predicate in creation order (generators build
+// rules that way), one pass in that order computes the fixpoint.
+//
 // The observable AC-DAG is the temporal over-approximation the generator
 // also emits: it contains the true causal edges plus the merely-temporal
 // ones, exactly the superset relationship of the paper's Figure 4(a)/(b).
@@ -16,7 +21,7 @@
 #ifndef AID_SYNTH_MODEL_H_
 #define AID_SYNTH_MODEL_H_
 
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "causal/acdag.h"
@@ -37,7 +42,8 @@ class GroundTruthModel {
   PredicateId AddFailure();
 
   /// Declares P's true causes: P occurs iff all of `parents` occurred
-  /// (conjunction). No declaration = spontaneous.
+  /// (conjunction). No declaration = spontaneous. A later declaration for
+  /// the same P replaces the earlier one. P and its parents must be interned.
   void SetTrueParents(PredicateId id, std::vector<PredicateId> parents);
 
   /// Declares the counterfactual causal chain c0 -> .. -> ck (-> F): wires
@@ -47,8 +53,10 @@ class GroundTruthModel {
   /// Adds an observed temporal edge (AC-DAG construction input).
   void AddTemporalEdge(PredicateId from, PredicateId to);
 
-  /// Evaluates which predicates occur under `intervened`.
-  /// Returns a PredicateLog (failed = F occurred).
+  /// Evaluates which predicates occur under `intervened`: one pass in
+  /// creation order when every rule's parents come first, else iterated to
+  /// the least fixpoint. Returns a PredicateLog (failed = F occurred) whose
+  /// ticks are creation positions, with F last.
   PredicateLog Execute(const std::vector<PredicateId>& intervened) const;
 
   /// Builds the observable AC-DAG (temporal edges, transitively closed).
@@ -59,10 +67,12 @@ class GroundTruthModel {
   PredicateId failure() const { return failure_; }
   const std::vector<PredicateId>& predicates() const { return predicates_; }
   const std::vector<PredicateId>& causal_chain() const { return causal_chain_; }
-  /// True-cause rules and observed temporal edges, exposed so the model can
-  /// be serialized across a process boundary (proc/subject_spec).
-  const std::unordered_map<PredicateId, std::vector<PredicateId>>&
-  true_parents() const {
+  /// True-cause rules indexed by predicate id (nullopt = no rule declared;
+  /// an empty rule is declared but spontaneous) and observed temporal
+  /// edges, exposed so the model can be serialized across a process
+  /// boundary (proc/subject_spec).
+  const std::vector<std::optional<std::vector<PredicateId>>>& true_parents()
+      const {
     return true_parents_;
   }
   const std::vector<std::pair<PredicateId, PredicateId>>& temporal_edges()
@@ -78,7 +88,10 @@ class GroundTruthModel {
   PredicateCatalog catalog_;
   std::vector<PredicateId> predicates_;  ///< excludes F
   PredicateId failure_ = kInvalidPredicate;
-  std::unordered_map<PredicateId, std::vector<PredicateId>> true_parents_;
+  std::vector<std::optional<std::vector<PredicateId>>> true_parents_;
+  /// Rules of predicates other than F with a parent that does not precede
+  /// them in creation order; Execute needs a fixpoint while any exist.
+  size_t backward_rules_ = 0;
   std::vector<PredicateId> causal_chain_;
   std::vector<std::pair<PredicateId, PredicateId>> temporal_edges_;
 };

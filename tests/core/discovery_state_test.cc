@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -321,6 +324,16 @@ TEST(DiscoveryStateCheckpointTest, DeserializeRejectsCorruptedBytes) {
     put_id(bytes, id_at(0), second_id);
     put_id(bytes, id_at(1), first_id);
     expect_rejected(bytes, "decreasing ids");
+  }
+  // Ids are bounded by the DAG's catalog: the log's occurrence bitset is
+  // sized by its largest id, so an unbounded one could demand gigabytes.
+  WireReader count_reader(std::string_view(checkpoint).substr(log_at + 2, 4));
+  const uint32_t count = count_reader.U32();
+  for (int32_t id : {static_cast<int32_t>(dag->catalog()->size()),
+                     std::numeric_limits<int32_t>::max()}) {
+    std::string bytes = checkpoint;
+    put_id(bytes, id_at(count - 1), id);
+    expect_rejected(bytes, "id " + std::to_string(id) + " outside the catalog");
   }
 }
 

@@ -1,9 +1,208 @@
 #include "synth/model.h"
 
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "proc/subject_spec.h"
+#include "synth/generator.h"
 
 namespace aid {
 namespace {
+
+/// The model's semantics written out naively: from "nothing occurs", apply
+/// "P occurs iff P is not intervened and all of P's true parents occurred"
+/// to every predicate simultaneously until nothing changes (the least
+/// fixpoint), then lay the observations out at their creation positions
+/// with F last.
+PredicateLog ReferenceExecute(const GroundTruthModel& model,
+                              const std::vector<PredicateId>& intervened) {
+  const auto& rules = model.true_parents();
+  const size_t n = model.catalog().size();
+  std::vector<bool> blocked(n, false);
+  for (PredicateId id : intervened) blocked[static_cast<size_t>(id)] = true;
+  const auto holds = [&](const std::vector<bool>& occurs, PredicateId id) {
+    const auto& rule = rules[static_cast<size_t>(id)];
+    if (!rule) return true;
+    for (PredicateId p : *rule) {
+      if (!occurs[static_cast<size_t>(p)]) return false;
+    }
+    return true;
+  };
+  std::vector<bool> occurs(n, false);
+  for (bool changed = true; changed;) {
+    std::vector<bool> next(n, false);
+    for (PredicateId id : model.predicates()) {
+      next[static_cast<size_t>(id)] =
+          !blocked[static_cast<size_t>(id)] && holds(occurs, id);
+    }
+    changed = next != occurs;
+    occurs = std::move(next);
+  }
+  std::map<PredicateId, PredicateObservation> sorted;
+  Tick tick = 0;
+  for (PredicateId id : model.predicates()) {
+    if (occurs[static_cast<size_t>(id)]) sorted[id] = {tick, tick};
+    ++tick;
+  }
+  PredicateLog log;
+  log.failed = holds(occurs, model.failure());
+  if (log.failed) sorted[model.failure()] = {tick, tick};
+  for (const auto& [id, obs] : sorted) log.observed[id] = obs;
+  return log;
+}
+
+void ExpectMatchesReference(const GroundTruthModel& model,
+                            const std::vector<PredicateId>& intervened) {
+  const PredicateLog got = model.Execute(intervened);
+  const PredicateLog want = ReferenceExecute(model, intervened);
+  EXPECT_EQ(got.failed, want.failed);
+  ASSERT_EQ(got.observed.size(), want.observed.size());
+  EXPECT_TRUE(got.observed == want.observed);
+}
+
+/// `rounds` random intervention sets of 0..4 predicates, biased towards the
+/// causal chain so that both failing and non-failing runs are covered.
+void CheckRandomInterventions(const GroundTruthModel& model, uint64_t seed,
+                              int rounds) {
+  Rng rng(seed);
+  ExpectMatchesReference(model, {});
+  for (int r = 0; r < rounds; ++r) {
+    std::vector<PredicateId> intervened;
+    const int k = static_cast<int>(rng.UniformRange(0, 4));
+    for (int i = 0; i < k; ++i) {
+      intervened.push_back(rng.Bernoulli(0.3) ? rng.Pick(model.causal_chain())
+                                              : rng.Pick(model.predicates()));
+    }
+    ExpectMatchesReference(model, intervened);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(ModelTest, OnePassExecuteEqualsTheFixpointOnGeneratedApps) {
+  for (int threads : {2, 10, 40, 400}) {
+    for (uint64_t seed = 1; seed <= (threads == 400 ? 2u : 6u); ++seed) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, seed " << seed);
+      SyntheticAppOptions options;
+      options.min_threads = options.max_threads = threads;
+      options.blocks_min = 1;
+      options.blocks_max = 2;
+      options.seed = seed;
+      auto model = GenerateSyntheticApp(options);
+      ASSERT_TRUE(model.ok()) << model.status();
+      CheckRandomInterventions(**model, seed, threads == 400 ? 10 : 40);
+    }
+  }
+}
+
+TEST(ModelTest, OnePassExecuteEqualsTheFixpointOnSymmetricModels) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    auto model = MakeSymmetricModel(/*junctions=*/3, /*branches=*/4,
+                                    /*chain_len=*/3, /*causal=*/4, seed);
+    ASSERT_TRUE(model.ok()) << model.status();
+    CheckRandomInterventions(**model, seed, 40);
+  }
+}
+
+TEST(ModelTest, BackwardRuleSetAfterForwardRulesForcesTheFixpoint) {
+  GroundTruthModel model;
+  model.AddFailure();
+  const PredicateId a = model.AddPredicate(0);
+  const PredicateId b = model.AddPredicate(1);
+  const PredicateId c = model.AddPredicate(2);
+  const PredicateId d = model.AddPredicate(3);
+  model.SetCausalChain({c});
+  model.SetTrueParents(b, {a});
+  model.SetTrueParents(d, {b});
+  // Declared last: a's parent c is created after it.
+  model.SetTrueParents(a, {c});
+  // Re-declaring the backward rule, and turning another backward rule
+  // forward again, must leave the model on the fixpoint path.
+  model.SetTrueParents(a, {c});
+  model.SetTrueParents(b, {d});
+  model.SetTrueParents(b, {a});
+
+  const PredicateLog all = model.Execute({});
+  EXPECT_TRUE(all.failed);
+  for (PredicateId id : {a, b, c, d}) EXPECT_TRUE(all.Has(id)) << id;
+  const PredicateLog stopped = model.Execute({c});
+  EXPECT_FALSE(stopped.failed);
+  for (PredicateId id : {a, b, c, d}) EXPECT_FALSE(stopped.Has(id)) << id;
+  for (PredicateId id : {a, b, c, d}) ExpectMatchesReference(model, {id});
+
+  // Made forward again, a is spontaneous and its effects survive c's
+  // intervention.
+  model.SetTrueParents(a, {});
+  const PredicateLog forward = model.Execute({c});
+  for (PredicateId id : {a, b, d}) EXPECT_TRUE(forward.Has(id)) << id;
+  ExpectMatchesReference(model, {c});
+}
+
+TEST(ModelTest, CyclesNeverOccurNorAnythingBelowThem) {
+  // a <-> b is a cycle, c hangs below it, d is spontaneous, e -> F is the
+  // chain. The least fixpoint never lets a cycle bootstrap itself.
+  GroundTruthModel model;
+  model.AddFailure();
+  const PredicateId a = model.AddPredicate(0);
+  const PredicateId b = model.AddPredicate(1);
+  const PredicateId c = model.AddPredicate(2);
+  const PredicateId d = model.AddPredicate(3);
+  const PredicateId e = model.AddPredicate(4);
+  model.SetCausalChain({e});
+  model.SetTrueParents(a, {b});
+  model.SetTrueParents(b, {a});
+  model.SetTrueParents(c, {a, d});
+
+  // Subject-spec decoding checks ids, not acyclicity: the decoded copy must
+  // give the same answers.
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = &model;
+  auto encoded = EncodeSubjectSpec(spec);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  auto decoded = DecodeSubjectSpec(*encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+
+  for (const GroundTruthModel* m : {&model, decoded->model.get()}) {
+    const PredicateLog log = m->Execute({});
+    EXPECT_TRUE(log.failed);
+    EXPECT_FALSE(log.Has(a));
+    EXPECT_FALSE(log.Has(b));
+    EXPECT_FALSE(log.Has(c));
+    EXPECT_TRUE(log.Has(d));
+    EXPECT_TRUE(log.Has(e));
+    EXPECT_EQ(log.observed.size(), 3u);  // d, e and F
+    for (PredicateId id : {a, b, c, d, e}) ExpectMatchesReference(*m, {id});
+  }
+
+  // A cycle on the way to F: the failure can never occur.
+  model.SetTrueParents(e, {a});
+  EXPECT_FALSE(model.Execute({}).failed);
+  ExpectMatchesReference(model, {});
+}
+
+TEST(ModelTest, ObservationsComeOutInIdOrderWithFLast) {
+  // F is created between predicates: its id sits in the middle, its tick
+  // after every predicate's.
+  GroundTruthModel model;
+  const PredicateId a = model.AddPredicate(0);
+  const PredicateId f = model.AddFailure();
+  const PredicateId b = model.AddPredicate(1);
+  model.SetCausalChain({a});
+
+  const PredicateLog log = model.Execute({});
+  ASSERT_TRUE(log.failed);
+  std::vector<PredicateId> ids;
+  for (const auto& [id, obs] : log.observed) ids.push_back(id);
+  EXPECT_EQ(ids, (std::vector<PredicateId>{a, f, b}));
+  EXPECT_EQ(log.observed.at(a).start, 0);
+  EXPECT_EQ(log.observed.at(b).start, 1);
+  EXPECT_EQ(log.observed.at(f).start, 2);
+  ExpectMatchesReference(model, {});
+  ExpectMatchesReference(model, {a});
+}
 
 TEST(ModelTest, UninterventedExecutionObservesEverythingAndFails) {
   GroundTruthModel model;
