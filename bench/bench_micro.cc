@@ -41,7 +41,7 @@ void BM_BuildAcDag(benchmark::State& state) {
   state.counters["predicates"] =
       static_cast<double>((*model)->size());
 }
-BENCHMARK(BM_BuildAcDag)->Arg(4)->Arg(16)->Arg(40);
+BENCHMARK(BM_BuildAcDag)->Arg(4)->Arg(16)->Arg(40)->Arg(400);
 
 void BM_ModelExecute(benchmark::State& state) {
   SyntheticAppOptions options;
@@ -69,7 +69,7 @@ void BM_CausalPathDiscovery(benchmark::State& state) {
     benchmark::DoNotOptimize(report);
   }
 }
-BENCHMARK(BM_CausalPathDiscovery)->Arg(4)->Arg(16)->Arg(40);
+BENCHMARK(BM_CausalPathDiscovery)->Arg(4)->Arg(16)->Arg(40)->Arg(400);
 
 // --- batched vs. single-call intervention dispatch -------------------------
 //

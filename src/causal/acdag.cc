@@ -20,6 +20,10 @@ bool TestBit(std::span<const uint64_t> row, size_t j) {
 
 void SetBit(uint64_t* row, size_t j) { row[j / 64] |= uint64_t{1} << (j % 64); }
 
+void ClearBit(uint64_t* row, size_t j) {
+  row[j / 64] &= ~(uint64_t{1} << (j % 64));
+}
+
 /// Calls f(j) for every set bit j of `row`, ascending.
 template <typename F>
 void ForEachBit(std::span<const uint64_t> row, F&& f) {
@@ -30,17 +34,14 @@ void ForEachBit(std::span<const uint64_t> row, F&& f) {
   }
 }
 
-/// Kahn's algorithm over the relation packed in `rows` (n rows of `words`
-/// words), smallest index first among ready nodes. Shorter than n iff the
-/// relation has a cycle.
-std::vector<size_t> KahnOrder(const std::vector<uint64_t>& rows, size_t n,
-                              size_t words) {
-  auto row = [&](size_t i) {
-    return std::span<const uint64_t>(rows.data() + i * words, words);
-  };
+/// Kahn's algorithm over n nodes whose successors `for_each_successor(i, f)`
+/// passes to f, smallest index first among ready nodes. Shorter than n iff
+/// the relation has a cycle.
+template <typename ForEachSuccessor>
+std::vector<size_t> KahnOrder(size_t n, ForEachSuccessor&& for_each_successor) {
   std::vector<size_t> indegree(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    ForEachBit(row(i), [&](size_t j) { ++indegree[j]; });
+    for_each_successor(i, [&](size_t j) { ++indegree[j]; });
   }
   std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>>
       ready;
@@ -53,7 +54,7 @@ std::vector<size_t> KahnOrder(const std::vector<uint64_t>& rows, size_t n,
     const size_t i = ready.top();
     ready.pop();
     order.push_back(i);
-    ForEachBit(row(i), [&](size_t j) {
+    for_each_successor(i, [&](size_t j) {
       if (--indegree[j] == 0) ready.push(j);
     });
   }
@@ -62,22 +63,6 @@ std::vector<size_t> KahnOrder(const std::vector<uint64_t>& rows, size_t n,
 
 Status CycleError() {
   return Status::InvalidArgument("edges contain a cycle");
-}
-
-/// Transitively closes the acyclic relation in `rows` in place: each row,
-/// in reverse topological `order`, absorbs the (already closed) rows of its
-/// members.
-void CloseInPlace(std::vector<uint64_t>& rows, size_t words,
-                  const std::vector<size_t>& order) {
-  std::vector<uint64_t> direct(words);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    uint64_t* row = rows.data() + *it * words;
-    direct.assign(row, row + words);
-    ForEachBit(direct, [&](size_t c) {
-      const uint64_t* child = rows.data() + c * words;
-      for (size_t w = 0; w < words; ++w) row[w] |= child[w];
-    });
-  }
 }
 
 }  // namespace
@@ -108,6 +93,7 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
   std::vector<uint64_t> violated(n * words, 0);
 
   int failed_logs = 0;
+  std::vector<int> observed_in(n, 0);  // failed logs observing node i
   std::vector<std::pair<Tick, size_t>> present;  // (time, node index)
   std::vector<uint64_t> present_mask(words);
   std::vector<uint64_t> not_later(words);
@@ -122,6 +108,7 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
       present.emplace_back(config.TimeOf(catalog->Get(nodes[i]), it->second),
                            i);
       SetBit(present_mask.data(), i);
+      ++observed_in[i];
     }
     for (const auto& [time, i] : present) {
       uint64_t* row = co_occurred.data() + i * words;
@@ -146,15 +133,33 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
   if (failed_logs == 0) {
     return Status::InvalidArgument("no failed logs to build the AC-DAG from");
   }
+  // A candidate missing from some failed logs would break transitivity:
+  // i < j in one log and j < k in another give i -> j and j -> k but no
+  // i -> k, since i and k never co-occur. Fully-discriminative predicates
+  // are in every failed log; a candidate in none gets no edge and is
+  // dropped below.
+  for (size_t i = 0; i < n; ++i) {
+    if (observed_in[i] != 0 && observed_in[i] != failed_logs) {
+      return Status::InvalidArgument(StrFormat(
+          "candidate %s is observed in %d of %d failed logs; it must be "
+          "observed in all of them or none",
+          catalog->Describe(nodes[i], nullptr, nullptr).c_str(),
+          observed_in[i], failed_logs));
+    }
+  }
 
-  // The intersection of per-log strict orders is a strict partial order:
-  // irreflexive (every observed node violates itself), transitive, acyclic.
-  // It is its own transitive closure.
+  // The intersection of per-log strict orders over one node set is a strict
+  // partial order: irreflexive (every observed node violates itself),
+  // transitive, acyclic. It is its own transitive closure.
   for (size_t k = 0; k < co_occurred.size(); ++k) {
     co_occurred[k] &= ~violated[k];
   }
+  std::vector<size_t> order = KahnOrder(n, [&](size_t i, auto&& f) {
+    ForEachBit({co_occurred.data() + i * words, words}, f);
+  });
+  if (order.size() != n) return CycleError();
   return FromClosure(catalog, std::move(nodes), std::move(co_occurred),
-                     failure);
+                     std::move(order), failure);
 }
 
 Result<AcDag> AcDag::FromEdges(
@@ -177,7 +182,11 @@ Result<AcDag> AcDag::FromEdges(
                : n;
   };
 
-  std::vector<uint64_t> rows(n * words, 0);
+  // The direct edges as adjacency lists: node i's children are
+  // children[first[i] .. first[i + 1]).
+  std::vector<std::pair<size_t, size_t>> indexed;
+  indexed.reserve(edges.size());
+  std::vector<size_t> first(n + 1, 0);
   for (const auto& [from, to] : edges) {
     const size_t fi = index_of(from);
     const size_t ti = index_of(to);
@@ -187,18 +196,41 @@ Result<AcDag> AcDag::FromEdges(
     if (fi == ti) {
       return Status::InvalidArgument("self-loop edge");
     }
-    SetBit(rows.data() + fi * words, ti);
+    indexed.emplace_back(fi, ti);
+    ++first[fi + 1];
   }
+  for (size_t i = 0; i < n; ++i) first[i + 1] += first[i];
+  std::vector<size_t> children(indexed.size());
+  std::vector<size_t> next(first.begin(), first.end() - 1);
+  for (const auto& [fi, ti] : indexed) children[next[fi]++] = ti;
+  auto for_each_child = [&](size_t i, auto&& f) {
+    for (size_t k = first[i]; k < first[i + 1]; ++k) f(children[k]);
+  };
 
-  const std::vector<size_t> order = KahnOrder(rows, n, words);
+  // Min-index Kahn gives the same order for a relation and for its
+  // closure: a node becomes ready exactly when all its ancestors have been
+  // emitted. So the order of the direct edges serves the closure too.
+  std::vector<size_t> order = KahnOrder(n, for_each_child);
   if (order.size() != n) return CycleError();
-  CloseInPlace(rows, words, order);
-  return FromClosure(catalog, std::move(nodes), std::move(rows), failure);
+  // Close in reverse topological order: each row is its children plus
+  // their already closed rows.
+  std::vector<uint64_t> rows(n * words, 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    uint64_t* row = rows.data() + *it * words;
+    for_each_child(*it, [&](size_t c) {
+      SetBit(row, c);
+      const uint64_t* child = rows.data() + c * words;
+      for (size_t w = 0; w < words; ++w) row[w] |= child[w];
+    });
+  }
+  return FromClosure(catalog, std::move(nodes), std::move(rows),
+                     std::move(order), failure);
 }
 
 Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
                                  std::vector<PredicateId> nodes,
                                  std::vector<uint64_t> rows,
+                                 std::vector<size_t> order,
                                  PredicateId failure) {
   if (!nodes.empty() && nodes.front() < 0) {
     return Status::InvalidArgument("predicate ids must be non-negative");
@@ -232,6 +264,12 @@ Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
         if (new_index[j] != n) SetBit(kept_row, new_index[j]);
       });
     }
+    // The kept set is closed under ancestors (a node reaching a kept node
+    // reaches F), so restricting the order to it gives the kept subgraph's
+    // own min-index Kahn order: nothing outside it was ever ready in place
+    // of a kept node's ancestor.
+    std::erase_if(order, [&](size_t i) { return new_index[i] == n; });
+    for (size_t& i : order) i = new_index[i];
     nodes = std::move(kept_nodes);
     rows = std::move(kept_rows);
     n = nodes.size();
@@ -246,8 +284,6 @@ Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
   for (size_t i = 0; i < n; ++i) {
     dag.index_[static_cast<size_t>(nodes[i])] = static_cast<int>(i);
   }
-  const std::vector<size_t> order = KahnOrder(rows, n, words);
-  if (order.size() != n) return CycleError();
   dag.topo_order_.reserve(n);
   dag.topo_pos_.resize(n);
   for (size_t pos = 0; pos < n; ++pos) {
@@ -354,6 +390,40 @@ std::vector<std::vector<PredicateId>> AcDag::TopoLevels(
     levels[static_cast<size_t>(level[i])].push_back(nodes_[i]);
   });
   return levels;
+}
+
+std::vector<PredicateId> AcDag::FirstJunction(
+    std::span<const uint64_t> mask) const {
+  // Walk the masked nodes in topological order. Each node reached is
+  // minimal among those still remaining; while it reaches all of them it is
+  // alone in its level (every longest chain starts at it), so drop it.
+  AID_CHECK(mask.size() == words_);
+  NodeMask remaining(mask.begin(), mask.end());
+  size_t pos = 0;
+  for (; pos < topo_order_.size(); ++pos) {
+    const size_t c = static_cast<size_t>(IndexOf(topo_order_[pos]));
+    if (!TestBit(remaining, c)) continue;
+    ClearBit(remaining.data(), c);
+    const std::span<const uint64_t> row = Row(c);
+    size_t w = 0;
+    while (w < words_ && (remaining[w] & ~row[w]) == 0) ++w;
+    if (w < words_) break;  // c has an incomparable peer: a junction
+  }
+  if (pos == topo_order_.size()) return {};
+  // The junction is the minimal remaining nodes: those no earlier remaining
+  // node reaches. A reached node adds nothing to `reached` (its row is
+  // inside its ancestor's), so only the junction's rows are ORed. The
+  // failure is never among them: every other node reaches it.
+  NodeMask reached(words_, 0);
+  NodeMask junction(words_, 0);
+  for (; pos < topo_order_.size(); ++pos) {
+    const size_t r = static_cast<size_t>(IndexOf(topo_order_[pos]));
+    if (!TestBit(mask, r) || TestBit(reached, r)) continue;
+    SetBit(junction.data(), r);
+    const std::span<const uint64_t> row = Row(r);
+    for (size_t w = 0; w < words_; ++w) reached[w] |= row[w];
+  }
+  return MaskMembers(junction);
 }
 
 std::string AcDag::ToDot(const SymbolTable* methods,

@@ -22,13 +22,16 @@
 // ANDs one row with an intervened-node mask. No transposed copy is kept.
 //
 // The deterministic topological order (Kahn's algorithm, smallest id first
-// among ready nodes) is computed once, at construction.
+// among ready nodes) is computed once, at construction: FromEdges takes it
+// from the direct edges, which order the closure identically.
 //
-// Cost, n nodes, w = ceil(n/64), E closure pairs: Build O(L * n * w) over
-// L failed logs, FromEdges O((edges + n) * w), then O(n*w + E) to index
-// the result and order it; Reaches, Contains, TopoPosition O(1); EdgeCount
-// O(n*w); TopoLevels(mask) O(n*w + E within the mask); the reduction
-// (Children/Parents, built lazily once) O(E * w).
+// Cost, n nodes, w = ceil(n/64), E closure pairs: Build O(L * n * w + E)
+// over L failed logs (the order is one Kahn pass over the closure);
+// FromEdges O((edges + n) * w), plus O(E) only when nodes that cannot reach
+// the failure are dropped; Reaches, Contains, TopoPosition O(1); EdgeCount
+// O(n*w); FirstJunction(mask) O(n + k*w + j*w) for k single-node levels
+// above a j-way junction; TopoLevels(mask) O(n*w + E within the mask); the
+// reduction (Children/Parents, built lazily once) O(E * w).
 
 #ifndef AID_CAUSAL_ACDAG_H_
 #define AID_CAUSAL_ACDAG_H_
@@ -50,7 +53,10 @@ class AcDag {
   ///
   /// `candidates` are the fully-discriminative predicate ids (from
   /// StatisticalDebugger::FullyDiscriminative); `failure` must be among
-  /// them. Successful logs in `logs` are ignored.
+  /// them. Successful logs in `logs` are ignored. A candidate observed in
+  /// some failed logs but not all is rejected (InvalidArgument): the
+  /// relation would not be transitively closed. One observed in none gets
+  /// no edge and is dropped.
   static Result<AcDag> Build(const PredicateCatalog* catalog,
                              const std::vector<PredicateLog>& logs,
                              const std::vector<PredicateId>& candidates,
@@ -112,13 +118,18 @@ class AcDag {
   /// Longest-path layering of the subgraph induced on `mask`: level(n) = 0
   /// for nodes with no ancestor in the mask, else 1 + max(level(masked
   /// ancestors)). Returned ascending by level; members sorted. A level with
-  /// more than one member is a junction (Algorithm 2).
+  /// more than one member is a junction (Algorithm 2); FirstJunction finds
+  /// the first one without layering the whole mask. For display and tests.
   std::vector<std::vector<PredicateId>> TopoLevels(
       std::span<const uint64_t> mask) const;
   /// The layering of the whole DAG.
   std::vector<std::vector<PredicateId>> TopoLevels() const {
     return TopoLevels(MaskOf(nodes_));
   }
+
+  /// The first level of TopoLevels(mask) with two or more members other
+  /// than the failure, sorted; empty if there is none.
+  std::vector<PredicateId> FirstJunction(std::span<const uint64_t> mask) const;
 
   /// All descendants of `id` in the closure (excluding `id`).
   std::vector<PredicateId> Descendants(PredicateId id) const {
@@ -131,11 +142,12 @@ class AcDag {
  private:
   AcDag() = default;
   /// Applies reachability-to-failure pruning to `rows` (the closure over
-  /// the sorted `nodes`, packed as described above), then indexes the
-  /// result and caches its topological order.
+  /// the sorted `nodes`, packed as described above) and to `order` (its
+  /// min-index Kahn order, as node indices), then indexes the result.
   static Result<AcDag> FromClosure(const PredicateCatalog* catalog,
                                    std::vector<PredicateId> nodes,
                                    std::vector<uint64_t> rows,
+                                   std::vector<size_t> order,
                                    PredicateId failure);
   void BuildReduction() const;
   int IndexOf(PredicateId id) const;

@@ -245,17 +245,7 @@ void DiscoveryState::PumpBranchOuter() {
   // mask over the full DAG, not a copy of it.
   AcDag::NodeMask live = dag_->MaskOf(bp_remaining_);
   dag_->AddToMask(dag_->failure(), live);
-  std::vector<std::vector<PredicateId>> levels = dag_->TopoLevels(live);
-  std::vector<PredicateId> junction_members;
-  for (auto& level : levels) {
-    // The failure predicate is never part of a junction (it cannot be
-    // intervened); a level with >= 2 other members is a junction.
-    std::erase(level, dag_->failure());
-    if (level.size() >= 2) {
-      junction_members = level;
-      break;
-    }
-  }
+  const std::vector<PredicateId> junction_members = dag_->FirstJunction(live);
   if (junction_members.empty()) {
     candidates_ = bp_remaining_;
     EnterGiwp();

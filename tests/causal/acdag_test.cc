@@ -102,6 +102,35 @@ TEST_F(AcDagTest, SuccessfulLogsAreIgnored) {
   EXPECT_TRUE(dag->Reaches(a, f));
 }
 
+TEST_F(AcDagTest, CandidateMissingFromSomeFailedLogsIsRejected) {
+  // i < j in one log and j < k in another would give i -> j and j -> k but
+  // no i -> k: a relation that is not transitively closed.
+  const PredicateId i = Pred(1);
+  const PredicateId j = Pred(2);
+  const PredicateId k = Pred(3);
+  const PredicateId f = Failure();
+  std::vector<PredicateLog> logs{FailedLog({{i, 1}, {j, 2}, {f, 9}}),
+                                 FailedLog({{j, 1}, {k, 2}, {f, 9}})};
+  auto dag = AcDag::Build(&catalog_, logs, {i, j, k, f}, f);
+  ASSERT_FALSE(dag.ok());
+  EXPECT_EQ(dag.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(dag.status().message().find(catalog_.Describe(i, nullptr, nullptr)),
+            std::string::npos)
+      << dag.status();
+  // With a third log holding k < i the same candidates used to be a cycle
+  // error; they are rejected the same way now.
+  logs.push_back(FailedLog({{k, 1}, {i, 2}, {f, 9}}));
+  EXPECT_EQ(AcDag::Build(&catalog_, logs, {i, j, k, f}, f).status().code(),
+            StatusCode::kInvalidArgument);
+  // A candidate observed in no failed log is still allowed, and dropped.
+  const PredicateId unseen = Pred(4);
+  std::vector<PredicateLog> consistent{FailedLog({{i, 1}, {f, 9}}),
+                                       FailedLog({{i, 2}, {f, 9}})};
+  auto kept = AcDag::Build(&catalog_, consistent, {i, unseen, f}, f);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->nodes(), (std::vector<PredicateId>{i, f}));
+}
+
 TEST_F(AcDagTest, FailureMustBeAmongCandidates) {
   const PredicateId a = Pred(1);
   const PredicateId f = Failure();
@@ -182,6 +211,7 @@ TEST_F(AcDagTest, MaskKeepsInducedClosure) {
   // so the masked layering is the chain a, c, f.
   EXPECT_EQ(dag->TopoLevels(mask),
             (std::vector<std::vector<PredicateId>>{{a}, {c}, {f}}));
+  EXPECT_TRUE(dag->FirstJunction(mask).empty());
   AcDag::NodeMask below_a(mask.size());
   const auto desc = dag->DescendantMask(a);
   for (size_t w = 0; w < mask.size(); ++w) below_a[w] = desc[w] & mask[w];
@@ -205,6 +235,53 @@ TEST_F(AcDagTest, DescendantsAndLevels) {
   EXPECT_EQ(levels[0], (std::vector<PredicateId>{a}));
   EXPECT_EQ(levels[1].size(), 2u);  // the junction {b, c}
   EXPECT_EQ(levels[2], (std::vector<PredicateId>{d}));
+}
+
+TEST_F(AcDagTest, FirstJunctionOfDiamondIsItsMiddle) {
+  // Diamond: a -> {b, c} -> d -> f.
+  const PredicateId a = Pred(1);
+  const PredicateId b = Pred(2);
+  const PredicateId c = Pred(3);
+  const PredicateId d = Pred(4);
+  const PredicateId f = Failure();
+  auto dag = AcDag::FromEdges(&catalog_, {a, b, c, d, f},
+                              {{a, b}, {a, c}, {b, d}, {c, d}, {d, f}}, f);
+  ASSERT_TRUE(dag.ok());
+  EXPECT_EQ(dag->FirstJunction(dag->MaskOf(dag->nodes())),
+            (std::vector<PredicateId>{b, c}));
+  // Without F the junction is the same; {F} alone has none.
+  EXPECT_EQ(dag->FirstJunction(dag->MaskOf({a, b, c, d})),
+            (std::vector<PredicateId>{b, c}));
+  EXPECT_TRUE(dag->FirstJunction(dag->MaskOf({f})).empty());
+}
+
+TEST_F(AcDagTest, FirstJunctionBehindMaskedOutNode) {
+  // a -> b -> {c, d} -> f with b masked out: a still reaches c and d
+  // through the closure, so the junction is {c, d}, after the chain {a}.
+  const PredicateId a = Pred(1);
+  const PredicateId b = Pred(2);
+  const PredicateId c = Pred(3);
+  const PredicateId d = Pred(4);
+  const PredicateId f = Failure();
+  auto dag = AcDag::FromEdges(&catalog_, {a, b, c, d, f},
+                              {{a, b}, {b, c}, {b, d}, {c, f}, {d, f}}, f);
+  ASSERT_TRUE(dag.ok());
+  const AcDag::NodeMask mask = dag->MaskOf({a, c, d, f});
+  EXPECT_EQ(dag->FirstJunction(mask), (std::vector<PredicateId>{c, d}));
+  EXPECT_EQ(dag->TopoLevels(mask)[1], (std::vector<PredicateId>{c, d}));
+}
+
+TEST_F(AcDagTest, FirstJunctionOfChainIsEmpty) {
+  const PredicateId a = Pred(1);
+  const PredicateId b = Pred(2);
+  const PredicateId c = Pred(3);
+  const PredicateId f = Failure();
+  auto dag = AcDag::FromEdges(&catalog_, {a, b, c, f},
+                              {{a, b}, {b, c}, {c, f}}, f);
+  ASSERT_TRUE(dag.ok());
+  EXPECT_TRUE(dag->FirstJunction(dag->MaskOf(dag->nodes())).empty());
+  EXPECT_TRUE(dag->FirstJunction(dag->MaskOf({a, c})).empty());
+  EXPECT_TRUE(dag->FirstJunction(dag->MaskOf({})).empty());
 }
 
 TEST_F(AcDagTest, ToDotMentionsEveryNode) {
@@ -367,6 +444,16 @@ struct NaiveDag {
     }
     return levels;
   }
+  /// The first level of TopoLevels(in) with two or more members once the
+  /// failure is erased.
+  std::vector<PredicateId> FirstJunction(const std::vector<bool>& in,
+                                         PredicateId failure) const {
+    for (std::vector<PredicateId>& level : TopoLevels(in)) {
+      std::erase(level, failure);
+      if (level.size() >= 2) return level;
+    }
+    return {};
+  }
   std::vector<PredicateId> Children(size_t i) const {
     std::vector<PredicateId> out;
     for (size_t j = 0; j < nodes.size(); ++j) {
@@ -454,6 +541,8 @@ void ExpectSameDag(const AcDag& dag, const NaiveDag& ref, Rng& rng) {
     EXPECT_EQ(dag.TopoPosition(order[pos]), static_cast<int>(pos));
   }
   EXPECT_EQ(dag.TopoLevels(), ref.TopoLevels(std::vector<bool>(n, true)));
+  EXPECT_EQ(dag.FirstJunction(dag.MaskOf(ref.nodes)),
+            ref.FirstJunction(std::vector<bool>(n, true), dag.failure()));
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<bool> in(n);
     std::vector<PredicateId> ids;
@@ -464,6 +553,18 @@ void ExpectSameDag(const AcDag& dag, const NaiveDag& ref, Rng& rng) {
     const AcDag::NodeMask mask = dag.MaskOf(ids);
     EXPECT_EQ(dag.MaskMembers(mask), ids);
     EXPECT_EQ(dag.TopoLevels(mask), ref.TopoLevels(in));
+    EXPECT_EQ(dag.FirstJunction(mask), ref.FirstJunction(in, dag.failure()));
+  }
+  // A node and its descendants: that node is a single-member first level,
+  // so the junction (if any) lies below it.
+  for (size_t pos = 0; pos < std::min<size_t>(order.size(), 3); ++pos) {
+    const size_t v = ref.IndexOf(order[pos]);
+    std::vector<bool> in = ref.closure[v];
+    in[v] = true;
+    AcDag::NodeMask mask(dag.DescendantMask(order[pos]).begin(),
+                         dag.DescendantMask(order[pos]).end());
+    dag.AddToMask(order[pos], mask);
+    EXPECT_EQ(dag.FirstJunction(mask), ref.FirstJunction(in, dag.failure()));
   }
   std::vector<std::vector<PredicateId>> children(n);
   std::vector<std::vector<PredicateId>> parents(n);
