@@ -44,11 +44,6 @@ Result<SessionReport> Session::RunInternal(const EngineOptions& engine_options,
 
   EngineOptions engine = engine_options;
   if (engine.observer == nullptr) engine.observer = observer_;
-  if (engine.budget.enabled && engine.budget.advice.sd_scores.empty()) {
-    // Backends that ran statistical debugging seed the budget priors with
-    // their suspiciousness ranking; explicit advice always wins.
-    engine.budget.advice.sd_scores = target_->sd_suspiciousness();
-  }
   {
     CausalPathDiscovery discovery(dag, target_->intervention_target(),
                                   engine);

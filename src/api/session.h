@@ -171,12 +171,13 @@ class SessionBuilder {
   /// options.max_trials_per_round raises the cap), and rounds stop at the
   /// first failing trial. An optional global execution budget
   /// (options.max_executions) degrades gracefully into a best-effort
-  /// report with per-candidate confidence. When the backend runs
-  /// statistical debugging (e.g. "vm"), its suspiciousness scores seed the
-  /// priors automatically unless options.advice already carries scores.
-  /// Applies to the main engine only -- the TAGT baseline stays
-  /// fixed-trial so its execution counts remain comparable. Budgeting off
-  /// (the default) leaves reports bit-identical to previous releases.
+  /// report with per-candidate confidence. Every candidate starts at
+  /// options.causal_prior; statistical-debugging suspiciousness does not
+  /// seed the priors, because the SPRT caps a group's prior odds at even
+  /// and a reshaped prior could only add trials. Applies to the main
+  /// engine only -- the TAGT baseline stays fixed-trial so its execution
+  /// counts remain comparable. Budgeting off (the default) leaves reports
+  /// bit-identical to previous releases.
   /// Invalid knobs fail Build() with InvalidArgument.
   SessionBuilder& WithAdaptiveBudget(BudgetOptions options);
   SessionBuilder& WithAdaptiveBudget() {

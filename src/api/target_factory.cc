@@ -126,10 +126,6 @@ class VmSessionTarget : public SessionTarget {
         StatisticalDebugger::Analyze(target->vm_target_->extractor().catalog(),
                                      target->vm_target_->extractor().logs()));
     target->sd_count_ = static_cast<int>(sd.FullyDiscriminative().size());
-    for (const RankedPredicate& ranked : sd.Ranked()) {
-      target->sd_scores_.push_back(
-          SuspiciousnessScore{ranked.id, ranked.stats.f1()});
-    }
     SubjectSpec spec;
     if (target->study_.has_value()) {
       spec.kind = SubjectKind::kCase;
@@ -163,9 +159,6 @@ class VmSessionTarget : public SessionTarget {
     return &program_->object_names();
   }
   int sd_predicate_count() const override { return sd_count_; }
-  std::vector<SuspiciousnessScore> sd_suspiciousness() const override {
-    return sd_scores_;
-  }
 
  private:
   explicit VmSessionTarget(std::string name) : name_(std::move(name)) {}
@@ -175,8 +168,6 @@ class VmSessionTarget : public SessionTarget {
   const Program* program_ = nullptr;
   std::unique_ptr<VmTarget> vm_target_;
   int sd_count_ = 0;
-  /// SD suspiciousness ranking (F1 scores) for adaptive-budget priors.
-  std::vector<SuspiciousnessScore> sd_scores_;
   /// Declared last: it borrows vm_target_.
   SubstrateStack stack_;
 };

@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "budget/advice.h"
 #include "causal/acdag.h"
 #include "common/status.h"
 #include "core/target.h"
@@ -160,13 +159,6 @@ class SessionTarget {
   /// #fully-discriminative predicates statistical debugging surfaced, or -1
   /// when the backend has no SD stage (ground-truth models).
   virtual int sd_predicate_count() const { return -1; }
-
-  /// Statistical-debugging suspiciousness scores (F1 over the observed
-  /// runs) for seeding adaptive-budget priors (src/budget/advice.h). Empty
-  /// when the backend has no SD stage.
-  virtual std::vector<SuspiciousnessScore> sd_suspiciousness() const {
-    return {};
-  }
 };
 
 /// Registry of target backends, keyed by name.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "budget/advice.h"
-
 namespace aid {
 namespace {
 
@@ -16,19 +14,15 @@ constexpr double kPosteriorCeil = 0.999;
 
 }  // namespace
 
-BeliefState::BeliefState(const AcDag* dag, const BudgetOptions& options)
-    : dag_(dag),
-      options_(options),
+BeliefState::BeliefState(const BudgetOptions& options)
+    : options_(options),
       flaky_alpha_(options.flakiness_prior_alpha),
       flaky_beta_(options.flakiness_prior_beta) {}
 
 void BeliefState::SeedCandidates(const std::vector<PredicateId>& candidates) {
   posterior_.clear();
-  const std::vector<double> priors =
-      SeedPriors(candidates, options_.causal_prior, options_.advice);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    posterior_[candidates[i]] = priors[i];
-  }
+  const double prior = std::clamp(options_.causal_prior, 0.01, 0.99);
+  for (PredicateId id : candidates) posterior_[id] = prior;
 }
 
 double BeliefState::posterior(PredicateId id) const {
@@ -74,18 +68,7 @@ void BeliefState::ObserveStoppedRound(const std::vector<PredicateId>& group,
   }
 }
 
-void BeliefState::MarkCausal(PredicateId id) {
-  posterior_[id] = 1.0;
-  if (options_.topology_discount >= 1.0) return;
-  // Definition 1: causal predicates form a reachability chain, so any
-  // candidate incomparable with a certified causal one is unlikely causal.
-  for (auto& [other, p] : posterior_) {
-    if (other == id || p <= 0.0 || p >= 1.0) continue;
-    if (!dag_->Reaches(id, other) && !dag_->Reaches(other, id)) {
-      p = std::max(kPosteriorFloor, p * options_.topology_discount);
-    }
-  }
-}
+void BeliefState::MarkCausal(PredicateId id) { posterior_[id] = 1.0; }
 
 void BeliefState::MarkSpurious(PredicateId id) { posterior_[id] = 0.0; }
 

@@ -16,11 +16,13 @@
 // is ambiguous between "causal" and "spurious but lucky" and teaches
 // nothing about m).
 //
-// Certified verdicts (the engine's Decide) pin posteriors to 0/1 and
-// propagate over the AC-DAG: Definition 1's chain assumption totally
-// orders the causal predicates by reachability, so certifying P causal
-// discounts every candidate incomparable with P. Propagation moves
-// spending priorities only -- verdicts always come from interventions.
+// Every candidate starts at the flat causal prior, and certified verdicts
+// (the engine's Decide) pin posteriors to 0/1 without touching any other
+// candidate. There is deliberately no side information and no topology
+// propagation: the planner clamps a group's causal probability to at most
+// 1/2 before the SPRT (budget/planner.h), so raising a belief above 1/2
+// buys nothing and lowering one can only add trials. Verdicts always come
+// from interventions.
 
 #ifndef AID_BUDGET_BELIEF_H_
 #define AID_BUDGET_BELIEF_H_
@@ -29,18 +31,17 @@
 #include <vector>
 
 #include "budget/options.h"
-#include "causal/acdag.h"
 #include "predicates/predicate.h"
 
 namespace aid {
 
 class BeliefState {
  public:
-  /// `dag` is borrowed and must outlive the belief state.
-  BeliefState(const AcDag* dag, const BudgetOptions& options);
+  explicit BeliefState(const BudgetOptions& options);
 
-  /// Seeds one posterior per candidate from the flat causal prior and the
-  /// configured advice (budget/advice.h). Resets any previous state.
+  /// Seeds one posterior per candidate at options.causal_prior, clamped to
+  /// [0.01, 0.99] so no candidate starts near-certain. Resets any previous
+  /// state.
   void SeedCandidates(const std::vector<PredicateId>& candidates);
 
   /// Posterior that `id` is causal; 0 for predicates never seeded.
@@ -63,9 +64,7 @@ class BeliefState {
   /// posteriors up by the Bayes factor 1 / (p_G + (1 - p_G)(1-m)^passes).
   void ObserveStoppedRound(const std::vector<PredicateId>& group, int passes);
 
-  /// Certified verdicts (the engine's Decide). MarkCausal pins the
-  /// posterior to 1 and discounts every undecided candidate topologically
-  /// incomparable with `id` by options.topology_discount.
+  /// Certified verdicts (the engine's Decide): pin the posterior to 1 / 0.
   void MarkCausal(PredicateId id);
   void MarkSpurious(PredicateId id);
 
@@ -78,7 +77,7 @@ class BeliefState {
 
   /// Checkpoint support (core/discovery_state.h). ExportState returns every
   /// posterior ascending by id; RestoreState replaces the posterior table
-  /// and the flakiness Beta posterior wholesale. The AC-DAG and options are
+  /// and the flakiness Beta posterior wholesale. The options are
   /// reconstructed by the owner, not carried here.
   std::vector<std::pair<PredicateId, double>> ExportState() const;
   void RestoreState(const std::vector<std::pair<PredicateId, double>>& posts,
@@ -87,7 +86,6 @@ class BeliefState {
   double flaky_beta() const { return flaky_beta_; }
 
  private:
-  const AcDag* dag_;
   BudgetOptions options_;
   std::unordered_map<PredicateId, double> posterior_;
   /// Beta posterior of the manifestation rate.

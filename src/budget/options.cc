@@ -41,21 +41,9 @@ Status ValidateBudgetOptions(const BudgetOptions& options) {
         "beta > 0, got alpha=" + std::to_string(options.flakiness_prior_alpha) +
         " beta=" + std::to_string(options.flakiness_prior_beta));
   }
-  AID_RETURN_IF_ERROR(InUnitInterval("topology_discount",
-                                     options.topology_discount,
-                                     /*open_left=*/true,
-                                     /*open_right=*/false));
   AID_RETURN_IF_ERROR(InUnitInterval("cost_ewma_alpha",
                                      options.cost_ewma_alpha,
                                      /*open_left=*/true,
-                                     /*open_right=*/false));
-  AID_RETURN_IF_ERROR(InUnitInterval("advice.suspect_prior",
-                                     options.advice.suspect_prior,
-                                     /*open_left=*/true,
-                                     /*open_right=*/true));
-  AID_RETURN_IF_ERROR(InUnitInterval("advice.sd_weight",
-                                     options.advice.sd_weight,
-                                     /*open_left=*/false,
                                      /*open_right=*/false));
   return Status::OK();
 }

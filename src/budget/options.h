@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "budget/advice.h"
 #include "common/status.h"
 #include "predicates/predicate.h"
 
@@ -37,7 +36,7 @@ struct BudgetOptions {
   /// "stopped" was a spurious group passing by luck. Smaller = more
   /// passing trials demanded before accepting a stop. In (0, 0.5).
   double error_tolerance = 0.02;
-  /// Flat prior that a candidate is causal before advice, in (0, 1).
+  /// Prior that a candidate is causal before any intervention, in (0, 1).
   double causal_prior = 0.5;
   /// Hard cap on trials a single round may spend. 0 = cap at the engine's
   /// configured trials_per_intervention, which guarantees a budgeted round
@@ -58,18 +57,10 @@ struct BudgetOptions {
   /// down and earn more trials.
   double flakiness_prior_alpha = 4.0;
   double flakiness_prior_beta = 1.0;
-  /// Posterior discount applied to candidates topologically incomparable
-  /// with a freshly certified causal predicate: Definition 1's chain
-  /// assumption says causal predicates are totally ordered by
-  /// reachability, so incomparable candidates are unlikely causal. Affects
-  /// only trial spending, never verdicts. In (0, 1]; 1 disables.
-  double topology_discount = 0.5;
   /// EWMA blend for the planner's predicted per-trial cost, fed by the
   /// substrate's SubstrateCounters::trial_micros deltas (same convention as
   /// exec/scheduler.h's replica EWMAs). In (0, 1].
   double cost_ewma_alpha = 0.25;
-  /// Side-information seeding the posterior (budget/advice.h).
-  AdvicePriors advice;
 };
 
 /// InvalidArgument for out-of-range knobs, naming the offending value.

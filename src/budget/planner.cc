@@ -18,8 +18,8 @@ int BudgetPlanner::PlanTrials(const std::vector<PredicateId>& group,
   // must pass MORE trials before a stop is believed, but an optimistic
   // prior never lowers the requirement below the flat-odds SPRT bound --
   // that keeps the per-round false-stop probability at most
-  // (1-m)^k <= eps/(1-eps) no matter how wrong the advice or the noisy-or
-  // group prior is (bad advice costs executions, never soundness).
+  // (1-m)^k <= eps/(1-eps) however far the noisy-or group prior has been
+  // pushed up by group size or earlier stopped rounds.
   const double p = std::clamp(belief_->GroupCausalProbability(group), 0.001,
                               0.5);
   const double m = belief_->flakiness();

@@ -9,11 +9,11 @@
 //       odds(G causal) / (1 - m)^k  >=  (1 - eps) / eps
 //   =>  k  >=  ( ln((1-eps)/eps) - ln odds(G) ) / -ln(1 - m)
 //
-// with m the estimated flakiness and the prior odds capped at even, so
-// optimism can only ever ADD trials relative to the flat-odds bound.
-// Decisive candidates (a near-deterministic target, once the flakiness
-// posterior has learned it) get 1 trial; noisy or unlikely-causal ones
-// more, up to a cap.
+// with m the estimated flakiness and the prior odds capped at even, so a
+// group's prior can only ever ADD trials relative to the flat-odds bound,
+// never remove one. Decisive candidates (a near-deterministic target, once
+// the flakiness posterior has learned it) get 1 trial; noisy ones more,
+// up to a cap.
 //
 // The planner also prices a round: expected information gain (entropy
 // reduction over the group verdict) divided by predicted cost (an EWMA of

@@ -15,7 +15,10 @@
 namespace aid {
 namespace {
 
-constexpr uint8_t kStateFormatVersion = 2;
+/// v2 = the counter block in SubstrateCounters table order, trial_micros
+/// added; v3 = the engine options drop the budgeter's advice priors and
+/// topology discount.
+constexpr uint8_t kStateFormatVersion = 3;
 const char* const kPhaseBranch = "branch";
 const char* const kPhaseGiwp = "giwp";
 
@@ -92,16 +95,7 @@ void EncodeEngineOptions(const EngineOptions& options, WireWriter& w) {
   w.U64(b.max_executions);
   w.F64(b.flakiness_prior_alpha);
   w.F64(b.flakiness_prior_beta);
-  w.F64(b.topology_discount);
   w.F64(b.cost_ewma_alpha);
-  EncodePredVector(b.advice.suspects, w);
-  w.F64(b.advice.suspect_prior);
-  w.U32(static_cast<uint32_t>(b.advice.sd_scores.size()));
-  for (const SuspiciousnessScore& s : b.advice.sd_scores) {
-    w.I32(s.id);
-    w.F64(s.score);
-  }
-  w.F64(b.advice.sd_weight);
 }
 
 Result<EngineOptions> DecodeEngineOptions(WireReader& r) {
@@ -122,20 +116,7 @@ Result<EngineOptions> DecodeEngineOptions(WireReader& r) {
   b.max_executions = r.U64();
   b.flakiness_prior_alpha = r.F64();
   b.flakiness_prior_beta = r.F64();
-  b.topology_discount = r.F64();
   b.cost_ewma_alpha = r.F64();
-  b.advice.suspects = DecodePredVector(r);
-  b.advice.suspect_prior = r.F64();
-  const uint32_t sd_count = r.Count(sizeof(int32_t) + sizeof(double));
-  b.advice.sd_scores.clear();
-  b.advice.sd_scores.reserve(sd_count);
-  for (uint32_t i = 0; i < sd_count; ++i) {
-    SuspiciousnessScore s;
-    s.id = r.I32();
-    s.score = r.F64();
-    b.advice.sd_scores.push_back(s);
-  }
-  b.advice.sd_weight = r.F64();
   if (!r.ok()) return r.status();
   return o;
 }
@@ -198,7 +179,7 @@ void DiscoveryState::InitRun() {
   planner_.reset();
   budget_exhausted_ = false;
   if (options_.budget.enabled) {
-    belief_ = std::make_unique<BeliefState>(dag_, options_.budget);
+    belief_ = std::make_unique<BeliefState>(options_.budget);
     belief_->SeedCandidates(candidates_);
     planner_ =
         std::make_unique<BudgetPlanner>(options_.budget, belief_.get());
@@ -1028,7 +1009,7 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
   }
 
   if (has_belief) {
-    state->belief_ = std::make_unique<BeliefState>(dag, options.budget);
+    state->belief_ = std::make_unique<BeliefState>(options.budget);
     state->belief_->RestoreState(posts, flaky_alpha, flaky_beta);
     state->planner_ = std::make_unique<BudgetPlanner>(options.budget,
                                                       state->belief_.get());

@@ -1,12 +1,9 @@
 // Tests of budget/belief.h: posterior math for stopped rounds, flakiness
-// learning from persisting rounds, verdict pinning, and the AC-DAG
-// topology propagation of MarkCausal.
+// learning from persisting rounds, and verdict pinning.
 
 #include "budget/belief.h"
 
 #include <gtest/gtest.h>
-
-#include "causal/acdag.h"
 
 namespace aid {
 namespace {
@@ -17,34 +14,37 @@ class BeliefStateTest : public ::testing::Test {
     return catalog_.Intern(
         Predicate{.kind = PredKind::kSynthetic, .occurrence = index});
   }
-  PredicateId Failure() {
-    return catalog_.Intern(Predicate{.kind = PredKind::kFailure});
-  }
 
   PredicateCatalog catalog_;
 };
 
 TEST_F(BeliefStateTest, SeedsFlatPriorAndUnknownIsZero) {
   const PredicateId a = Pred(1);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, f}, {{a, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
   BudgetOptions options;
-  BeliefState belief(&*dag, options);
+  BeliefState belief(options);
   belief.SeedCandidates({a});
   EXPECT_DOUBLE_EQ(belief.posterior(a), 0.5);
   EXPECT_DOUBLE_EQ(belief.posterior(999), 0.0);
 }
 
+TEST_F(BeliefStateTest, SeededPriorsStayInsideTheClamp) {
+  const PredicateId a = Pred(1);
+  BudgetOptions options;
+  options.causal_prior = 0.001;
+  BeliefState low(options);
+  low.SeedCandidates({a});
+  EXPECT_DOUBLE_EQ(low.posterior(a), 0.01);
+
+  options.causal_prior = 0.999;
+  BeliefState high(options);
+  high.SeedCandidates({a});
+  EXPECT_DOUBLE_EQ(high.posterior(a), 0.99);
+}
+
 TEST_F(BeliefStateTest, GroupProbabilityIsNoisyOr) {
   const PredicateId a = Pred(1);
   const PredicateId b = Pred(2);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, b, f}, {{a, b}, {b, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
-  BeliefState belief(&*dag, BudgetOptions{});
+  BeliefState belief(BudgetOptions{});
   belief.SeedCandidates({a, b});
   // 1 - (1 - 0.5)^2 = 0.75.
   EXPECT_DOUBLE_EQ(belief.GroupCausalProbability({a, b}), 0.75);
@@ -53,12 +53,8 @@ TEST_F(BeliefStateTest, GroupProbabilityIsNoisyOr) {
 
 TEST_F(BeliefStateTest, FlakinessStartsAtThePriorMeanAndLearns) {
   const PredicateId a = Pred(1);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, f}, {{a, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
   BudgetOptions options;  // Beta(4, 1): mean 0.8
-  BeliefState belief(&*dag, options);
+  BeliefState belief(options);
   belief.SeedCandidates({a});
   EXPECT_DOUBLE_EQ(belief.flakiness(), 0.8);
 
@@ -73,11 +69,7 @@ TEST_F(BeliefStateTest, FlakinessStartsAtThePriorMeanAndLearns) {
 
 TEST_F(BeliefStateTest, StoppedRoundAppliesTheBayesFactor) {
   const PredicateId a = Pred(1);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, f}, {{a, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
-  BeliefState belief(&*dag, BudgetOptions{});  // m = 0.8, prior 0.5
+  BeliefState belief(BudgetOptions{});  // m = 0.8, prior 0.5
   belief.SeedCandidates({a});
   belief.ObserveStoppedRound({a}, /*passes=*/1);
   // p' = 0.5 / (0.5 + 0.5 * 0.2) = 5/6.
@@ -91,44 +83,29 @@ TEST_F(BeliefStateTest, StoppedRoundAppliesTheBayesFactor) {
 
 TEST_F(BeliefStateTest, ZeroPassRoundIsANoOp) {
   const PredicateId a = Pred(1);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, f}, {{a, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
-  BeliefState belief(&*dag, BudgetOptions{});
+  BeliefState belief(BudgetOptions{});
   belief.SeedCandidates({a});
   belief.ObserveStoppedRound({a}, /*passes=*/0);
   EXPECT_DOUBLE_EQ(belief.posterior(a), 0.5);
 }
 
-TEST_F(BeliefStateTest, MarkCausalDiscountsIncomparableCandidatesOnly) {
-  // a -> b -> f and c -> f: c is incomparable with both a and b.
+TEST_F(BeliefStateTest, VerdictsPinOnlyTheirOwnPredicate) {
   const PredicateId a = Pred(1);
   const PredicateId b = Pred(2);
   const PredicateId c = Pred(3);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, b, c, f},
-                              {{a, b}, {b, f}, {c, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
-  BudgetOptions options;
-  options.topology_discount = 0.5;
-  BeliefState belief(&*dag, options);
+  BeliefState belief(BudgetOptions{});
   belief.SeedCandidates({a, b, c});
   belief.MarkCausal(a);
+  belief.MarkSpurious(b);
   EXPECT_DOUBLE_EQ(belief.posterior(a), 1.0);
-  EXPECT_DOUBLE_EQ(belief.posterior(b), 0.5);   // comparable: untouched
-  EXPECT_DOUBLE_EQ(belief.posterior(c), 0.25);  // incomparable: discounted
+  EXPECT_DOUBLE_EQ(belief.posterior(b), 0.0);
+  EXPECT_DOUBLE_EQ(belief.posterior(c), 0.5);
 }
 
 TEST_F(BeliefStateTest, PinnedVerdictsIgnoreLaterEvidence) {
   const PredicateId a = Pred(1);
   const PredicateId b = Pred(2);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, b, f}, {{a, b}, {b, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
-  BeliefState belief(&*dag, BudgetOptions{});
+  BeliefState belief(BudgetOptions{});
   belief.SeedCandidates({a, b});
   belief.MarkSpurious(a);
   belief.ObserveStoppedRound({a, b}, /*passes=*/3);
@@ -140,12 +117,7 @@ TEST_F(BeliefStateTest, SnapshotIsAscendingById) {
   const PredicateId a = Pred(1);
   const PredicateId b = Pred(2);
   const PredicateId c = Pred(3);
-  const PredicateId f = Failure();
-  auto dag = AcDag::FromEdges(&catalog_, {a, b, c, f},
-                              {{a, b}, {b, c}, {c, f}}, f);
-  ASSERT_TRUE(dag.ok()) << dag.status();
-
-  BeliefState belief(&*dag, BudgetOptions{});
+  BeliefState belief(BudgetOptions{});
   belief.SeedCandidates({c, a, b});
   belief.MarkCausal(b);
   const std::vector<PredicateConfidence> snapshot = belief.Snapshot();

@@ -134,20 +134,5 @@ TEST_P(BudgetCaseStudyTest, SameRootCauseNoMoreExecutions) {
 INSTANTIATE_TEST_SUITE_P(AllCaseStudies, BudgetCaseStudyTest,
                          ::testing::ValuesIn(kCaseStudies));
 
-TEST(BudgetParityTest, SdAdviceIsWiredFromTheVmBackend) {
-  // The "case" backend runs statistical debugging, so the session should
-  // hand its suspiciousness ranking to the budgeter automatically.
-  auto session = SessionBuilder()
-                     .WithCaseStudy("npgsql")
-                     .WithTrials(3)
-                     .WithAdaptiveBudget()
-                     .Build();
-  ASSERT_TRUE(session.ok()) << session.status();
-  EXPECT_FALSE(session->target().sd_suspiciousness().empty());
-  auto report = session->Run();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(report->has_root_cause());
-}
-
 }  // namespace
 }  // namespace aid

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "budget/belief.h"
-#include "causal/acdag.h"
 
 namespace aid {
 namespace {
@@ -17,22 +16,16 @@ class BudgetPlannerTest : public ::testing::Test {
   void SetUp() override {
     a_ = catalog_.Intern(
         Predicate{.kind = PredKind::kSynthetic, .occurrence = 1});
-    f_ = catalog_.Intern(Predicate{.kind = PredKind::kFailure});
-    auto dag = AcDag::FromEdges(&catalog_, {a_, f_}, {{a_, f_}}, f_);
-    ASSERT_TRUE(dag.ok()) << dag.status();
-    dag_.emplace(std::move(*dag));
   }
 
   BeliefState MakeBelief(const BudgetOptions& options) {
-    BeliefState belief(&*dag_, options);
+    BeliefState belief(options);
     belief.SeedCandidates({a_});
     return belief;
   }
 
   PredicateCatalog catalog_;
-  std::optional<AcDag> dag_;
   PredicateId a_ = kInvalidPredicate;
-  PredicateId f_ = kInvalidPredicate;
 };
 
 TEST_F(BudgetPlannerTest, SprtRequirementAtTheDefaults) {

@@ -239,12 +239,20 @@ TEST(DiscoveryStateCheckpointTest, DeserializeRejectsCorruptedBytes) {
   auto blob = state.Serialize();
   ASSERT_TRUE(blob.ok()) << blob.status();
 
-  // Unknown format version.
-  std::string bad_version = *blob;
-  bad_version[0] = static_cast<char>(0x7f);
-  EXPECT_FALSE(DiscoveryState::Deserialize(&*dag, bad_version, nullptr,
-                                           nullptr)
-                   .ok());
+  // Unknown format versions, including version 2, whose engine options
+  // still carried the budgeter's advice fields: refused, never misread.
+  for (const int version : {2, 0x7f}) {
+    std::string bad_version = *blob;
+    bad_version[0] = static_cast<char>(version);
+    auto resumed =
+        DiscoveryState::Deserialize(&*dag, bad_version, nullptr, nullptr);
+    ASSERT_FALSE(resumed.ok()) << "version " << version;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resumed.status().message().find(
+                  "version " + std::to_string(version)),
+              std::string::npos)
+        << resumed.status();
+  }
 
   // Truncations anywhere must fail cleanly, never crash.
   for (size_t len : {size_t{0}, blob->size() / 4, blob->size() / 2,
@@ -351,12 +359,7 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {
   options.budget.max_executions = 1234;
   options.budget.flakiness_prior_alpha = 2.5;
   options.budget.flakiness_prior_beta = 1.5;
-  options.budget.topology_discount = 0.75;
   options.budget.cost_ewma_alpha = 0.5;
-  options.budget.advice.suspects = {3, 5};
-  options.budget.advice.suspect_prior = 0.8;
-  options.budget.advice.sd_scores = {{2, 0.25}, {4, 0.75}};
-  options.budget.advice.sd_weight = 0.6;
 
   WireWriter writer;
   EncodeEngineOptions(options, writer);
@@ -384,21 +387,53 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {
             options.budget.flakiness_prior_alpha);
   EXPECT_EQ(decoded->budget.flakiness_prior_beta,
             options.budget.flakiness_prior_beta);
-  EXPECT_EQ(decoded->budget.topology_discount,
-            options.budget.topology_discount);
   EXPECT_EQ(decoded->budget.cost_ewma_alpha, options.budget.cost_ewma_alpha);
-  EXPECT_EQ(decoded->budget.advice.suspects, options.budget.advice.suspects);
-  EXPECT_EQ(decoded->budget.advice.suspect_prior,
-            options.budget.advice.suspect_prior);
-  ASSERT_EQ(decoded->budget.advice.sd_scores.size(), 2u);
-  EXPECT_EQ(decoded->budget.advice.sd_scores[1].id, 4);
-  EXPECT_EQ(decoded->budget.advice.sd_scores[1].score, 0.75);
-  EXPECT_EQ(decoded->budget.advice.sd_weight, options.budget.advice.sd_weight);
   // The engine options must be the LAST thing decoded here.
   EXPECT_TRUE(reader.Finish().ok());
   // Process-local pointers never cross the wire.
   EXPECT_EQ(decoded->observer, nullptr);
   EXPECT_EQ(decoded->telemetry, nullptr);
+}
+
+TEST(DiscoveryStateCheckpointTest, EngineOptionsInTheV2LayoutAreRefused) {
+  // The engine-options bytes an older client's SUBMIT carries: the v3
+  // fields with topology_discount between the flakiness prior and the cost
+  // EWMA, then the advice block (suspects, suspect_prior, sd_scores,
+  // sd_weight). Decoding them must fail cleanly, however the advice is set.
+  const auto v2_bytes = [](uint32_t suspects, uint32_t sd_scores) {
+    WireWriter w;
+    for (int flag = 0; flag < 5; ++flag) w.U8(1);
+    w.I32(3);        // trials_per_intervention
+    w.I32(1);        // parallelism
+    w.U64(42);       // seed
+    w.U8(1);         // budget.enabled
+    w.F64(0.02);     // error_tolerance
+    w.F64(0.5);      // causal_prior
+    w.I32(0);        // max_trials_per_round
+    w.U64(0);        // max_executions
+    w.F64(4.0);      // flakiness_prior_alpha
+    w.F64(1.0);      // flakiness_prior_beta
+    w.F64(0.5);      // topology_discount
+    w.F64(0.25);     // cost_ewma_alpha
+    w.U32(suspects);
+    for (uint32_t i = 0; i < suspects; ++i) w.I32(static_cast<int32_t>(i));
+    w.F64(0.9);      // suspect_prior
+    w.U32(sd_scores);
+    for (uint32_t i = 0; i < sd_scores; ++i) {
+      w.I32(static_cast<int32_t>(i));
+      w.F64(0.5);
+    }
+    w.F64(0.5);      // sd_weight
+    return w.Release();
+  };
+  for (const auto& [suspects, sd_scores] :
+       {std::pair<uint32_t, uint32_t>{0, 0}, {2, 0}, {0, 3}, {1, 4}}) {
+    const std::string bytes = v2_bytes(suspects, sd_scores);
+    WireReader reader(bytes);
+    auto decoded = DecodeEngineOptions(reader);
+    EXPECT_FALSE(decoded.ok() && reader.Finish().ok())
+        << suspects << " suspects, " << sd_scores << " sd scores";
+  }
 }
 
 TEST(DiscoveryStateCheckpointTest, EveryBoundaryResumesToTheSameReport) {
