@@ -35,7 +35,7 @@ inline double Log2(double n) {
 }
 
 /// One EWMA step over the zero-means-unmeasured convention shared by the
-/// latency trackers (exec/scheduler.h, net/latency.h): the first sample
+/// cost trackers (exec/scheduler.h, budget/planner.h): the first sample
 /// seeds the average, later samples blend by `alpha`, and the result
 /// clamps to >= 1 so genuinely measured sub-unit samples can never be
 /// mistaken for the unmeasured sentinel.

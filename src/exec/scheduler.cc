@@ -212,11 +212,10 @@ Status ChunkScheduler::ExecuteChunk(
   }
   const SubstrateCounters after = replica->counters();
   const uint64_t substrate = after.trial_micros - before.trial_micros;
-  // Chunks that hit subject turbulence are excluded from the EWMA (same
-  // rule as the fleet's LatencyBoard): their time is deadline waits plus
-  // respawn/reconnect recovery, and crashes follow trial POSITIONS, not
-  // replicas -- folding one in would brand a healthy replica a straggler
-  // for rounds.
+  // Chunks that hit subject turbulence are excluded from the EWMA: their
+  // time is deadline waits plus respawn/reconnect recovery, and crashes
+  // follow trial POSITIONS, not replicas -- folding one in would brand a
+  // healthy replica a straggler for rounds.
   const bool turbulent = after.crashed_trials != before.crashed_trials ||
                          after.timed_out_trials != before.timed_out_trials;
   if (!turbulent) {

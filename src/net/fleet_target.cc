@@ -11,13 +11,8 @@ Result<std::unique_ptr<FleetTarget>> FleetTarget::Create(
   // the frozen bytes: the fleet IS a dealer of RemoteTargets.
   AID_ASSIGN_OR_RETURN(std::unique_ptr<RemoteTarget> prototype,
                        RemoteTarget::Create(endpoints, spec, options));
-  auto fleet = std::unique_ptr<FleetTarget>(new FleetTarget(
+  return std::unique_ptr<FleetTarget>(new FleetTarget(
       prototype->spec_bytes_, std::move(endpoints), std::move(options)));
-  // The board mirrors its per-endpoint EWMAs and placement counts into the
-  // session's telemetry; the Telemetry bundle outlives the target stack by
-  // the shared_ptr held in the options.
-  fleet->board_->AttachTelemetry(fleet->options_.telemetry.get());
-  return fleet;
 }
 
 std::vector<Endpoint> FleetTarget::RotatedEndpoints(uint64_t first) const {
@@ -31,12 +26,8 @@ std::vector<Endpoint> FleetTarget::RotatedEndpoints(uint64_t first) const {
 }
 
 std::unique_ptr<RemoteTarget> FleetTarget::DealReplica() const {
-  const size_t slot = board_->PlaceReplica(endpoints_);
-  auto replica = std::unique_ptr<RemoteTarget>(new RemoteTarget(
-      spec_bytes_, RotatedEndpoints(slot), options_));
-  replica->latency_board_ = board_;
-  replica->placed_on_ = endpoints_[slot];
-  return replica;
+  return std::unique_ptr<RemoteTarget>(new RemoteTarget(
+      spec_bytes_, RotatedEndpoints(next_endpoint_++), options_));
 }
 
 Result<TargetRunResult> FleetTarget::RunIntervened(

@@ -1,40 +1,41 @@
 // FleetTarget: one ReplicableTarget fronting a whole list of runners.
 //
 // A RemoteTarget binds (in preference order) to one runner; a FleetTarget
-// holds the runner list and deals replicas out across it. Under
-// exec::ParallelTarget the division of labor is exact: the pool clones the
-// primary N times and never runs the primary itself, and each FleetTarget
-// clone is a RemoteTarget whose endpoint preference is the fleet list
-// rotated to lead with the endpoint a shared LatencyBoard picked -- the
-// lowest predicted per-replica latency once trial timings exist, plain
-// round-robin exploration before then (net/latency.h) -- with the
-// remaining runners as its reconnect-failover order. Every replica feeds
-// its wire-level trial timings back to the board, so a heterogeneous fleet
-// (one runner 10x slower) converges on placing new replicas where rounds
-// finish fastest instead of dealing blindly. Losing one runner still
-// degrades (replicas fail over) instead of failing.
+// holds the runner list and deals replicas out across it round-robin.
+// Under exec::ParallelTarget the division of labor is exact: the pool
+// clones the primary N times and never runs the primary itself, and each
+// FleetTarget clone is a RemoteTarget whose endpoint preference is the
+// fleet list rotated one further -- replica k lands on runner (k mod M),
+// with the remaining runners as its reconnect-failover order. A fleet of
+// M runners behind a pool of N workers therefore hosts ceil(N/M) replicas
+// each, and losing one runner degrades (replicas fail over) instead of
+// failing. Within a round, work stealing (exec/scheduler.h) routes chunks
+// around a slow runner's replicas; placement itself never looks at
+// latency.
 //
 // Used serially (parallelism 1, no pool), the FleetTarget lazily binds
-// itself to the board-picked endpoint and behaves as that RemoteTarget.
-// Its trial cursor commits only on success: a failed trial call leaves the
-// cursor -- and therefore the positions any retry or sibling replica will
-// run -- exactly where serial dispatch's first error would have, instead
-// of silently swallowing the failed call's partial consumption.
+// itself to the next endpoint in the rotation and behaves as that
+// RemoteTarget. Its trial cursor commits only on success: a failed trial
+// call leaves the cursor -- and therefore the positions any retry or
+// sibling replica will run -- exactly where serial dispatch's first error
+// would have, instead of silently swallowing the failed call's partial
+// consumption.
 //
 // The determinism contract is untouched: which runner executes a trial can
 // never influence its bytes (positional trial indices), so worker count,
-// fleet size, measured latencies, and placement all leave the
-// DiscoveryReport bit-identical to the in-process run.
+// fleet size, and placement all leave the DiscoveryReport bit-identical to
+// the in-process run.
 
 #ifndef AID_NET_FLEET_TARGET_H_
 #define AID_NET_FLEET_TARGET_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/replicable.h"
-#include "net/latency.h"
 #include "net/remote_target.h"
 #include "net/socket.h"
 #include "proc/subject_spec.h"
@@ -56,9 +57,9 @@ class FleetTarget : public ReplicableTarget {
   Result<TargetRunResult> RunIntervened(
       const std::vector<PredicateId>& intervened, int trials) override;
 
-  /// A RemoteTarget on the endpoint the latency board picks (lowest
-  /// predicted latency; round-robin while unmeasured), with the rest of
-  /// the fleet as its failover order, positioned at this target's cursor.
+  /// A RemoteTarget on the next endpoint in the round-robin rotation, with
+  /// the rest of the fleet as its failover order, positioned at this
+  /// target's cursor.
   Result<std::unique_ptr<ReplicableTarget>> Clone() const override;
 
   void SeekTrial(uint64_t trial_index) override;
@@ -74,31 +75,26 @@ class FleetTarget : public ReplicableTarget {
   const std::vector<Endpoint>& endpoints() const { return endpoints_; }
   const RemoteOptions& options() const { return options_; }
 
-  /// The shared placement board (one per fleet, fed by every replica).
-  const LatencyBoard& latency_board() const { return *board_; }
-
  private:
   FleetTarget(std::shared_ptr<const std::string> spec_bytes,
               std::vector<Endpoint> endpoints, RemoteOptions options)
       : spec_bytes_(std::move(spec_bytes)),
         endpoints_(std::move(endpoints)),
-        options_(std::move(options)),
-        board_(std::make_shared<LatencyBoard>()) {}
+        options_(std::move(options)) {}
 
   /// The fleet list rotated so `first` leads, preserving failover order.
   std::vector<Endpoint> RotatedEndpoints(uint64_t first) const;
 
-  /// A RemoteTarget bound (in preference order) to the board's pick,
-  /// wired to feed its trial timings back.
+  /// A RemoteTarget bound (in preference order) to the next endpoint in
+  /// the rotation.
   std::unique_ptr<RemoteTarget> DealReplica() const;
 
   std::shared_ptr<const std::string> spec_bytes_;
   std::vector<Endpoint> endpoints_;
   RemoteOptions options_;
 
-  /// Placement brain, shared with every clone's origin (and every dealt
-  /// replica) so latency learned anywhere steers placement everywhere.
-  std::shared_ptr<LatencyBoard> board_;
+  /// Round-robin dealing cursor: the endpoint the next replica leads with.
+  mutable std::atomic<uint64_t> next_endpoint_{0};
 
   /// The fleet's own replica, bound lazily on first serial use.
   std::unique_ptr<RemoteTarget> self_;

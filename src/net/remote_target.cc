@@ -59,22 +59,6 @@ RemoteTarget::~RemoteTarget() {
                           /*deadline_ms=*/1000);
   }
   Disconnect();
-  if (latency_board_ != nullptr && placed_on_.has_value()) {
-    // Hand the board placement back so a later pool over the same fleet
-    // is not skewed by ghost registrations from this one.
-    latency_board_->ReleaseReplica(*placed_on_);
-  }
-}
-
-void RemoteTarget::RecordEndpointFailure(const Endpoint& endpoint) {
-  if (latency_board_ == nullptr) return;
-  // A failed connect/handshake attempt charges the endpoint the full
-  // attempt budget as a latency sample. Without this, a runner that is
-  // dead from the start never gets measured, and PlaceReplica's
-  // explore-unmeasured-first rule would lead every reconnect of the whole
-  // session straight into its connect timeout.
-  latency_board_->RecordTrial(
-      endpoint, static_cast<uint64_t>(options_.connect_timeout_ms) * 1000);
 }
 
 Status RemoteTarget::EnsureConnected() {
@@ -109,7 +93,6 @@ Status RemoteTarget::EnsureConnected() {
       last = Status(fd.status().code(),
                     "RemoteTarget: " + endpoint.ToString() +
                         " unreachable: " + fd.status().message());
-      RecordEndpointFailure(endpoint);
       ++endpoint_index_;  // fail over to the next endpoint in preference
       continue;
     }
@@ -142,21 +125,11 @@ Status RemoteTarget::EnsureConnected() {
         return Status(code, "RemoteTarget: " + catalog.status().message());
       }
       last = Status(code, "RemoteTarget: " + catalog.status().message());
-      RecordEndpointFailure(endpoint);
       ++endpoint_index_;
       continue;
     }
     remote_catalog_size_ = *catalog;
     channel_ = std::move(channel);
-    if (latency_board_ != nullptr &&
-        (!placed_on_.has_value() || !(*placed_on_ == endpoint))) {
-      // Failover landed this replica somewhere the placement pick did not
-      // anticipate; move the board registration so placement counts track
-      // where replicas actually live.
-      latency_board_->MoveReplica(
-          placed_on_.has_value() ? &*placed_on_ : nullptr, endpoint);
-      placed_on_ = endpoint;
-    }
     return Status::OK();
   }
   return Status(last.code(),
@@ -177,20 +150,6 @@ Status RemoteTarget::Reconnect() {
         " reconnects (max_reconnects); giving up on a crash loop");
   }
   ++counters_.respawns;
-  if (latency_board_ != nullptr) {
-    // A reconnect stands up a brand-new runner-side replica, so place it
-    // like one: lead with the board's lowest-predicted-latency endpoint
-    // instead of blindly continuing the rotation. (This is where learned
-    // placement acts inside a running session -- the pool's initial
-    // clones are dealt before any measurement exists.) The placement is a
-    // MOVE -- the dead connection's registration is released first, so
-    // the board's counts track the live replica population. If the pick
-    // is the endpoint that just died, EnsureConnected's failover walks on
-    // from it after one connect timeout, exactly as it would have anyway.
-    if (placed_on_.has_value()) latency_board_->ReleaseReplica(*placed_on_);
-    endpoint_index_ = latency_board_->PlaceReplica(endpoints_);
-    placed_on_ = endpoints_[endpoint_index_ % endpoints_.size()];
-  }
   return EnsureConnected();
 }
 
@@ -210,16 +169,6 @@ Result<PredicateLog> RemoteTarget::RunOneTrial(
                            [this]() { return Reconnect(); },
                            options_.telemetry.get());
   const uint64_t trial_micros = counters_.trial_micros - micros_before;
-  if (latency_board_ != nullptr && log.ok() &&
-      log->outcome == TrialOutcome::kCompleted) {
-    // Feed the fleet's placement loop with this trial's wire timing,
-    // charged against the endpoint that actually served it (captured
-    // before any failover). Crashed/timed-out trials are excluded: their
-    // sample is deadline waits plus reconnect backoff, and after a
-    // failover it would poison the EWMA of the healthy endpoint the
-    // replica landed on, not the one that failed.
-    latency_board_->RecordTrial(served_by, trial_micros);
-  }
   if (options_.telemetry != nullptr && trial_micros > 0) {
     // Per-endpoint latency distribution (the generic per-transport
     // histogram is recorded inside RunTrialWithRecovery).
@@ -250,7 +199,6 @@ Result<std::unique_ptr<ReplicableTarget>> RemoteTarget::Clone() const {
   auto clone = std::unique_ptr<RemoteTarget>(
       new RemoteTarget(spec_bytes_, endpoints_, options_));
   clone->trial_cursor_ = trial_cursor_;
-  clone->latency_board_ = latency_board_;
   return std::unique_ptr<ReplicableTarget>(std::move(clone));
 }
 

@@ -34,14 +34,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/replicable.h"
 #include "net/channel.h"
-#include "net/latency.h"
 #include "net/socket.h"
 #include "proc/subject_spec.h"
 
@@ -145,13 +143,10 @@ class RemoteTarget : public ReplicableTarget {
   /// Connects + handshakes if no connection is live, failing over across
   /// endpoints with backoff (see RemoteOptions).
   Status EnsureConnected();
-  /// Charges a failed connect/handshake attempt against `endpoint` on the
-  /// latency board (no-op outside a fleet), so dead runners read as slow
-  /// instead of staying "unmeasured" and attracting placements forever.
-  void RecordEndpointFailure(const Endpoint& endpoint);
   /// Drops the connection (idempotent).
   void Disconnect();
-  /// Disconnect + EnsureConnected with the reconnect budget applied.
+  /// Disconnect + EnsureConnected with the reconnect budget applied;
+  /// resumes at the current preference cursor.
   Status Reconnect();
   Result<PredicateLog> RunOneTrial(const std::vector<PredicateId>& intervened,
                                    uint64_t trial_index);
@@ -164,16 +159,6 @@ class RemoteTarget : public ReplicableTarget {
   std::unique_ptr<SocketChannel> channel_;  ///< null: not connected
   uint32_t remote_catalog_size_ = 0;
   uint64_t ping_token_ = 0;
-
-  /// Shared fleet latency board (may be null outside a fleet): every
-  /// trial's wire-level timing is reported against the endpoint that
-  /// served it, steering FleetTarget's replica placement.
-  std::shared_ptr<LatencyBoard> latency_board_;
-  /// The endpoint this replica's board placement is registered on (set by
-  /// FleetTarget when dealing, moved on reconnect, released on
-  /// destruction) -- keeps the board's placement counts equal to the live
-  /// replica population instead of growing without bound.
-  std::optional<Endpoint> placed_on_;
 
   uint64_t trial_cursor_ = 0;
   SubstrateCounters counters_;

@@ -51,8 +51,8 @@ struct RunnerOptions {
   /// Extra per-trial latency every session child on this runner charges
   /// before answering, microseconds (SubjectHostOptions::trial_delay_us;
   /// `aid_runner --slow-us N`). The heterogeneous-fleet knob: benches and
-  /// tests stand up one deliberately slow runner to exercise latency-aware
-  /// placement and work stealing. 0 = full speed.
+  /// tests stand up one deliberately slow runner to exercise work
+  /// stealing. 0 = full speed.
   uint64_t trial_delay_us = 0;
 
   /// Admission cap: with N live session children, the daemon answers the

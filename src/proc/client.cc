@@ -188,9 +188,11 @@ Result<PredicateLog> RunTrialWithRecovery(
     const std::function<Status()>& replace_peer, Telemetry* telemetry) {
   // Trial timing at the wire, charged on every exit path: the substrate's
   // real per-trial latency -- RPC round trip and any peer replacement --
-  // feeds the latency-aware scheduler's per-replica EWMA (exec/scheduler.h)
-  // and the fleet's endpoint placement (net/latency.h).
+  // feeds the latency-aware scheduler's per-replica EWMA
+  // (exec/scheduler.h).
   const Clock::time_point start = Clock::now();
+  // Read before the trial: replace_peer destroys `channel`.
+  const std::string_view transport = channel.transport();
   // The engine-side "trial" span, parented under whatever round span the
   // engine published. It covers the whole trial including any peer
   // replacement, and is the import anchor for the host-side spans.
@@ -226,7 +228,7 @@ Result<PredicateLog> RunTrialWithRecovery(
   if (telemetry != nullptr && elapsed > 0) {
     telemetry
         ->LatencyHistogram("aid_trial_latency_us",
-                           {{"transport", std::string(channel.transport())}})
+                           {{"transport", std::string(transport)}})
         ->Record(static_cast<uint64_t>(elapsed));
   }
   return out;

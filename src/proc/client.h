@@ -96,8 +96,7 @@ Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 /// Other errors (host-side ERROR frames, protocol corruption) propagate.
 /// Every path also charges the trial's wall-clock (wire time plus any peer
 /// replacement) into `counters->trial_micros`: the substrate-level timing
-/// that feeds the latency-aware scheduler (exec/scheduler.h) and the
-/// fleet's endpoint placement (net/latency.h).
+/// that feeds the latency-aware scheduler (exec/scheduler.h).
 /// With non-null `telemetry`, each trial additionally opens an engine-side
 /// "trial" span (parented under the engine's active round span), records
 /// its wire latency into the aid_trial_latency_us histogram labeled by the

@@ -54,7 +54,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (EWMAs, placements, pool sizes).
+/// Last-write-wins instantaneous value (EWMAs, steal counts, flags).
 class Gauge {
  public:
   void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }

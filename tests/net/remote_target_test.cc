@@ -2,7 +2,8 @@
 // trial parity with the in-process backends, positional determinism of
 // flaky subjects across the network boundary, keepalive, and the failure
 // lifecycle (killed session children, injected crashes, dead runners,
-// reconnect accounting).
+// reconnect accounting), and FleetTarget's round-robin dealing with
+// failover.
 
 #include "net/remote_target.h"
 
@@ -22,6 +23,7 @@
 #include "synth/flaky_target.h"
 #include "synth/generator.h"
 #include "synth/model.h"
+#include "telemetry/telemetry.h"
 
 namespace aid {
 namespace {
@@ -268,7 +270,7 @@ TEST(RemoteTargetTest, ValidationRejectsBadOptions) {
       RemoteTarget::Create({Endpoint{"h", 1}}, spec, no_attempts).ok());
 }
 
-TEST(FleetTargetTest, UnmeasuredClonesSpreadRoundRobinWithFailoverOrder) {
+TEST(FleetTargetTest, ClonesDealRoundRobinBeforeAndAfterTrialsRun) {
   auto model = MakeModel();
   auto runner_a = Runner::Start();
   auto runner_b = Runner::Start();
@@ -279,12 +281,7 @@ TEST(FleetTargetTest, UnmeasuredClonesSpreadRoundRobinWithFailoverOrder) {
       ModelSpec(model.get()));
   ASSERT_TRUE(fleet.ok()) << fleet.status();
 
-  // Four clones dealt up front, the way a pool deals them -- before any
-  // trial has produced a latency measurement, so the board's exploration
-  // places them exactly round-robin: two per runner, each with the other
-  // runner as failover. (Clones dealt AFTER trials ran are placed by
-  // measured latency instead; tests/net/scheduler_fleet_test.cc covers
-  // that regime.)
+  // Four clones dealt up front, the way a pool deals them: two per runner.
   std::vector<std::unique_ptr<ReplicableTarget>> replicas;
   for (int i = 0; i < 4; ++i) {
     auto clone = (*fleet)->Clone();
@@ -297,6 +294,23 @@ TEST(FleetTargetTest, UnmeasuredClonesSpreadRoundRobinWithFailoverOrder) {
   }
   EXPECT_EQ((*runner_a)->sessions_started(), 2);
   EXPECT_EQ((*runner_b)->sessions_started(), 2);
+
+  // Clones dealt after trials have run keep alternating A, B, A, B: what
+  // the earlier replicas ran -- and how fast -- never moves the deal.
+  for (int i = 0; i < 4; ++i) {
+    const int a_before = (*runner_a)->sessions_started();
+    const int b_before = (*runner_b)->sessions_started();
+    auto clone = (*fleet)->Clone();
+    ASSERT_TRUE(clone.ok()) << clone.status();
+    auto result = (*clone)->RunIntervened({}, 1);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const bool expect_a = i % 2 == 0;
+    EXPECT_EQ((*runner_a)->sessions_started(), a_before + (expect_a ? 1 : 0))
+        << "clone " << i;
+    EXPECT_EQ((*runner_b)->sessions_started(), b_before + (expect_a ? 0 : 1))
+        << "clone " << i;
+    replicas.push_back(std::move(*clone));
+  }
 }
 
 TEST(FleetTargetTest, ReplicaFailsOverWhenItsRunnerDies) {
@@ -309,10 +323,18 @@ TEST(FleetTargetTest, ReplicaFailsOverWhenItsRunnerDies) {
   options.connect_attempts = 3;
   options.backoff_ms = 5;
   options.backoff_max_ms = 20;
+  // Per-endpoint trial histograms record which runner served each trial.
+  options.telemetry = Telemetry::Create();
   auto fleet = FleetTarget::Create(
       {(*runner_a)->endpoint(), (*runner_b)->endpoint()},
       ModelSpec(model.get()), options);
   ASSERT_TRUE(fleet.ok()) << fleet.status();
+  auto served_by = [&](const std::unique_ptr<Runner>& runner) {
+    return options.telemetry
+        ->LatencyHistogram("aid_endpoint_trial_latency_us",
+                           {{"endpoint", runner->endpoint().ToString()}})
+        ->count();
+  };
 
   // The fleet's own replica binds to runner A...
   auto first = (*fleet)->RunIntervened({}, 1);
@@ -333,6 +355,28 @@ TEST(FleetTargetTest, ReplicaFailsOverWhenItsRunnerDies) {
   EXPECT_GE((*runner_b)->sessions_started(), 1);
   EXPECT_EQ((*fleet)->counters().crashed_trials, 1);
   EXPECT_GE((*fleet)->counters().respawns, 1);
+
+  // Later trials stay on runner B, over the one connection the failover
+  // opened: nothing reconnects and nothing drifts back toward dead A.
+  const uint64_t respawns = (*fleet)->counters().respawns;
+  auto later = (*fleet)->RunIntervened({}, 4);
+  ASSERT_TRUE(later.ok()) << later.status();
+  for (const PredicateLog& log : later->logs) EXPECT_TRUE(log.complete());
+  EXPECT_EQ((*fleet)->counters().respawns, respawns);
+  EXPECT_EQ((*runner_b)->sessions_started(), 1);
+  EXPECT_EQ(served_by(*runner_a), 2u);  // the first trial + the crashed one
+  EXPECT_EQ(served_by(*runner_b), 5u);
+
+  // A crash on B reconnects at the current preference cursor: B again,
+  // and every trial after it is still served by B.
+  (*runner_b)->KillSessions();
+  auto after_crash = (*fleet)->RunIntervened({}, 2);
+  ASSERT_TRUE(after_crash.ok()) << after_crash.status();
+  EXPECT_EQ(after_crash->logs[0].outcome, TrialOutcome::kCrashed);
+  EXPECT_TRUE(after_crash->logs[1].complete());
+  EXPECT_EQ((*runner_b)->sessions_started(), 2);
+  EXPECT_EQ(served_by(*runner_a), 2u);
+  EXPECT_EQ(served_by(*runner_b), 7u);
 }
 
 #else  // !AID_NET_SUPPORTED

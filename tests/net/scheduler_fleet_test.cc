@@ -1,11 +1,9 @@
-// Heterogeneous-fleet tests of the latency-aware scheduler (exec/scheduler.h
-// + net/latency.h): bit-identical reports with one runner 10x slower than
-// the rest, latency-learned replica placement avoiding the slow runner,
-// LatencyBoard unit behavior, the FleetTarget cursor-commit-on-success
-// regression, and a slow runner killed mid-session degrading (not failing)
-// under work stealing.
+// Heterogeneous-fleet tests of the latency-aware scheduler
+// (exec/scheduler.h) over a round-robin-dealt fleet (net/fleet_target.h):
+// bit-identical reports with one runner 10x slower than the rest, the
+// FleetTarget cursor-commit-on-success regression, and a fast runner
+// killed mid-session degrading (not failing) onto the slow one.
 
-#include <chrono>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -17,53 +15,14 @@
 
 #include "api/session.h"
 #include "common/strings.h"
-#include "exec/parallel_target.h"
+#include "exec/scheduler.h"
 #include "net/fleet_target.h"
-#include "net/latency.h"
 #include "net/runner.h"
 #include "synth/generator.h"
 #include "synth/model.h"
 
 namespace aid {
 namespace {
-
-// --- LatencyBoard units (platform-independent) ----------------------------
-
-TEST(LatencyBoardTest, UnmeasuredEndpointsPlaceRoundRobin) {
-  LatencyBoard board;
-  const std::vector<Endpoint> fleet = {
-      {"a", 1}, {"b", 2}, {"c", 3}};
-  for (int i = 0; i < 6; ++i) board.PlaceReplica(fleet);
-  // With no latency data the board must reproduce blind round-robin:
-  // exploration balances placements exactly.
-  EXPECT_EQ(board.placements(fleet[0]), 2u);
-  EXPECT_EQ(board.placements(fleet[1]), 2u);
-  EXPECT_EQ(board.placements(fleet[2]), 2u);
-}
-
-TEST(LatencyBoardTest, MeasuredPlacementAvoidsTheSlowEndpoint) {
-  LatencyBoard board;
-  const std::vector<Endpoint> fleet = {
-      {"fast1", 1}, {"fast2", 2}, {"slow", 3}};
-  board.RecordTrial(fleet[0], 100);
-  board.RecordTrial(fleet[1], 100);
-  board.RecordTrial(fleet[2], 1000);  // 10x slower
-  for (int i = 0; i < 4; ++i) board.PlaceReplica(fleet);
-  // Predicted per-replica latency (ewma x (placements + 1)) keeps every
-  // placement off the slow endpoint until the fast ones are loaded ~10x.
-  EXPECT_EQ(board.placements(fleet[2]), 0u);
-  EXPECT_EQ(board.placements(fleet[0]) + board.placements(fleet[1]), 4u);
-}
-
-TEST(LatencyBoardTest, EwmaSmoothsSamples) {
-  LatencyBoard board(/*ewma_alpha=*/0.25);
-  const Endpoint endpoint{"a", 1};
-  EXPECT_EQ(board.ewma_micros(endpoint), 0u);  // unmeasured sentinel
-  board.RecordTrial(endpoint, 100);
-  EXPECT_EQ(board.ewma_micros(endpoint), 100u);
-  board.RecordTrial(endpoint, 300);
-  EXPECT_EQ(board.ewma_micros(endpoint), 150u);  // 0.25*300 + 0.75*100
-}
 
 #if AID_NET_SUPPORTED
 
@@ -77,8 +36,8 @@ TEST(LatencyBoardTest, EwmaSmoothsSamples) {
 /// processes instead -- that is how CI runs this suite under
 /// ThreadSanitizer, whose runtime cannot survive the runner's
 /// fork-without-exec session children in-process, while the engine-side
-/// machinery under test (chunk queues, steals, EWMA atomics, the latency
-/// board) stays fully instrumented.
+/// machinery under test (chunk queues, steals, EWMA atomics) stays fully
+/// instrumented.
 class SchedulerFleetTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kSlowTrialDelayUs = 3000;
@@ -108,18 +67,6 @@ class SchedulerFleetTest : public ::testing::Test {
   }
 
   bool ExternalFleet() const { return runners_.empty(); }
-
-  Endpoint SlowEndpoint() const {
-    auto endpoint = ParseEndpoint(fleet_[2]);
-    EXPECT_TRUE(endpoint.ok()) << endpoint.status();
-    return *endpoint;
-  }
-
-  Endpoint FastEndpoint(int i) const {
-    auto endpoint = ParseEndpoint(fleet_[static_cast<size_t>(i)]);
-    EXPECT_TRUE(endpoint.ok()) << endpoint.status();
-    return *endpoint;
-  }
 
   std::unique_ptr<GroundTruthModel> model_;
   std::vector<std::unique_ptr<Runner>> runners_;
@@ -164,57 +111,6 @@ TEST_F(SchedulerFleetTest, HeterogeneousFleetReportsAreBitIdentical) {
   }
 }
 
-TEST_F(SchedulerFleetTest, LearnedLatencySteersNewReplicasOffTheSlowRunner) {
-  SubjectSpec spec;
-  spec.kind = SubjectKind::kModel;
-  spec.model = model_.get();
-  auto endpoints_or = ParseEndpoints(fleet_);
-  ASSERT_TRUE(endpoints_or.ok()) << endpoints_or.status();
-  std::vector<Endpoint> endpoints = *endpoints_or;
-  RemoteOptions options;
-  options.trial_deadline_ms = 20000;
-  auto fleet = FleetTarget::Create(endpoints, spec, options);
-  ASSERT_TRUE(fleet.ok()) << fleet.status();
-
-  // Learning pass: a pool over the fleet (initial placement is blind
-  // round-robin -- no data yet -- so the slow runner hosts a replica and
-  // gets measured).
-  auto pool = ParallelTarget::Create(fleet->get(), 3);
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  auto run = (*pool)->RunIntervened({}, 30);
-  ASSERT_TRUE(run.ok()) << run.status();
-
-  const LatencyBoard& board = (*fleet)->latency_board();
-  const Endpoint slow = SlowEndpoint();
-  ASSERT_GT(board.ewma_micros(slow), 0u) << "slow runner never measured";
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_GT(board.ewma_micros(slow), board.ewma_micros(FastEndpoint(i)))
-        << "runner " << i;
-  }
-
-  // New replicas dealt after learning avoid the slow runner entirely.
-  // (Held alive: a dying replica releases its board placement.)
-  const uint64_t slow_placements_before = board.placements(slow);
-  const uint64_t fast_placements_before =
-      board.placements(FastEndpoint(0)) + board.placements(FastEndpoint(1));
-  std::vector<std::unique_ptr<ReplicableTarget>> held;
-  for (int i = 0; i < 4; ++i) {
-    auto clone = (*fleet)->Clone();
-    ASSERT_TRUE(clone.ok()) << clone.status();
-    held.push_back(std::move(*clone));
-  }
-  EXPECT_EQ(board.placements(slow), slow_placements_before);
-  EXPECT_EQ(board.placements(FastEndpoint(0)) +
-                board.placements(FastEndpoint(1)),
-            fast_placements_before + 4);
-  // Releasing them hands the placements back (the anti-ghost contract for
-  // repeated pools over one fleet).
-  held.clear();
-  EXPECT_EQ(board.placements(FastEndpoint(0)) +
-                board.placements(FastEndpoint(1)),
-            fast_placements_before);
-}
-
 TEST_F(SchedulerFleetTest, FleetCursorCommitsOnlyOnSuccess) {
   SubjectSpec spec;
   spec.kind = SubjectKind::kModel;
@@ -240,52 +136,88 @@ TEST_F(SchedulerFleetTest, FleetCursorCommitsOnlyOnSuccess) {
   EXPECT_EQ((*fleet)->trial_position(), 0u);
 }
 
-/// Stops one runner daemon after the first finished round -- from the
-/// engine's driving thread, so the loss lands mid-session,
-/// deterministically.
+/// Stops `victim` mid-session, from the engine's driving thread, just
+/// before the first round that both (a) finds it hosting a live session
+/// child -- a replica holds a connection to it that its next trial must
+/// cross -- and (b) leaves the failure in place on the in-process model.
+/// A trial lost to a dead connection is recorded as a crashed, failing
+/// trial (the failure was certainly not repressed), so a crash inside a
+/// round whose intervention would have stopped the failure legitimately
+/// flips that round's verdict. With (b), and a dispatch that runs the
+/// victim's replica in that very round, the crash costs a reconnect but
+/// never a decision, and the report must match the in-process run.
 class RunnerAssassin : public Observer {
  public:
-  explicit RunnerAssassin(Runner* victim) : victim_(victim) {}
-  void OnRoundFinished(const ObservedRound&) override {
-    if (victim_ != nullptr) {
-      victim_->Stop();
-      victim_ = nullptr;
-    }
+  RunnerAssassin(const GroundTruthModel* model, Runner* victim)
+      : model_(model), victim_(victim) {}
+  void OnRoundStarted(uint64_t round,
+                      const std::vector<PredicateId>& intervened) override {
+    if (fired_round_ != 0 || victim_->live_sessions() == 0) return;
+    ModelTarget oracle(model_);
+    auto run = oracle.RunIntervened(intervened, 1);
+    if (!run.ok() || !run->AnyFailed()) return;
+    victim_->Stop();
+    fired_round_ = round;
   }
+  /// The round the victim was stopped before; 0 = never.
+  uint64_t fired_round() const { return fired_round_; }
 
  private:
+  const GroundTruthModel* model_;
   Runner* victim_;
+  uint64_t fired_round_ = 0;
 };
 
-TEST_F(SchedulerFleetTest, KilledRunnerDegradesUnderWorkStealing) {
+TEST_F(SchedulerFleetTest, KilledFastRunnerFailsOverOntoTheSlowRunner) {
   if (ExternalFleet()) {
     GTEST_SKIP() << "external runners (AID_TEST_FLEET) cannot be killed "
                     "from the test";
   }
-  // Kill a FAST runner: the scheduler deliberately starves the straggler
-  // of work, so killing the slow one can be a silent no-op -- a fast
-  // runner's replica is guaranteed traffic every round, making the crash
-  // observation deterministic.
-  RunnerAssassin assassin(runners_[0].get());
+  // Static sharding hands each replica its contiguous share of every
+  // multi-chunk round. Work stealing could hand the killed runner's share
+  // to the other replica in the round the kill precedes, leaving the dead
+  // connection to crash a later round, whose verdict that crash can flip.
+  SchedulerOptions scheduler;
+  scheduler.policy = SchedulerPolicy::kStatic;
+  auto baseline = SessionBuilder()
+                      .WithModel(model_.get())
+                      .WithTrials(4)
+                      .WithParallelism(2)
+                      .WithScheduler(scheduler)
+                      .Build();
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  auto baseline_report = baseline->Run();
+  ASSERT_TRUE(baseline_report.ok()) << baseline_report.status();
+
+  // Two workers over the fleet ordered fast, slow, fast: round-robin
+  // dealing puts replica 0 on fast runner 0 and replica 1 on the slow
+  // runner. Replica 0 runs the first share of every round, so its first
+  // trial in the round the kill precedes crashes, and it fails over along
+  // its order to the slow runner.
+  RunnerAssassin assassin(model_.get(), runners_[0].get());
   auto session = SessionBuilder()
                      .WithModel(model_.get())
                      .WithTrials(4)
-                     .WithParallelism(3)
-                     .WithRemoteFleet(fleet_, /*trial_deadline_ms=*/20000)
+                     .WithParallelism(2)
+                     .WithScheduler(scheduler)
+                     .WithRemoteFleet({fleet_[0], fleet_[2], fleet_[1]},
+                                      /*trial_deadline_ms=*/20000)
                      .WithObserver(&assassin)
                      .Build();
   ASSERT_TRUE(session.ok()) << session.status();
   auto report = session->Run();
   ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_NE(assassin.fired_round(), 0u) << "runner 0 was never killed";
   // The session completed despite losing a runner mid-session on a
-  // heterogeneous fleet: the lost replica's trials became crashed trials
-  // + failovers (placed by the latency board), never an engine failure --
-  // the fail-fast path only fires on hard errors, not on recoverable
-  // crash degradation.
+  // heterogeneous fleet: the lost replica's trial became a crashed trial +
+  // failover, never an engine failure -- the fail-fast path only fires on
+  // hard errors, not on recoverable crash degradation.
   EXPECT_GE(report->discovery.crashed_trials +
                 report->discovery.timed_out_trials,
             1u);
   EXPECT_GE(report->discovery.respawns, 1u);
+  EXPECT_TRUE(SameDiscoveryOutcome(baseline_report->discovery,
+                                   report->discovery));
 }
 
 #else  // !AID_NET_SUPPORTED

@@ -1,8 +1,8 @@
 // Session-level tests of the remote fleet: bit-identical reports between
 // in-process and loopback-fleet runs at several worker counts, flaky and
 // VM-program subjects across the wire, builder validation, and a runner
-// killed mid-session degrading into crashed-trial accounting + failover
-// instead of an engine failure.
+// killed mid-session degrading into crashed-trial accounting + failover to
+// the next runner in the round-robin deal instead of an engine failure.
 
 #include <memory>
 #include <string>
@@ -175,43 +175,77 @@ TEST_F(SessionFleetTest, VmProgramsShipWholeToTheRunners) {
   ExpectSameDiscovery(baseline_report->discovery, fleet_report->discovery);
 }
 
-/// Stops one runner daemon after the first finished round -- from the
-/// engine's driving thread, so the loss lands mid-session,
-/// deterministically.
+/// Stops `victim` mid-session, from the engine's driving thread, just
+/// before the first round that both (a) finds it hosting a live session
+/// child -- a replica holds a connection to it that its next trial must
+/// cross -- and (b) leaves the failure in place on the in-process model.
+/// A trial lost to a dead connection is recorded as a crashed, failing
+/// trial (the failure was certainly not repressed), so a crash inside a
+/// round whose intervention would have stopped the failure legitimately
+/// flips that round's verdict. With (b), and a dispatch that runs the
+/// victim's replica in that very round, the crash costs a reconnect but
+/// never a decision, and the report must match the in-process run.
 class RunnerAssassin : public Observer {
  public:
-  explicit RunnerAssassin(Runner* victim) : victim_(victim) {}
-  void OnRoundFinished(const ObservedRound&) override {
-    if (victim_ != nullptr) {
-      victim_->Stop();
-      victim_ = nullptr;
-    }
+  RunnerAssassin(const GroundTruthModel* model, Runner* victim)
+      : model_(model), victim_(victim) {}
+  void OnRoundStarted(uint64_t round,
+                      const std::vector<PredicateId>& intervened) override {
+    if (fired_round_ != 0 || victim_->live_sessions() == 0) return;
+    ModelTarget oracle(model_);
+    auto run = oracle.RunIntervened(intervened, 1);
+    if (!run.ok() || !run->AnyFailed()) return;
+    victim_->Stop();
+    fired_round_ = round;
   }
+  /// The round the victim was stopped before; 0 = never.
+  uint64_t fired_round() const { return fired_round_; }
 
  private:
+  const GroundTruthModel* model_;
   Runner* victim_;
+  uint64_t fired_round_ = 0;
 };
 
 TEST_F(SessionFleetTest, KilledRunnerMidSessionDegradesInsteadOfFailing) {
-  RunnerAssassin assassin(runners_[0].get());
+  // Static sharding hands replica 0 -- dealt onto runner 0 -- the first
+  // contiguous share of every multi-chunk round, so it connects in the
+  // first round and runs first in the round the kill precedes; with work
+  // stealing its share could be stolen and the crash never observed.
+  SchedulerOptions scheduler;
+  scheduler.policy = SchedulerPolicy::kStatic;
+  auto baseline = SessionBuilder()
+                      .WithModel(model_.get())
+                      .WithTrials(3)
+                      .WithParallelism(2)
+                      .WithScheduler(scheduler)
+                      .Build();
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  auto baseline_report = baseline->Run();
+  ASSERT_TRUE(baseline_report.ok()) << baseline_report.status();
+
+  RunnerAssassin assassin(model_.get(), runners_[0].get());
   auto session = SessionBuilder()
                      .WithModel(model_.get())
                      .WithTrials(3)
                      .WithParallelism(2)
+                     .WithScheduler(scheduler)
                      .WithRemoteFleet(Fleet(), /*trial_deadline_ms=*/20000)
                      .WithObserver(&assassin)
                      .Build();
   ASSERT_TRUE(session.ok()) << session.status();
   auto report = session->Run();
   ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_NE(assassin.fired_round(), 0u) << "runner 0 was never killed";
 
-  // The session completed; the turbulence is in the books. (Both replicas
-  // may have lived on runner 0's connections at the moment it died, so we
-  // only bound the counters from below.)
+  // The session completed; the turbulence is in the books: replica 0's
+  // next trial crashed and its reconnect failed over to runner 1.
   EXPECT_GE(report->discovery.crashed_trials, 1);
   EXPECT_GE(report->discovery.respawns, 1);
   EXPECT_EQ(report->discovery.crashed_trials + report->discovery.timed_out_trials,
             report->discovery.respawns);
+  EXPECT_TRUE(SameDiscoveryOutcome(baseline_report->discovery,
+                                   report->discovery));
 }
 
 TEST_F(SessionFleetTest, BuilderRejectsFleetMisconfigurations) {

@@ -128,10 +128,16 @@ TEST_F(TelemetryFleetTest, HostSpansImportUnderEngineTrialSpans) {
 }
 
 TEST_F(TelemetryFleetTest, MetricsMirrorReportAndLabelTheSocketTransport) {
+  // Static sharding runs both replicas -- one per runner -- in every
+  // round; work stealing may let one replica take every chunk, and the
+  // idle runner would then never get a per-endpoint instrument.
+  SchedulerOptions scheduler;
+  scheduler.policy = SchedulerPolicy::kStatic;
   auto session = SessionBuilder()
                      .WithModel(model_.get())
                      .WithTrials(3)
                      .WithParallelism(2)
+                     .WithScheduler(scheduler)
                      .WithRemoteFleet(fleet_, /*trial_deadline_ms=*/20000)
                      .WithTelemetry()
                      .Build();
