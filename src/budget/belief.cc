@@ -68,6 +68,27 @@ void BeliefState::ObserveStoppedRound(const std::vector<PredicateId>& group,
   }
 }
 
+int BeliefState::PlanTrials(const std::vector<PredicateId>& group,
+                            int cap) const {
+  if (cap < 1) cap = 1;
+  // The prior odds are capped at even (p <= 0.5): an unlikely-causal group
+  // must pass MORE trials before a stop is believed, but an optimistic
+  // prior never lowers the requirement below the flat-odds SPRT bound --
+  // that keeps the per-round false-stop probability at most
+  // (1-m)^k <= eps/(1-eps) however far the noisy-or group prior has been
+  // pushed up by group size or earlier stopped rounds.
+  const double p = std::clamp(GroupCausalProbability(group), 0.001, 0.5);
+  const double m = flakiness();
+  const double eps = options_.error_tolerance;
+  // k >= (ln((1-eps)/eps) - ln(p/(1-p))) / -ln(1-m); see the header.
+  const double needed = (std::log((1.0 - eps) / eps) -
+                         std::log(p / (1.0 - p))) /
+                        -std::log(1.0 - m);
+  if (!(needed > 0.0)) return 1;
+  const int k = static_cast<int>(std::ceil(needed - 1e-9));
+  return std::clamp(k, 1, cap);
+}
+
 void BeliefState::MarkCausal(PredicateId id) { posterior_[id] = 1.0; }
 
 void BeliefState::MarkSpurious(PredicateId id) { posterior_[id] = 0.0; }
@@ -99,11 +120,6 @@ void BeliefState::RestoreState(
   for (const auto& [id, p] : posts) posterior_[id] = p;
   flaky_alpha_ = flaky_alpha;
   flaky_beta_ = flaky_beta;
-}
-
-double BeliefState::BinaryEntropy(double p) {
-  if (p <= 0.0 || p >= 1.0) return 0.0;
-  return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
 }  // namespace aid

@@ -1,5 +1,6 @@
 // BeliefState: the budgeter's per-candidate Bayesian posterior of "causal
-// vs spurious", plus its running estimate of the target's flakiness.
+// vs spurious", its running estimate of the target's flakiness, and the
+// per-round trial allocation both of them imply.
 //
 // The evidence model follows the engine's decision rule (core/engine.h):
 // intervening on a group that contains a causal predicate provably stops
@@ -16,11 +17,24 @@
 // is ambiguous between "causal" and "spurious but lucky" and teaches
 // nothing about m).
 //
+// Allocation is a sequential probability ratio test (SPRT): a round on
+// group G keeps executing trials until either one FAILS (decisive -- the
+// group is spurious) or `PlanTrials` consecutive passes have accumulated
+// enough evidence that the posterior odds of "the failure really stopped"
+// clear (1 - eps) / eps:
+//
+//       odds(G causal) / (1 - m)^k  >=  (1 - eps) / eps
+//   =>  k  >=  ( ln((1-eps)/eps) - ln odds(G) ) / -ln(1 - m)
+//
+// with the prior odds capped at even, so a group's prior can only ever ADD
+// trials relative to the flat-odds bound, never remove one. Decisive
+// candidates (a near-deterministic target, once the flakiness posterior
+// has learned it) get 1 trial; noisy ones more, up to a cap.
+//
 // Every candidate starts at the flat causal prior, and certified verdicts
 // (the engine's Decide) pin posteriors to 0/1 without touching any other
 // candidate. There is deliberately no side information and no topology
-// propagation: the planner clamps a group's causal probability to at most
-// 1/2 before the SPRT (budget/planner.h), so raising a belief above 1/2
+// propagation: because of the even-odds cap, raising a belief above 1/2
 // buys nothing and lowering one can only add trials. Verdicts always come
 // from interventions.
 
@@ -64,6 +78,9 @@ class BeliefState {
   /// posteriors up by the Bayes factor 1 / (p_G + (1 - p_G)(1-m)^passes).
   void ObserveStoppedRound(const std::vector<PredicateId>& group, int passes);
 
+  /// SPRT pass requirement for one round on `group`, clamped to [1, cap].
+  int PlanTrials(const std::vector<PredicateId>& group, int cap) const;
+
   /// Certified verdicts (the engine's Decide): pin the posterior to 1 / 0.
   void MarkCausal(PredicateId id);
   void MarkSpurious(PredicateId id);
@@ -71,9 +88,6 @@ class BeliefState {
   /// Every seeded candidate's posterior, ascending by id -- the
   /// DiscoveryReport::confidence payload.
   std::vector<PredicateConfidence> Snapshot() const;
-
-  /// Entropy of a Bernoulli(p) verdict in bits; 0 at p in {0, 1}.
-  static double BinaryEntropy(double p);
 
   /// Checkpoint support (core/discovery_state.h). ExportState returns every
   /// posterior ascending by id; RestoreState replaces the posterior table

@@ -3,20 +3,6 @@
 #include <string>
 
 namespace aid {
-namespace {
-
-Status InUnitInterval(const char* name, double value, bool open_left,
-                      bool open_right) {
-  const bool left_ok = open_left ? value > 0.0 : value >= 0.0;
-  const bool right_ok = open_right ? value < 1.0 : value <= 1.0;
-  if (left_ok && right_ok) return Status::OK();
-  return Status::InvalidArgument(
-      std::string("budget options: ") + name + " must be in " +
-      (open_left ? "(" : "[") + "0, 1" + (open_right ? ")" : "]") + ", got " +
-      std::to_string(value));
-}
-
-}  // namespace
 
 Status ValidateBudgetOptions(const BudgetOptions& options) {
   if (!(options.error_tolerance > 0.0 && options.error_tolerance < 0.5)) {
@@ -24,8 +10,11 @@ Status ValidateBudgetOptions(const BudgetOptions& options) {
         "budget options: error_tolerance must be in (0, 0.5), got " +
         std::to_string(options.error_tolerance));
   }
-  AID_RETURN_IF_ERROR(InUnitInterval("causal_prior", options.causal_prior,
-                                     /*open_left=*/true, /*open_right=*/true));
+  if (!(options.causal_prior > 0.0 && options.causal_prior < 1.0)) {
+    return Status::InvalidArgument(
+        "budget options: causal_prior must be in (0, 1), got " +
+        std::to_string(options.causal_prior));
+  }
   if (options.max_trials_per_round < 0 ||
       options.max_trials_per_round > kMaxBudgetTrialsPerRound) {
     return Status::InvalidArgument(
@@ -41,10 +30,6 @@ Status ValidateBudgetOptions(const BudgetOptions& options) {
         "beta > 0, got alpha=" + std::to_string(options.flakiness_prior_alpha) +
         " beta=" + std::to_string(options.flakiness_prior_beta));
   }
-  AID_RETURN_IF_ERROR(InUnitInterval("cost_ewma_alpha",
-                                     options.cost_ewma_alpha,
-                                     /*open_left=*/true,
-                                     /*open_right=*/false));
   return Status::OK();
 }
 

@@ -57,10 +57,6 @@ struct BudgetOptions {
   /// down and earn more trials.
   double flakiness_prior_alpha = 4.0;
   double flakiness_prior_beta = 1.0;
-  /// EWMA blend for the planner's predicted per-trial cost, fed by the
-  /// substrate's SubstrateCounters::trial_micros deltas (same convention as
-  /// exec/scheduler.h's replica EWMAs). In (0, 1].
-  double cost_ewma_alpha = 0.25;
 };
 
 /// InvalidArgument for out-of-range knobs, naming the offending value.

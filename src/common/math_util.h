@@ -34,8 +34,8 @@ inline double Log2(double n) {
   return std::log2(n);
 }
 
-/// One EWMA step over the zero-means-unmeasured convention shared by the
-/// cost trackers (exec/scheduler.h, budget/planner.h): the first sample
+/// One EWMA step over the zero-means-unmeasured convention of the
+/// scheduler's replica cost trackers (exec/scheduler.h): the first sample
 /// seeds the average, later samples blend by `alpha`, and the result
 /// clamps to >= 1 so genuinely measured sub-unit samples can never be
 /// mistaken for the unmeasured sentinel.

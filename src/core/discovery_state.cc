@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "budget/belief.h"
-#include "budget/planner.h"
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
 #include "trace/serialize.h"
@@ -17,8 +16,10 @@ namespace {
 
 /// v2 = the counter block in SubstrateCounters table order, trial_micros
 /// added; v3 = the engine options drop the budgeter's advice priors and
-/// topology discount.
-constexpr uint8_t kStateFormatVersion = 3;
+/// topology discount; v4 = the budgeter's per-trial cost model (its
+/// smoothing option and the belief block's estimate) and the unused
+/// per-item order key go.
+constexpr uint8_t kStateFormatVersion = 4;
 const char* const kPhaseBranch = "branch";
 const char* const kPhaseGiwp = "giwp";
 
@@ -95,7 +96,6 @@ void EncodeEngineOptions(const EngineOptions& options, WireWriter& w) {
   w.U64(b.max_executions);
   w.F64(b.flakiness_prior_alpha);
   w.F64(b.flakiness_prior_beta);
-  w.F64(b.cost_ewma_alpha);
 }
 
 Result<EngineOptions> DecodeEngineOptions(WireReader& r) {
@@ -116,7 +116,6 @@ Result<EngineOptions> DecodeEngineOptions(WireReader& r) {
   b.max_executions = r.U64();
   b.flakiness_prior_alpha = r.F64();
   b.flakiness_prior_beta = r.F64();
-  b.cost_ewma_alpha = r.F64();
   if (!r.ok()) return r.status();
   return o;
 }
@@ -176,13 +175,10 @@ void DiscoveryState::InitRun() {
   }
 
   belief_.reset();
-  planner_.reset();
   budget_exhausted_ = false;
   if (options_.budget.enabled) {
     belief_ = std::make_unique<BeliefState>(options_.budget);
     belief_->SeedCandidates(candidates_);
-    planner_ =
-        std::make_unique<BudgetPlanner>(options_.budget, belief_.get());
   }
 
   if (options_.branch_pruning && options_.topological_order) {
@@ -397,18 +393,18 @@ void DiscoveryState::PlanBatch(const std::vector<size_t>& pool) {
 
   // Budgeted batches: one "budget_plan" span covers the whole round's
   // allocation. Each span gets its own SPRT requirement; when a global
-  // execution budget cannot fund the full round, the highest-scoring
-  // (information gain per cost) spans are funded first and the rest are
-  // left undecided. Within a batch there is no mid-span early stop -- the
-  // substrate runs each span's whole allocation; that is the same batching
-  // trade-off speculative executions already embody.
+  // execution budget cannot fund the full round, spans are funded greedily
+  // in scan order and the rest are left undecided. Within a batch there is
+  // no mid-span early stop -- the substrate runs each span's whole
+  // allocation; that is the same batching trade-off speculative executions
+  // already embody.
   if (options_.budget.enabled) {
     ScopedSpan plan_span(tracer(), "budget_plan", phase_span_);
     const int cap = options_.budget.max_trials_per_round > 0
                         ? options_.budget.max_trials_per_round
                         : options_.trials_per_intervention;
     for (size_t k = 0; k < pool.size(); ++k) {
-      action.alloc[k] = planner_->PlanTrials(action.spans[k], cap);
+      action.alloc[k] = belief_->PlanTrials(action.spans[k], cap);
     }
     if (options_.budget.max_executions > 0) {
       const uint64_t spent = counters_.executions;
@@ -419,18 +415,9 @@ void DiscoveryState::PlanBatch(const std::vector<size_t>& pool) {
       uint64_t total = 0;
       for (int a : action.alloc) total += static_cast<uint64_t>(a);
       if (total > remaining) {
-        std::vector<size_t> order(pool.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                           return planner_->Score(action.spans[a],
-                                                  action.alloc[a]) >
-                                  planner_->Score(action.spans[b],
-                                                  action.alloc[b]);
-                         });
         action.funded.assign(pool.size(), 0);
         uint64_t left = remaining;
-        for (size_t k : order) {
+        for (size_t k = 0; k < pool.size(); ++k) {
           if (static_cast<uint64_t>(action.alloc[k]) <= left) {
             action.funded[k] = 1;
             left -= static_cast<uint64_t>(action.alloc[k]);
@@ -455,7 +442,7 @@ int DiscoveryState::PlanBudgetedTrials(const std::vector<PredicateId>& preds,
     const int cap = options_.budget.max_trials_per_round > 0
                         ? options_.budget.max_trials_per_round
                         : options_.trials_per_intervention;
-    planned = planner_->PlanTrials(preds, cap);
+    planned = belief_->PlanTrials(preds, cap);
   }
   if (options_.budget.max_executions == 0) return planned;
   const uint64_t spent = counters_.executions;
@@ -493,7 +480,6 @@ Status DiscoveryState::Feed(const DiscoveryAction& action,
 
 void DiscoveryState::ObserveBudgetedRound(
     const std::vector<PredicateId>& preds, const ActionOutcome& outcome) {
-  planner_->ObserveRoundCost(outcome.delta.trial_micros, outcome.used);
   report_.budgeted_trials_allocated += static_cast<uint64_t>(outcome.used);
   report_.budgeted_trials_saved +=
       static_cast<int64_t>(options_.trials_per_intervention) - outcome.used;
@@ -562,8 +548,6 @@ void DiscoveryState::FeedRound(const DiscoveryAction& action,
 void DiscoveryState::FeedBatch(const DiscoveryAction& action,
                                const ActionOutcome& outcome) {
   if (options_.budget.enabled) {
-    planner_->ObserveRoundCost(outcome.delta.trial_micros,
-                               static_cast<int>(outcome.budgeted_trials));
     report_.budgeted_trials_allocated += outcome.budgeted_trials;
     for (size_t k = 0; k < action.spans.size(); ++k) {
       if (!action.funded[k]) continue;
@@ -731,9 +715,7 @@ void DiscoveryState::MakeSingletonItems(
     rng_.Shuffle(ordered);
   }
   items_.reserve(ordered.size());
-  for (size_t i = 0; i < ordered.size(); ++i) {
-    items_.push_back(Item{{ordered[i]}, static_cast<int>(i)});
-  }
+  for (PredicateId id : ordered) items_.push_back(Item{{id}});
   decisions_.assign(items_.size(), ItemDecision::kUndecided);
 }
 
@@ -836,10 +818,7 @@ Result<std::string> DiscoveryState::Serialize() const {
   EncodePredVector(causal_, w);
   EncodePredVector(spurious_, w);
   w.U32(static_cast<uint32_t>(items_.size()));
-  for (const Item& item : items_) {
-    EncodePredVector(item.preds, w);
-    w.I32(item.order_key);
-  }
+  for (const Item& item : items_) EncodePredVector(item.preds, w);
   for (ItemDecision d : decisions_) w.U8(static_cast<uint8_t>(d));
 
   w.U64(report_.rounds);
@@ -876,7 +855,6 @@ Result<std::string> DiscoveryState::Serialize() const {
     }
     w.F64(belief_->flaky_alpha());
     w.F64(belief_->flaky_beta());
-    w.F64(planner_->trial_cost_micros());
   }
   return w.Release();
 }
@@ -913,13 +891,10 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
   state->candidates_ = DecodePredVector(r);
   state->causal_ = DecodePredVector(r);
   state->spurious_ = DecodePredVector(r);
-  const uint32_t item_count = r.Count(sizeof(uint32_t) + sizeof(int32_t));
+  const uint32_t item_count = r.Count(sizeof(uint32_t));
   state->items_.reserve(item_count);
   for (uint32_t i = 0; i < item_count; ++i) {
-    Item item;
-    item.preds = DecodePredVector(r);
-    item.order_key = r.I32();
-    state->items_.push_back(std::move(item));
+    state->items_.push_back(Item{DecodePredVector(r)});
   }
   state->decisions_.reserve(item_count);
   for (uint32_t i = 0; i < item_count; ++i) {
@@ -967,7 +942,6 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
   std::vector<std::pair<PredicateId, double>> posts;
   double flaky_alpha = 0.0;
   double flaky_beta = 0.0;
-  double cost_ewma = 0.0;
   if (has_belief) {
     const uint32_t post_count = r.Count(sizeof(int32_t) + sizeof(double));
     posts.reserve(post_count);
@@ -978,7 +952,6 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
     }
     flaky_alpha = r.F64();
     flaky_beta = r.F64();
-    cost_ewma = r.F64();
   }
   AID_RETURN_IF_ERROR(r.Finish());
 
@@ -1011,9 +984,6 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
   if (has_belief) {
     state->belief_ = std::make_unique<BeliefState>(options.budget);
     state->belief_->RestoreState(posts, flaky_alpha, flaky_beta);
-    state->planner_ = std::make_unique<BudgetPlanner>(options.budget,
-                                                      state->belief_.get());
-    state->planner_->RestoreCostEwma(cost_ewma);
   }
 
   // Re-anchor the process-local machinery the blob deliberately omits:

@@ -54,8 +54,7 @@ namespace aid {
 
 class WireWriter;
 class WireReader;
-class BeliefState;     // budget/belief.h; live iff budgeting is enabled
-class BudgetPlanner;   // budget/planner.h; live iff budgeting is enabled
+class BeliefState;  // budget/belief.h; live iff budgeting is enabled
 
 /// What the engine wants executed next. Planning is pure: producing an
 /// action performs no target I/O (budgeted serial rounds defer their trial
@@ -186,7 +185,6 @@ class DiscoveryState {
   /// branch predicates, Algorithm 2 lines 10-12) intervened as one unit.
   struct Item {
     std::vector<PredicateId> preds;
-    int order_key = 0;  ///< topological position (or random key for TAGT)
   };
   enum class ItemDecision : uint8_t { kUndecided, kCausal, kSpurious };
 
@@ -230,8 +228,8 @@ class DiscoveryState {
 
   void FeedRound(const DiscoveryAction& action, const ActionOutcome& outcome);
   void FeedBatch(const DiscoveryAction& action, const ActionOutcome& outcome);
-  /// Budgeted-round bookkeeping shared by serial rounds: cost model,
-  /// allocated/saved counters, early stops, belief updates.
+  /// Budgeted-round bookkeeping shared by serial rounds: allocated/saved
+  /// counters, early stops, belief updates.
   void ObserveBudgetedRound(const std::vector<PredicateId>& preds,
                             const ActionOutcome& outcome);
 
@@ -280,7 +278,6 @@ class DiscoveryState {
 
   /// Budgeting state (src/budget/); live iff options_.budget.enabled.
   std::unique_ptr<BeliefState> belief_;
-  std::unique_ptr<BudgetPlanner> planner_;
   bool budget_exhausted_ = false;
 
   /// Telemetry spans spanning the whole discovery / the open phase. Not

@@ -70,8 +70,7 @@ struct SubstrateCounters {
   /// Wall-clock the substrate spent executing intervened trials, in
   /// microseconds. Process-backed substrates time every trial at the wire
   /// (proc/client); in-process backends leave it zero and the scheduler's
-  /// call-site timing stands in. Feeds the scheduler's per-replica EWMA and
-  /// the budget planner's cost model.
+  /// call-site timing stands in. Feeds the scheduler's per-replica EWMA.
   uint64_t trial_micros = 0;
   /// Chunks a fast replica executed off another replica's queue.
   uint64_t steals = 0;

@@ -1,4 +1,4 @@
-// The aid_service wire protocol (version 3).
+// The aid_service wire protocol (version 4).
 //
 // A discovery client and the multi-tenant service daemon (service.h) speak
 // the same length-prefixed frames as the subject protocol -- [u32 length]
@@ -48,8 +48,9 @@ namespace aid {
 inline constexpr uint32_t kServiceMagic = 0x41494453;  // "AIDS"
 /// v2 = REPORT carries the SubstrateCounters block (trial_micros,
 /// cancelled_chunks); v3 = SUBMIT's EngineOptions bytes (and the checkpoint
-/// they sit in) drop the budgeter's advice priors and topology discount.
-inline constexpr uint32_t kServiceProtocolVersion = 3;
+/// they sit in) drop the budgeter's advice priors and topology discount;
+/// v4 = they drop the budgeter's per-trial cost EWMA smoothing option.
+inline constexpr uint32_t kServiceProtocolVersion = 4;
 
 /// Service frame types, disjoint from ProcMsgType's 1..12 so a frame can
 /// never be mistaken for the subject conversation. Cast through

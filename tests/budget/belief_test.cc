@@ -1,5 +1,6 @@
 // Tests of budget/belief.h: posterior math for stopped rounds, flakiness
-// learning from persisting rounds, and verdict pinning.
+// learning from persisting rounds, and verdict pinning. The SPRT trial
+// requirement (BeliefState::PlanTrials) is tested in planner_test.cc.
 
 #include "budget/belief.h"
 
@@ -127,14 +128,6 @@ TEST_F(BeliefStateTest, SnapshotIsAscendingById) {
   for (const PredicateConfidence& entry : snapshot) {
     if (entry.id == b) EXPECT_DOUBLE_EQ(entry.causal_posterior, 1.0);
   }
-}
-
-TEST_F(BeliefStateTest, BinaryEntropyEndpoints) {
-  EXPECT_DOUBLE_EQ(BeliefState::BinaryEntropy(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(BeliefState::BinaryEntropy(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(BeliefState::BinaryEntropy(0.5), 1.0);
-  EXPECT_GT(BeliefState::BinaryEntropy(0.5),
-            BeliefState::BinaryEntropy(0.9));
 }
 
 }  // namespace

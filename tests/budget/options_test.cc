@@ -38,9 +38,6 @@ TEST(BudgetOptionsTest, RejectsOutOfRangeKnobs) {
   o = {};
   o.flakiness_prior_beta = -1.0;
   expect_invalid(o);
-  o = {};
-  o.cost_ewma_alpha = 0.0;
-  expect_invalid(o);
 }
 
 }  // namespace

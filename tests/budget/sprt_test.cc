@@ -1,14 +1,17 @@
 // Engine-level tests of adaptive budgeting: SPRT determinism under the
 // seeded flaky oracle, early stopping on persisting rounds, execution
-// savings against the fixed-trial baseline, and graceful exhaustion of a
-// global execution budget.
+// savings against the fixed-trial baseline, graceful exhaustion of a
+// global execution budget, and scan-order funding of a batch the budget
+// cannot cover.
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/session.h"
+#include "core/discovery_state.h"
 #include "synth/generator.h"
 #include "synth/model.h"
 
@@ -181,6 +184,112 @@ TEST(SprtBudgetTest, BudgetWorksUnderBatchedLinearScan) {
   EXPECT_EQ(budgeted->discovery.spurious, fixed->discovery.spurious);
   EXPECT_LE(budgeted->discovery.executions, fixed->discovery.executions);
   EXPECT_GT(budgeted->discovery.budgeted_trials_allocated, 0u);
+}
+
+/// One discovery driven action by action, keeping the first batch it
+/// planned and the execution count spent before that batch.
+struct BatchRun {
+  DiscoveryAction first_batch;
+  uint64_t spent_before_batch = 0;
+  DiscoveryReport report;
+};
+
+BatchRun DriveToReport(const GroundTruthModel* model,
+                       const EngineOptions& options) {
+  auto dag = model->BuildAcDag();
+  EXPECT_TRUE(dag.ok()) << dag.status();
+  ModelTarget target(model);
+  DiscoveryState state(&*dag, options, Rng(options.seed));
+  BatchRun run;
+  bool saw_batch = false;
+  for (;;) {
+    auto action = state.NextAction();
+    EXPECT_TRUE(action.ok()) << action.status();
+    if (!action.ok() || action->kind == DiscoveryAction::Kind::kDone) break;
+    if (action->kind == DiscoveryAction::Kind::kBatch && !saw_batch) {
+      saw_batch = true;
+      run.first_batch = *action;
+      run.spent_before_batch = state.executions();
+    }
+    auto outcome = ExecuteDiscoveryAction(state, *action, &target);
+    EXPECT_TRUE(outcome.ok()) << outcome.status();
+    if (!outcome.ok()) break;
+    EXPECT_TRUE(state.Feed(*action, *outcome).ok());
+  }
+  EXPECT_TRUE(saw_batch);
+  auto report = state.Finalize();
+  EXPECT_TRUE(report.ok()) << report.status();
+  if (report.ok()) run.report = *report;
+  return run;
+}
+
+TEST(SprtBudgetTest, QuotaFundsABatchGreedilyInScanOrder) {
+  // A budgeted batched linear scan whose quota covers only about half of
+  // its first batch: the funded spans must be exactly the ones a greedy
+  // pass in scan order can pay for, the unfunded ones must stay undecided
+  // (in-between confidence), and the run must stay inside the quota. The
+  // second case runs the branch phase first, so the batch's spans hold
+  // different posteriors; that is where any other funding order would
+  // fund a different set. Definition 2 pruning is off so that no funded
+  // span's result can decide an unfunded one.
+  struct Case {
+    const char* name;
+    EngineOptions engine;
+  };
+  EngineOptions linear = EngineOptions::Linear();
+  EngineOptions branch_first = EngineOptions::Aid();
+  branch_first.linear_scan = true;
+  for (const Case& c : {Case{"Linear preset", linear},
+                        Case{"branch phase then linear scan", branch_first}}) {
+    SCOPED_TRACE(c.name);
+    SyntheticAppOptions app;
+    app.max_threads = 10;
+    app.seed = 3;
+    auto model = GenerateSyntheticApp(app);
+    ASSERT_TRUE(model.ok()) << model.status();
+
+    EngineOptions options = c.engine;
+    options.predicate_pruning = false;
+    options.batched_dispatch = true;
+    options.trials_per_intervention = 10;
+    options.budget.enabled = true;
+    const BatchRun unlimited = DriveToReport(model->get(), options);
+    uint64_t batch_total = 0;
+    for (int a : unlimited.first_batch.alloc) {
+      batch_total += static_cast<uint64_t>(a);
+    }
+    options.budget.max_executions =
+        unlimited.spent_before_batch + batch_total / 2;
+
+    const BatchRun run = DriveToReport(model->get(), options);
+    const DiscoveryAction& batch = run.first_batch;
+    ASSERT_EQ(run.spent_before_batch, unlimited.spent_before_batch);
+    ASSERT_EQ(batch.funded.size(), batch.spans.size());
+    uint64_t left = options.budget.max_executions - run.spent_before_batch;
+    std::vector<uint8_t> greedy;
+    for (int a : batch.alloc) {
+      const bool fits = static_cast<uint64_t>(a) <= left;
+      if (fits) left -= static_cast<uint64_t>(a);
+      greedy.push_back(fits ? 1 : 0);
+    }
+    EXPECT_EQ(batch.funded, greedy);
+    ASSERT_NE(std::count(greedy.begin(), greedy.end(), 0), 0);
+    ASSERT_NE(std::count(greedy.begin(), greedy.end(), 1), 0);
+
+    EXPECT_TRUE(run.report.budget_exhausted);
+    EXPECT_LE(run.report.executions, options.budget.max_executions);
+    for (size_t k = 0; k < batch.spans.size(); ++k) {
+      if (batch.funded[k]) continue;
+      for (PredicateId id : batch.spans[k]) {
+        const auto entry = std::find_if(
+            run.report.confidence.begin(), run.report.confidence.end(),
+            [id](const PredicateConfidence& e) { return e.id == id; });
+        ASSERT_NE(entry, run.report.confidence.end()) << "predicate " << id;
+        EXPECT_GT(entry->causal_posterior, 0.0) << "predicate " << id;
+        EXPECT_LT(entry->causal_posterior, 1.0) << "predicate " << id;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -240,8 +240,10 @@ TEST(DiscoveryStateCheckpointTest, DeserializeRejectsCorruptedBytes) {
   ASSERT_TRUE(blob.ok()) << blob.status();
 
   // Unknown format versions, including version 2, whose engine options
-  // still carried the budgeter's advice fields: refused, never misread.
-  for (const int version : {2, 0x7f}) {
+  // still carried the budgeter's advice fields, and version 3, whose
+  // engine options, items and belief block still carried the cost model
+  // and order keys: refused, never misread.
+  for (const int version : {2, 3, 0x7f}) {
     std::string bad_version = *blob;
     bad_version[0] = static_cast<char>(version);
     auto resumed =
@@ -359,7 +361,6 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {
   options.budget.max_executions = 1234;
   options.budget.flakiness_prior_alpha = 2.5;
   options.budget.flakiness_prior_beta = 1.5;
-  options.budget.cost_ewma_alpha = 0.5;
 
   WireWriter writer;
   EncodeEngineOptions(options, writer);
@@ -387,7 +388,6 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {
             options.budget.flakiness_prior_alpha);
   EXPECT_EQ(decoded->budget.flakiness_prior_beta,
             options.budget.flakiness_prior_beta);
-  EXPECT_EQ(decoded->budget.cost_ewma_alpha, options.budget.cost_ewma_alpha);
   // The engine options must be the LAST thing decoded here.
   EXPECT_TRUE(reader.Finish().ok());
   // Process-local pointers never cross the wire.
@@ -396,12 +396,12 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {
 }
 
 TEST(DiscoveryStateCheckpointTest, EngineOptionsInTheV2LayoutAreRefused) {
-  // The engine-options bytes an older client's SUBMIT carries: the v3
-  // fields with topology_discount between the flakiness prior and the cost
-  // EWMA, then the advice block (suspects, suspect_prior, sd_scores,
-  // sd_weight). Decoding them must fail cleanly, however the advice is set.
-  const auto v2_bytes = [](uint32_t suspects, uint32_t sd_scores) {
-    WireWriter w;
+  // The engine-options bytes older clients' SUBMITs carry. Both layouts
+  // end the budget block with the removed cost_ewma_alpha; v2 also puts
+  // topology_discount before it and the advice block (suspects,
+  // suspect_prior, sd_scores, sd_weight) after it. Decoding them must fail
+  // cleanly, however the advice is set.
+  const auto common_prefix = [](WireWriter& w) {
     for (int flag = 0; flag < 5; ++flag) w.U8(1);
     w.I32(3);        // trials_per_intervention
     w.I32(1);        // parallelism
@@ -413,6 +413,10 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsInTheV2LayoutAreRefused) {
     w.U64(0);        // max_executions
     w.F64(4.0);      // flakiness_prior_alpha
     w.F64(1.0);      // flakiness_prior_beta
+  };
+  const auto v2_bytes = [&](uint32_t suspects, uint32_t sd_scores) {
+    WireWriter w;
+    common_prefix(w);
     w.F64(0.5);      // topology_discount
     w.F64(0.25);     // cost_ewma_alpha
     w.U32(suspects);
@@ -426,14 +430,21 @@ TEST(DiscoveryStateCheckpointTest, EngineOptionsInTheV2LayoutAreRefused) {
     w.F64(0.5);      // sd_weight
     return w.Release();
   };
-  for (const auto& [suspects, sd_scores] :
-       {std::pair<uint32_t, uint32_t>{0, 0}, {2, 0}, {0, 3}, {1, 4}}) {
-    const std::string bytes = v2_bytes(suspects, sd_scores);
+  const auto refused = [](const std::string& bytes) {
     WireReader reader(bytes);
     auto decoded = DecodeEngineOptions(reader);
-    EXPECT_FALSE(decoded.ok() && reader.Finish().ok())
+    return !(decoded.ok() && reader.Finish().ok());
+  };
+  for (const auto& [suspects, sd_scores] :
+       {std::pair<uint32_t, uint32_t>{0, 0}, {2, 0}, {0, 3}, {1, 4}}) {
+    EXPECT_TRUE(refused(v2_bytes(suspects, sd_scores)))
         << suspects << " suspects, " << sd_scores << " sd scores";
   }
+
+  WireWriter v3;
+  common_prefix(v3);
+  v3.F64(0.25);      // cost_ewma_alpha
+  EXPECT_TRUE(refused(v3.Release())) << "v3 layout";
 }
 
 TEST(DiscoveryStateCheckpointTest, EveryBoundaryResumesToTheSameReport) {

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -39,19 +41,36 @@ std::unique_ptr<GroundTruthModel> MakeApp(uint64_t seed = 7) {
 /// it charges `slow_per_trial` of wall clock. Positional nondeterminism is
 /// untouched (the delay happens outside the flip), so however the scheduler
 /// routes around the straggler, the bytes cannot change.
+///
+/// With `gate_start`, the fast clones' RunIntervened calls wait until the
+/// straggler has entered its first one, so the straggler always runs at
+/// least one chunk however late its worker thread starts. Only for rounds
+/// that deal the straggler a chunk: the even initial deal of a
+/// multi-chunk round with no latency measured yet always does.
 class HeteroTarget : public ReplicableTarget {
  public:
   HeteroTarget(const GroundTruthModel* model, double manifest_probability,
-               uint64_t seed, std::chrono::microseconds slow_per_trial)
+               uint64_t seed, std::chrono::microseconds slow_per_trial,
+               bool gate_start = false)
       : inner_(model, manifest_probability, seed),
         model_(model),
         manifest_probability_(manifest_probability),
         seed_(seed),
         slow_per_trial_(slow_per_trial),
-        clones_(std::make_shared<std::atomic<int>>(0)) {}
+        clones_(std::make_shared<std::atomic<int>>(0)),
+        gate_(gate_start ? std::make_shared<StartGate>() : nullptr) {}
 
   Result<TargetRunResult> RunIntervened(
       const std::vector<PredicateId>& intervened, int trials) override {
+    if (is_clone_ && gate_ != nullptr) {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      if (delay_.count() > 0) {
+        gate_->open = true;
+        gate_->cv.notify_all();
+      } else {
+        gate_->cv.wait(lock, [this] { return gate_->open; });
+      }
+    }
     if (delay_.count() > 0) {
       std::this_thread::sleep_for(delay_ * (trials < 1 ? 1 : trials));
     }
@@ -62,6 +81,8 @@ class HeteroTarget : public ReplicableTarget {
     auto clone = std::unique_ptr<HeteroTarget>(new HeteroTarget(
         model_, manifest_probability_, seed_, slow_per_trial_));
     clone->clones_ = clones_;
+    clone->gate_ = gate_;
+    clone->is_clone_ = true;
     clone->delay_ = clones_->fetch_add(1) == 0
                         ? slow_per_trial_
                         : std::chrono::microseconds{0};
@@ -76,6 +97,12 @@ class HeteroTarget : public ReplicableTarget {
   uint64_t executions() const override { return inner_.executions(); }
 
  private:
+  struct StartGate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+  };
+
   FlakyModelTarget inner_;
   const GroundTruthModel* model_;
   double manifest_probability_;
@@ -83,6 +110,8 @@ class HeteroTarget : public ReplicableTarget {
   std::chrono::microseconds slow_per_trial_;
   std::chrono::microseconds delay_{0};
   std::shared_ptr<std::atomic<int>> clones_;
+  std::shared_ptr<StartGate> gate_;
+  bool is_clone_ = false;
 };
 
 // --- validation -----------------------------------------------------------
@@ -251,9 +280,11 @@ TEST(SchedulerStealTest, FastReplicasStealFromTheStraggler) {
   model.SetCausalChain({p});
 
   // 2 workers, replica 0 is the straggler, plenty of chunks: worker 1 must
-  // drain chunks queued behind replica 0.
+  // drain chunks queued behind replica 0. The start gate holds worker 1
+  // until the straggler has begun its first chunk, so the straggler always
+  // gets a latency sample however the two threads are scheduled.
   HeteroTarget primary(&model, /*manifest_probability=*/0.5, /*seed=*/9,
-                       std::chrono::microseconds(500));
+                       std::chrono::microseconds(500), /*gate_start=*/true);
   SchedulerOptions scheduler;
   scheduler.chunks_per_worker = 8;
   auto pool = ParallelTarget::Create(&primary, 2, scheduler);
