@@ -202,16 +202,4 @@ Result<std::unique_ptr<ReplicableTarget>> RemoteTarget::Clone() const {
   return std::unique_ptr<ReplicableTarget>(std::move(clone));
 }
 
-Status RemoteTarget::Ping(int timeout_ms) {
-  AID_RETURN_IF_ERROR(EnsureConnected());
-  const Status status = PingPeer(*channel_, ++ping_token_, timeout_ms);
-  if (!status.ok()) {
-    // A failed probe may leave half a PONG at the stream head; keep the
-    // invariant that a live channel_ is always frame-aligned by dropping
-    // the connection (the next trial reconnects).
-    Disconnect();
-  }
-  return status;
-}
-
 }  // namespace aid

@@ -118,10 +118,6 @@ class RemoteTarget : public ReplicableTarget {
   uint64_t executions() const override { return counters_.executions; }
   SubstrateCounters counters() const override { return counters_; }
 
-  /// Keepalive probe of the live connection (connecting first if needed):
-  /// PING, await the matching PONG. Aborted when the runner is gone.
-  Status Ping(int timeout_ms = 5000);
-
   /// Catalog size the runner reported at handshake; 0 before first connect.
   uint32_t remote_catalog_size() const { return remote_catalog_size_; }
 
@@ -158,7 +154,6 @@ class RemoteTarget : public ReplicableTarget {
 
   std::unique_ptr<SocketChannel> channel_;  ///< null: not connected
   uint32_t remote_catalog_size_ = 0;
-  uint64_t ping_token_ = 0;
 
   uint64_t trial_cursor_ = 0;
   SubstrateCounters counters_;

@@ -128,56 +128,49 @@ Result<PredicateLog> RunTrialOverChannel(
                                     EncodeRunTrial(request),
                                     has_deadline ? trial_deadline_ms : 0));
 
-  for (;;) {
-    // The deadline budgets the WHOLE trial, not each frame: stale PONGs
-    // must not extend it.
-    const int budget = RemainingMs(has_deadline, deadline);
-    if (budget < 0) {
-      return Status::DeadlineExceeded("trial " + std::to_string(trial_index) +
-                                      ": deadline expired");
-    }
-    Result<ProcFrame> frame = channel.Read(budget);
-    if (!frame.ok()) return frame.status();
-    switch (frame->type) {
-      case ProcMsgType::kVerdict: {
-        Result<VerdictMsg> verdict =
-            DecodeVerdict(frame->payload, catalog_size);
-        if (!verdict.ok()) return verdict.status();
-        if (propagate && verdict->has_host_telemetry) {
-          // Re-base the host's steady-clock span times into this tracer's
-          // timeline: the host anchored them on its RUN_TRIAL receive
-          // timestamp, which happened (wire latency aside) at our send
-          // timestamp. ImportSpan clamps inside the trial span, so skew
-          // can never break the cross-process nesting.
-          for (const WireHostSpan& span : verdict->host_spans) {
-            const uint64_t start =
-                engine_send_us +
-                (span.start_us >= verdict->host_recv_us
-                     ? span.start_us - verdict->host_recv_us
-                     : 0);
-            const uint64_t end =
-                engine_send_us +
-                (span.end_us >= verdict->host_recv_us
-                     ? span.end_us - verdict->host_recv_us
-                     : 0);
-            tracer->ImportSpan(span.name, trial_span_id, start, end);
-          }
+  // The deadline budgets the whole trial, the RUN_TRIAL write included.
+  const int budget = RemainingMs(has_deadline, deadline);
+  if (budget < 0) {
+    return Status::DeadlineExceeded("trial " + std::to_string(trial_index) +
+                                    ": deadline expired");
+  }
+  Result<ProcFrame> frame = channel.Read(budget);
+  if (!frame.ok()) return frame.status();
+  switch (frame->type) {
+    case ProcMsgType::kVerdict: {
+      Result<VerdictMsg> verdict = DecodeVerdict(frame->payload, catalog_size);
+      if (!verdict.ok()) return verdict.status();
+      if (propagate && verdict->has_host_telemetry) {
+        // Re-base the host's steady-clock span times into this tracer's
+        // timeline: the host anchored them on its RUN_TRIAL receive
+        // timestamp, which happened (wire latency aside) at our send
+        // timestamp. ImportSpan clamps inside the trial span, so skew
+        // can never break the cross-process nesting.
+        for (const WireHostSpan& span : verdict->host_spans) {
+          const uint64_t start =
+              engine_send_us +
+              (span.start_us >= verdict->host_recv_us
+                   ? span.start_us - verdict->host_recv_us
+                   : 0);
+          const uint64_t end =
+              engine_send_us +
+              (span.end_us >= verdict->host_recv_us
+                   ? span.end_us - verdict->host_recv_us
+                   : 0);
+          tracer->ImportSpan(span.name, trial_span_id, start, end);
         }
-        return std::move(verdict->log);
       }
-      case ProcMsgType::kError: {
-        Result<ErrorMsg> error = DecodeError(frame->payload);
-        if (!error.ok()) return error.status();
-        return error->ToStatus();
-      }
-      case ProcMsgType::kPong:
-        // Stale answer to an earlier keepalive probe; harmless.
-        break;
-      default:
-        return Status::Internal("trial " + std::to_string(trial_index) +
-                                ": unexpected frame " +
-                                std::string(ProcMsgTypeName(frame->type)));
+      return std::move(verdict->log);
     }
+    case ProcMsgType::kError: {
+      Result<ErrorMsg> error = DecodeError(frame->payload);
+      if (!error.ok()) return error.status();
+      return error->ToStatus();
+    }
+    default:
+      return Status::Internal("trial " + std::to_string(trial_index) +
+                              ": unexpected frame " +
+                              std::string(ProcMsgTypeName(frame->type)));
   }
 }
 
@@ -242,26 +235,5 @@ pid_t WaitpidRetry(pid_t pid, int* status, int flags) {
   }
 }
 #endif
-
-Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms) {
-  const bool has_deadline = timeout_ms > 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  PingMsg ping;
-  ping.token = token;
-  AID_RETURN_IF_ERROR(
-      channel.Write(ProcMsgType::kPing, EncodePing(ping), timeout_ms));
-  for (;;) {
-    const int budget = RemainingMs(has_deadline, deadline);
-    if (budget < 0) {
-      return Status::DeadlineExceeded("ping: no PONG within " +
-                                      std::to_string(timeout_ms) + "ms");
-    }
-    AID_ASSIGN_OR_RETURN(ProcFrame frame, channel.Read(budget));
-    if (frame.type != ProcMsgType::kPong) continue;  // stale trial traffic
-    AID_ASSIGN_OR_RETURN(PingMsg pong, DecodePing(frame.payload));
-    if (pong.token == token) return Status::OK();
-  }
-}
 
 }  // namespace aid

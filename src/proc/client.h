@@ -64,10 +64,10 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
 /// log its VERDICT carries. `catalog_size` is what the handshake returned:
 /// a VERDICT naming a predicate outside it is rejected (InvalidArgument),
 /// as is one claiming a non-completed outcome. `trial_deadline_ms` budgets
-/// the WHOLE trial (send included). Stray PONGs from an earlier keepalive
-/// probe are skipped. A host-side ERROR frame is returned as its carried
-/// Status; Aborted / DeadlineExceeded surface the channel's classification
-/// for the caller to turn into crashed / timed-out trial accounting.
+/// the WHOLE trial (send included). A host-side ERROR frame is returned as
+/// its carried Status, and any other frame is an Internal protocol error.
+/// Aborted / DeadlineExceeded surface the channel's classification for the
+/// caller to turn into crashed / timed-out trial accounting.
 ///
 /// Telemetry (both optional): with a non-null `telemetry` and a nonzero
 /// `trial_span_id`, the RUN_TRIAL carries the engine-side span context over
@@ -79,11 +79,6 @@ Result<PredicateLog> RunTrialOverChannel(
     const std::vector<PredicateId>& intervened, uint32_t catalog_size,
     int trial_deadline_ms, Telemetry* telemetry = nullptr,
     uint64_t trial_span_id = 0);
-
-/// Keepalive probe: sends PING with `token` and waits for the PONG echoing
-/// it, skipping unrelated stale frames. DeadlineExceeded after `timeout_ms`,
-/// Aborted when the peer is gone.
-Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 
 /// RunTrialOverChannel plus the shared failure lifecycle of the
 /// process-backed transports: a peer death (Aborted) records a crashed

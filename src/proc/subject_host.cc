@@ -149,16 +149,6 @@ Status AnswerStats(FrameChannel& channel, const SubjectHostOptions& host) {
   return channel.Write(ProcMsgType::kStatsReply, EncodeStatsReply(reply));
 }
 
-/// Answers a PING by echoing its token back (v2 keepalive). A garbled PING
-/// still gets a PONG (token 0): liveness is the point, not the payload.
-Status AnswerPing(FrameChannel& channel, const ProcFrame& frame) {
-  PingMsg pong;
-  if (Result<PingMsg> ping = DecodePing(frame.payload); ping.ok()) {
-    pong.token = ping->token;
-  }
-  return channel.Write(ProcMsgType::kPong, EncodePing(pong));
-}
-
 }  // namespace
 
 void SharedHostStats::RecordTrial(uint64_t micros, bool failed) {
@@ -220,10 +210,6 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
     Result<ProcFrame> frame = channel.Read();
     if (!frame.ok()) return 2;
     if (frame->type == ProcMsgType::kShutdown) return 0;
-    if (frame->type == ProcMsgType::kPing) {
-      if (!AnswerPing(channel, *frame).ok()) return 2;
-      continue;
-    }
     if (frame->type == ProcMsgType::kStats) {
       // Stats connections never send a SPEC: answer and keep waiting (the
       // client follows up with SHUTDOWN or just closes).
@@ -268,9 +254,6 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
     switch (frame->type) {
       case ProcMsgType::kShutdown:
         return 0;
-      case ProcMsgType::kPing:
-        if (!AnswerPing(channel, *frame).ok()) return 2;
-        break;
       case ProcMsgType::kStats:
         if (!AnswerStats(channel, host).ok()) return 2;
         break;

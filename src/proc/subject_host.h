@@ -83,7 +83,7 @@ Result<std::unique_ptr<ReplicableTarget>> BuildSubjectTarget(
 /// Returns the process exit code. Fault injection (spec crash/hang periods)
 /// happens in here -- before a poisoned trial is answered -- so the engine
 /// observes a mid-trial death exactly as with a genuinely broken subject.
-/// PING frames are answered with PONG at any protocol stage (v2 keepalive).
+/// STATS frames are answered at any protocol stage.
 /// The transport does not matter: SubprocessTarget drives this loop over
 /// pipes, the aid_runner daemon over accepted TCP sockets.
 int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host = {});

@@ -13,7 +13,9 @@ namespace {
 //   1  initial format
 //   2  model dependence edges; VmTargetOptions analysis flags
 //   3  dependence edges and analysis flags removed
-constexpr uint32_t kSpecFormatVersion = 3;
+//   4  the embedded program drops its own u32 format version; this version
+//      covers the program encoding too
+constexpr uint32_t kSpecFormatVersion = 4;
 
 void SerializeVmTargetOptions(const VmTargetOptions& options,
                               WireWriter& writer) {

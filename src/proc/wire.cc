@@ -24,8 +24,6 @@ std::string_view ProcMsgTypeName(ProcMsgType type) {
     case ProcMsgType::kRunTrial: return "RUN_TRIAL";
     case ProcMsgType::kVerdict: return "VERDICT";
     case ProcMsgType::kShutdown: return "SHUTDOWN";
-    case ProcMsgType::kPing: return "PING";
-    case ProcMsgType::kPong: return "PONG";
     case ProcMsgType::kStats: return "STATS";
     case ProcMsgType::kStatsReply: return "STATS_REPLY";
   }
@@ -430,20 +428,6 @@ Result<VerdictMsg> DecodeVerdict(std::string_view payload,
     }
     msg.has_host_telemetry = reader.ok();
   }
-  AID_RETURN_IF_ERROR(reader.Finish());
-  return msg;
-}
-
-std::string EncodePing(const PingMsg& msg) {
-  WireWriter writer;
-  writer.U64(msg.token);
-  return writer.Release();
-}
-
-Result<PingMsg> DecodePing(std::string_view payload) {
-  WireReader reader(payload);
-  PingMsg msg;
-  msg.token = reader.U64();
   AID_RETURN_IF_ERROR(reader.Finish());
   return msg;
 }

@@ -1,4 +1,4 @@
-// The AID subject wire protocol (version 3).
+// The AID subject wire protocol (version 4).
 //
 // A debugging engine and a subject host speak length-prefixed binary frames
 // over any byte transport -- the pipe pair of a fork/exec'd child
@@ -21,14 +21,11 @@
 //                                 answers the trial)
 //                   or ERROR      subject-level error for this trial
 //   ...                (RUN_TRIAL repeats)
-//   engine -> host     PING       keepalive probe (any time between trials)
-//   host   -> engine   PONG       echoed token
 //   engine -> host     STATS      stats request (any time; runner daemons)
 //   host   -> engine   STATS_REPLY  JSON stats document
 //   engine -> host     SHUTDOWN   host exits 0
 //
-// Version 2 added the PING/PONG keepalive pair (idle fleet connections need
-// a liveness probe; over pipes the pair is a harmless no-op). Additive
+// Version 2 added a PING/PONG keepalive pair (retired in v4). Additive
 // within version 2: RUN_TRIAL may carry an optional trailing SPAN_CONTEXT
 // (trace id + parent span id) and VERDICT an optional trailing
 // host-telemetry block (receive timestamp + host-side spans), appended only
@@ -42,6 +39,10 @@
 // The per-observation TRACE_EVENT frame (type 6) is retired. A host always
 // reports a completed trial; only the engine classifies crashes and
 // timeouts.
+//
+// Version 4 retires the PING/PONG pair (types 9 and 10): no engine ever
+// sent PING. A silently dropped connection surfaces as an expired trial
+// deadline, exactly like a hung subject.
 //
 // Failure semantics live at the transport layer: an EOF or write error means
 // the peer died (the engine records a crashed trial and respawns or
@@ -85,9 +86,9 @@ constexpr bool SubprocessIsolationSupported() {
 }
 
 inline constexpr uint32_t kProcMagic = 0x41494450;  // "AIDP"
-/// v2 = v1 + the PING/PONG keepalive pair; v3 = the whole predicate log in
-/// one VERDICT frame per trial.
-inline constexpr uint32_t kProcProtocolVersion = 3;
+/// v2 = v1 + a PING/PONG keepalive pair; v3 = the whole predicate log in
+/// one VERDICT frame per trial; v4 = PING/PONG retired.
+inline constexpr uint32_t kProcProtocolVersion = 4;
 
 /// Frames larger than this are rejected as corrupt before any allocation;
 /// real frames are dominated by subject specs (programs/models, ~KBs).
@@ -102,8 +103,7 @@ enum class ProcMsgType : uint8_t {
   // 6 was TRACE_EVENT, retired in v3 (the VERDICT carries the whole log).
   kVerdict = 7,
   kShutdown = 8,
-  kPing = 9,
-  kPong = 10,
+  // 9 and 10 were PING and PONG, retired in v4 (no engine sent PING).
   kStats = 11,
   kStatsReply = 12,
 };
@@ -257,12 +257,6 @@ struct VerdictMsg {
   std::vector<WireHostSpan> host_spans;
 };
 
-/// Keepalive probe. The host echoes the token back in its PONG so a prober
-/// can match responses even after stale frames (v2).
-struct PingMsg {
-  uint64_t token = 0;
-};
-
 /// STATS_REPLY: a self-describing JSON document (uptime, sessions, trial
 /// counts, latency histogram). JSON rather than packed fields so
 /// `aid_runner --stats` output is directly consumable by scripts and the
@@ -285,8 +279,6 @@ std::string EncodeVerdict(const VerdictMsg& msg);
 /// predicate ids fall outside the `catalog_size` the handshake reported.
 Result<VerdictMsg> DecodeVerdict(std::string_view payload,
                                  uint32_t catalog_size);
-std::string EncodePing(const PingMsg& msg);
-Result<PingMsg> DecodePing(std::string_view payload);
 std::string EncodeStatsReply(const StatsReplyMsg& msg);
 Result<StatsReplyMsg> DecodeStatsReply(std::string_view payload);
 

@@ -8,8 +8,6 @@
 namespace aid {
 namespace {
 
-constexpr uint32_t kProgramFormatVersion = 1;
-
 void SerializeInstr(const Instr& instr, WireWriter& writer) {
   writer.U8(static_cast<uint8_t>(instr.op));
   writer.I32(instr.a);
@@ -64,7 +62,6 @@ Result<SymbolTable> DeserializeSymbolTable(WireReader& reader) {
 /// Full private access to Program (friend declared in program.h).
 struct ProgramSerde {
   static void Serialize(const Program& program, WireWriter& writer) {
-    writer.U32(kProgramFormatVersion);
     writer.I32(program.entry_);
     SerializeSymbolTable(program.method_names_, writer);
     SerializeSymbolTable(program.object_names_, writer);
@@ -104,12 +101,6 @@ struct ProgramSerde {
   }
 
   static Result<Program> Deserialize(WireReader& reader) {
-    const uint32_t version = reader.U32();
-    if (reader.ok() && version != kProgramFormatVersion) {
-      return Status::InvalidArgument(
-          "program decode: unsupported format version " +
-          std::to_string(version));
-    }
     Program program;
     program.entry_ = reader.I32();
     AID_ASSIGN_OR_RETURN(program.method_names_,

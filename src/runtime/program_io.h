@@ -8,6 +8,10 @@
 // primitives of trace/serialize.h, and deserialization reconstructs a
 // Program that is observably identical: same symbol ids, same instruction
 // stream, same scheduler behavior under the same seed.
+//
+// The encoding carries no version of its own: programs are decoded only
+// inside a SubjectSpec (proc/subject_spec), whose format version covers
+// them.
 
 #ifndef AID_RUNTIME_PROGRAM_IO_H_
 #define AID_RUNTIME_PROGRAM_IO_H_

@@ -1,9 +1,6 @@
 #include "trace/serialize.h"
 
-#include <limits>
 #include <sstream>
-
-#include "common/strings.h"
 
 namespace aid {
 
@@ -11,22 +8,11 @@ namespace aid {
 
 namespace {
 
-/// Serialized traces embed a format version so the proc/ wire protocol can
-/// evolve the event schema without breaking old hosts mid-handshake.
-constexpr uint32_t kTraceFormatVersion = 1;
-
-/// Guard against corrupt counts: no legitimate trace or string comes close,
-/// and a bogus 4-byte length must not turn into a giant allocation.
+/// Guard against corrupt lengths: no legitimate string comes close, and a
+/// bogus 4-byte length must not turn into a giant allocation.
 constexpr uint32_t kMaxWireCount = 1u << 28;
 
 }  // namespace
-
-void WireWriter::AppendLe(const void* v, size_t n) {
-  // Little-endian is the wire byte order. On big-endian hosts the bytes
-  // would need a swap; every supported platform is little-endian today and
-  // parent and child always run on the same machine, so a memcpy suffices.
-  buffer_.append(static_cast<const char*>(v), n);
-}
 
 bool WireReader::Take(void* out, size_t n) {
   if (!status_.ok() || data_.size() - pos_ < n) {
@@ -107,83 +93,7 @@ Status WireReader::Finish() const {
   return Status::OK();
 }
 
-// ---------------------------------------------------- binary trace serde --
-
-void SerializeTrace(const ExecutionTrace& trace, WireWriter& writer) {
-  writer.U32(kTraceFormatVersion);
-  writer.U8(trace.failed() ? 1 : 0);
-  writer.I32(trace.failure_signature().exception_type);
-  writer.I32(trace.failure_signature().method);
-  writer.I64(trace.end_tick());
-  writer.I32(trace.thread_count());
-  writer.U32(static_cast<uint32_t>(trace.events().size()));
-  for (const Event& e : trace.events()) {
-    writer.U8(static_cast<uint8_t>(e.kind));
-    writer.I32(e.thread);
-    writer.I32(e.method);
-    writer.I64(e.call_uid);
-    writer.I32(e.object);
-    writer.I64(e.value);
-    writer.U8(e.has_value ? 1 : 0);
-    writer.I64(e.tick);
-    writer.U64(e.seq);
-    writer.I32(e.spawned_thread);
-    writer.U32(static_cast<uint32_t>(e.locks_held.size()));
-    for (SymbolId lock : e.locks_held) writer.I32(lock);
-  }
-}
-
-Result<ExecutionTrace> DeserializeTrace(WireReader& reader) {
-  const uint32_t version = reader.U32();
-  if (reader.ok() && version != kTraceFormatVersion) {
-    return Status::InvalidArgument("trace decode: unsupported format version " +
-                                   std::to_string(version));
-  }
-  ExecutionTrace trace;
-  trace.set_failed(reader.U8() != 0);
-  FailureSignature signature;
-  signature.exception_type = reader.I32();
-  signature.method = reader.I32();
-  trace.set_failure_signature(signature);
-  trace.set_end_tick(reader.I64());
-  trace.set_thread_count(reader.I32());
-  // Every event occupies at least 54 wire bytes (fixed fields + lock count).
-  const uint32_t count = reader.Count(54);
-  AID_RETURN_IF_ERROR(reader.status());
-  for (uint32_t i = 0; i < count; ++i) {
-    Event e;
-    e.kind = static_cast<EventKind>(reader.U8());
-    e.thread = reader.I32();
-    e.method = reader.I32();
-    e.call_uid = reader.I64();
-    e.object = reader.I32();
-    e.value = reader.I64();
-    e.has_value = reader.U8() != 0;
-    e.tick = reader.I64();
-    e.seq = reader.U64();
-    e.spawned_thread = reader.I32();
-    const uint32_t locks = reader.Count(sizeof(SymbolId));
-    AID_RETURN_IF_ERROR(reader.status());
-    e.locks_held.reserve(locks);
-    for (uint32_t j = 0; j < locks; ++j) e.locks_held.push_back(reader.I32());
-    AID_RETURN_IF_ERROR(reader.status());
-    trace.Append(std::move(e));
-  }
-  return trace;
-}
-
-std::string TraceToBytes(const ExecutionTrace& trace) {
-  WireWriter writer;
-  SerializeTrace(trace, writer);
-  return writer.Release();
-}
-
-Result<ExecutionTrace> TraceFromBytes(std::string_view bytes) {
-  WireReader reader(bytes);
-  AID_ASSIGN_OR_RETURN(ExecutionTrace trace, DeserializeTrace(reader));
-  AID_RETURN_IF_ERROR(reader.Finish());
-  return trace;
-}
+// ------------------------------------------------------------------- TSV --
 
 namespace {
 
@@ -225,45 +135,6 @@ std::string TraceToTsv(const ExecutionTrace& trace,
     out << '\n';
   }
   return out.str();
-}
-
-std::string TraceSummary(const ExecutionTrace& trace,
-                         const TraceSymbols& symbols) {
-  size_t accesses = 0;
-  size_t throws = 0;
-  size_t calls = 0;
-  for (const Event& e : trace.events()) {
-    switch (e.kind) {
-      case EventKind::kMethodEnter:
-        ++calls;
-        break;
-      case EventKind::kRead:
-      case EventKind::kWrite:
-        ++accesses;
-        break;
-      case EventKind::kThrow:
-        ++throws;
-        break;
-      default:
-        break;
-    }
-  }
-  std::string outcome = trace.failed() ? "FAILED" : "ok";
-  std::string signature = "-";
-  if (trace.failed() && symbols.exceptions != nullptr &&
-      trace.failure_signature().exception_type != kInvalidSymbol) {
-    signature = symbols.exceptions->Name(trace.failure_signature().exception_type);
-    if (symbols.methods != nullptr &&
-        trace.failure_signature().method != kInvalidSymbol) {
-      signature += " @ " + symbols.methods->Name(trace.failure_signature().method);
-    }
-  }
-  return StrFormat(
-      "%s: %zu events, %zu calls, %zu accesses, %zu throws, %d threads, "
-      "%lld ticks, signature=%s",
-      outcome.c_str(), trace.events().size(), calls, accesses, throws,
-      trace.thread_count(), static_cast<long long>(trace.end_tick()),
-      signature.c_str());
 }
 
 }  // namespace aid

@@ -1,24 +1,18 @@
-// Serialization of execution traces.
+// Byte codecs shared across the repository.
 //
-// Two formats:
-//
-//   * TSV text, for golden tests and offline inspection -- one event per
-//     line (seq, tick, thread, kind, method, call_uid, object, value,
-//     has_value, spawned, locks), names resolved through the program's
-//     SymbolTables;
-//   * a compact little-endian binary encoding. WireWriter / WireReader are
-//     the shared primitives every binary codec in the repository builds on
-//     (the proc/ wire protocol frames, subject specs, program
-//     serialization); SerializeTrace / DeserializeTrace apply them to whole
-//     ExecutionTraces for offline storage and for backends that ship raw
-//     traces across a machine boundary (the remote fleet of src/net/ ships
-//     subject specs and streamed observations over these primitives). The
-//     trace format round-trips every Event field bit-for-bit and fails
-//     with InvalidArgument on truncated input.
+//   * WireWriter / WireReader: the little-endian binary primitives every
+//     byte format is built from -- the proc/ wire frames, SubjectSpecs and
+//     the programs they embed, predicate logs, discovery checkpoints and
+//     the service protocol.
+//   * TraceToTsv: an execution trace as TSV text, for golden tests and
+//     inspection -- one event per line (seq, tick, thread, kind, method,
+//     call_uid, object, value, has_value, spawned, locks), names resolved
+//     through the program's SymbolTables.
 
 #ifndef AID_TRACE_SERIALIZE_H_
 #define AID_TRACE_SERIALIZE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -29,6 +23,13 @@
 #include "trace/trace.h"
 
 namespace aid {
+
+// Integers are copied in host byte order, here and in the proc/ frame length
+// prefix. A big-endian build would exchange byte-swapped frames with a
+// little-endian fleet, so it must not compile.
+static_assert(std::endian::native == std::endian::little,
+              "the AID wire formats are little-endian and are copied in "
+              "host byte order");
 
 /// Append-only little-endian binary encoder. The buffer is a std::string so
 /// encoded messages move cheaply into pipe writes and test fixtures.
@@ -56,7 +57,9 @@ class WireWriter {
   std::string Release() { return std::move(buffer_); }
 
  private:
-  void AppendLe(const void* v, size_t n);
+  void AppendLe(const void* v, size_t n) {
+    buffer_.append(static_cast<const char*>(v), n);
+  }
 
   std::string buffer_;
 };
@@ -102,19 +105,6 @@ class WireReader {
   Status status_;
 };
 
-/// Appends the binary encoding of `trace` (all Event fields + the failure
-/// label, signature, end tick, and thread count) to `writer`.
-void SerializeTrace(const ExecutionTrace& trace, WireWriter& writer);
-
-/// Decodes one trace previously written by SerializeTrace. Returns
-/// InvalidArgument on truncated or corrupt input (e.g. an event count that
-/// overruns the buffer).
-Result<ExecutionTrace> DeserializeTrace(WireReader& reader);
-
-/// Whole-buffer conveniences for tests and file storage.
-std::string TraceToBytes(const ExecutionTrace& trace);
-Result<ExecutionTrace> TraceFromBytes(std::string_view bytes);
-
 /// Symbol tables needed to render a trace with human-readable names.
 struct TraceSymbols {
   const SymbolTable* methods = nullptr;
@@ -124,9 +114,6 @@ struct TraceSymbols {
 
 /// Renders the trace as TSV text (header line + one line per event).
 std::string TraceToTsv(const ExecutionTrace& trace, const TraceSymbols& symbols);
-
-/// Renders a short human-readable summary: outcome, duration, counts.
-std::string TraceSummary(const ExecutionTrace& trace, const TraceSymbols& symbols);
 
 }  // namespace aid
 

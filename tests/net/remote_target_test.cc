@@ -1,9 +1,8 @@
 // Tests of net::RemoteTarget against a live in-process Runner: handshake +
 // trial parity with the in-process backends, positional determinism of
-// flaky subjects across the network boundary, keepalive, and the failure
-// lifecycle (killed session children, injected crashes, dead runners,
-// reconnect accounting), and FleetTarget's round-robin dealing with
-// failover.
+// flaky subjects across the network boundary, the failure lifecycle
+// (killed session children, injected crashes, dead runners, reconnect
+// accounting), and FleetTarget's round-robin dealing with failover.
 
 #include "net/remote_target.h"
 
@@ -111,20 +110,6 @@ TEST(RemoteTargetTest, FlakySubjectsAreSeekablePositionallyOverTheWire) {
     EXPECT_EQ(window->logs[i].failed, serial->logs[4 + i].failed)
         << "trial " << 4 + i;
   }
-}
-
-TEST(RemoteTargetTest, PingKeepsIdleConnectionsHonest) {
-  auto model = MakeModel();
-  auto runner = Runner::Start();
-  ASSERT_TRUE(runner.ok()) << runner.status();
-  auto remote = RemoteTarget::Create({(*runner)->endpoint()},
-                                     ModelSpec(model.get()));
-  ASSERT_TRUE(remote.ok()) << remote.status();
-
-  EXPECT_TRUE((*remote)->Ping().ok());        // connects lazily, then PONGs
-  auto result = (*remote)->RunIntervened({}, 1);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE((*remote)->Ping().ok());        // between trials too
 }
 
 TEST(RemoteTargetTest, KilledSessionChildBecomesCrashedTrialPlusReconnect) {

@@ -1,8 +1,8 @@
 // Tests of the socket frame transport: SocketChannel framing over a real
 // socketpair (round trips, EOF/truncation, oversized-length rejection,
 // deadlines), the engine-side handshake against a misbehaving peer
-// (version mismatch), the v2 PING/PONG keepalive, endpoint parsing, and
-// EINTR robustness of frame I/O under a signal storm.
+// (version mismatch, wrong magic), endpoint parsing, and EINTR robustness
+// of frame I/O under a signal storm.
 
 #include "net/channel.h"
 
@@ -213,33 +213,6 @@ TEST(SocketChannelTest, HandshakeRejectsWrongMagic) {
   auto catalog = HandshakeSubject(engine, "spec", options);
   ASSERT_FALSE(catalog.ok());
   EXPECT_EQ(catalog.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SocketChannelTest, PingPongRoundTripsToken) {
-  SocketPair pair;
-  SocketChannel engine(pair.ReleaseA());
-  SocketChannel host(pair.ReleaseB());
-
-  std::thread peer([&host]() {
-    auto frame = host.Read(2000);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    ASSERT_EQ(frame->type, ProcMsgType::kPing);
-    auto ping = DecodePing(frame->payload);
-    ASSERT_TRUE(ping.ok());
-    EXPECT_EQ(ping->token, 99u);
-    ASSERT_TRUE(host.Write(ProcMsgType::kPong, EncodePing(*ping)).ok());
-  });
-  const Status status = PingPeer(engine, /*token=*/99, /*timeout_ms=*/2000);
-  peer.join();
-  EXPECT_TRUE(status.ok()) << status;
-}
-
-TEST(SocketChannelTest, PingTimesOutOnASilentPeer) {
-  SocketPair pair;
-  SocketChannel engine(pair.ReleaseA());
-  const Status status = PingPeer(engine, /*token=*/1, /*timeout_ms=*/50);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
 }
 
 // --- EINTR robustness -----------------------------------------------------

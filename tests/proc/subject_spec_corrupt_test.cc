@@ -127,19 +127,23 @@ TEST(SubjectSpecCorruptTest, TrailingGarbageIsRejected) {
 
 TEST(SubjectSpecCorruptTest, WrongVersionIsRejected) {
   // 1: the initial format; 2: the format with model dependence edges and
-  // VM analysis flags.
-  for (const char version : {'\x01', '\x02'}) {
+  // VM analysis flags; 3: the format whose embedded program carried its own
+  // version.
+  for (const char version : {'\x01', '\x02', '\x03'}) {
     std::string bytes = EncodeModelSpec();
     bytes[0] = version;
     const auto decoded = DecodeSubjectSpec(bytes);
     ASSERT_FALSE(decoded.ok()) << int{version};
-    EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+    EXPECT_NE(decoded.status().message().find(
+                  "version " + std::to_string(int{version})),
+              std::string::npos)
+        << decoded.status();
   }
 }
 
 TEST(SubjectSpecCorruptTest, UnknownSubjectKindIsRejected) {
   WireWriter w;
-  w.U32(3);   // format version
+  w.U32(4);   // format version
   w.U8(9);    // no such SubjectKind
   w.U64(0);   // crash_period
   w.U64(0);   // hang_period
@@ -153,7 +157,7 @@ TEST(SubjectSpecCorruptTest, UnknownSubjectKindIsRejected) {
 // Writes the spec envelope for a kModel subject; the caller appends the
 // model payload (mirroring SerializeModel's layout) with hostile ids.
 void WriteModelSpecHeader(WireWriter& w) {
-  w.U32(3);    // format version
+  w.U32(4);    // format version
   w.U8(0);     // SubjectKind::kModel
   w.U64(0);    // crash_period
   w.U64(0);    // hang_period

@@ -169,16 +169,19 @@ struct FakeHost {
 };
 
 TEST(ProcWireTest, HandshakeRefusesAVersion2Host) {
-  FakeHost host;
-  HelloMsg hello;
-  hello.version = 2;  // per-event TRACE_EVENT streaming; v3 engines refuse it
-  host.Send(ProcMsgType::kHello, EncodeHello(hello));
-  SubjectHandshake options;
-  options.timeout_ms = 5000;
-  auto catalog = HandshakeSubject(host.engine, "spec", options);
-  ASSERT_FALSE(catalog.ok());
-  EXPECT_EQ(catalog.status().code(), StatusCode::kFailedPrecondition)
-      << catalog.status();
+  // v2 streams per-event TRACE_EVENT frames; v3 still speaks PING/PONG.
+  for (const uint32_t version : {2u, 3u}) {
+    FakeHost host;
+    HelloMsg hello;
+    hello.version = version;
+    host.Send(ProcMsgType::kHello, EncodeHello(hello));
+    SubjectHandshake options;
+    options.timeout_ms = 5000;
+    auto catalog = HandshakeSubject(host.engine, "spec", options);
+    ASSERT_FALSE(catalog.ok()) << "v" << version;
+    EXPECT_EQ(catalog.status().code(), StatusCode::kFailedPrecondition)
+        << catalog.status();
+  }
 }
 
 TEST(ProcWireTest, TrialRejectsAVerdictOutsideTheHandshakeCatalog) {

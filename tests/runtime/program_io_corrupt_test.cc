@@ -93,17 +93,9 @@ TEST(ProgramIoCorruptTest, TrailingGarbageIsRejected) {
   EXPECT_FALSE(ProgramFromBytes(bytes).ok());
 }
 
-TEST(ProgramIoCorruptTest, UnsupportedVersionIsRejected) {
-  std::string bytes = ProgramToBytes(BuildRichProgram());
-  bytes[0] = 99;  // format version lives in the leading u32
-  const auto decoded = ProgramFromBytes(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
-}
-
 TEST(ProgramIoCorruptTest, OutOfRangeEntryIsRejected) {
   std::string bytes = ProgramToBytes(BuildRichProgram());
-  bytes[4] = 0x7f;  // entry method id follows the version u32
+  bytes[0] = 0x7f;  // entry method id is the leading i32
   EXPECT_FALSE(ProgramFromBytes(bytes).ok());
 }
 
@@ -111,7 +103,6 @@ TEST(ProgramIoCorruptTest, UnknownObjectKindByteIsRejected) {
   // Hand-written wire bytes: structurally well-formed except the object
   // kind byte, which no enum value covers.
   WireWriter w;
-  w.U32(1);              // format version
   w.I32(0);              // entry = Main
   w.U32(1);              // method names
   w.Str("Main");

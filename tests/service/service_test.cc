@@ -472,7 +472,7 @@ TEST(ServiceTest, RejectsAFrameThatIsNotASubmit) {
   SocketChannel channel(*fd);
   auto hello = channel.Read(/*deadline_ms=*/5000);
   ASSERT_TRUE(hello.ok()) << hello.status();
-  ASSERT_TRUE(channel.Write(ProcMsgType::kPing, EncodePing({1})).ok());
+  ASSERT_TRUE(channel.Write(ProcMsgType::kShutdown, "").ok());
   auto answer = channel.Read(/*deadline_ms=*/5000);
   ASSERT_TRUE(answer.ok()) << answer.status();
   ASSERT_EQ(answer->type, ProcMsgType::kError);

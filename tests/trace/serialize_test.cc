@@ -35,151 +35,6 @@ TEST(SerializeTest, TsvContainsHeaderAndEvents) {
   EXPECT_EQ(lines, 4);
 }
 
-TEST(SerializeTest, SummaryReflectsOutcome) {
-  SymbolTable methods;
-  SymbolTable objects;
-  SymbolTable exceptions;
-  const SymbolId foo = methods.Intern("Foo");
-  const SymbolId oops = exceptions.Intern("Oops");
-
-  TraceRecorder recorder;
-  const CallUid uid = recorder.MethodEnter(0, foo, 1);
-  recorder.Throw(0, foo, uid, oops, 2);
-  recorder.MethodExit(0, foo, uid, 3, false, 0);
-  ExecutionTrace trace = recorder.Finish(true, {oops, foo}, 4, 1);
-
-  TraceSymbols symbols{&methods, &objects, &exceptions};
-  const std::string summary = TraceSummary(trace, symbols);
-  EXPECT_NE(summary.find("FAILED"), std::string::npos);
-  EXPECT_NE(summary.find("Oops"), std::string::npos);
-  EXPECT_NE(summary.find("Foo"), std::string::npos);
-}
-
-TEST(SerializeTest, SummaryOfSuccessfulRun) {
-  TraceRecorder recorder;
-  const CallUid uid = recorder.MethodEnter(0, 0, 1);
-  recorder.MethodExit(0, 0, uid, 2, false, 0);
-  ExecutionTrace trace = recorder.Finish(false, {}, 3, 1);
-  const std::string summary = TraceSummary(trace, {});
-  EXPECT_NE(summary.find("ok"), std::string::npos);
-  EXPECT_NE(summary.find("1 calls"), std::string::npos);
-}
-
-// --- binary wire format (the proc/ protocol substrate) --------------------
-
-namespace {
-
-void ExpectEventsEqual(const Event& a, const Event& b) {
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.thread, b.thread);
-  EXPECT_EQ(a.method, b.method);
-  EXPECT_EQ(a.call_uid, b.call_uid);
-  EXPECT_EQ(a.object, b.object);
-  EXPECT_EQ(a.value, b.value);
-  EXPECT_EQ(a.has_value, b.has_value);
-  EXPECT_EQ(a.tick, b.tick);
-  EXPECT_EQ(a.seq, b.seq);
-  EXPECT_EQ(a.spawned_thread, b.spawned_thread);
-  EXPECT_EQ(a.locks_held, b.locks_held);
-}
-
-/// One event of every kind, with every field exercised (negative ids,
-/// locksets, values, spawned threads).
-ExecutionTrace MakeKitchenSinkTrace() {
-  ExecutionTrace trace;
-  const EventKind kinds[] = {
-      EventKind::kMethodEnter, EventKind::kMethodExit, EventKind::kRead,
-      EventKind::kWrite,       EventKind::kThrow,      EventKind::kCatch,
-      EventKind::kLockAcquire, EventKind::kLockRelease, EventKind::kSpawn,
-      EventKind::kJoin};
-  uint64_t seq = 0;
-  for (EventKind kind : kinds) {
-    Event e;
-    e.kind = kind;
-    e.thread = static_cast<ThreadIndex>(seq % 3);
-    e.method = static_cast<SymbolId>(seq);
-    e.call_uid = static_cast<CallUid>(1000 + seq);
-    e.object = (seq % 2 == 0) ? static_cast<SymbolId>(seq * 7) : kInvalidSymbol;
-    e.value = -42 - static_cast<int64_t>(seq);
-    e.has_value = seq % 2 == 1;
-    e.tick = static_cast<Tick>(seq * 11);
-    e.seq = seq;
-    e.spawned_thread = kind == EventKind::kSpawn ? 2 : -1;
-    if (kind == EventKind::kRead || kind == EventKind::kWrite) {
-      e.locks_held = {3, 1, 4};
-    }
-    trace.Append(std::move(e));
-    ++seq;
-  }
-  trace.set_failed(true);
-  trace.set_failure_signature({/*exception_type=*/5, /*method=*/2});
-  trace.set_end_tick(12345);
-  trace.set_thread_count(3);
-  return trace;
-}
-
-}  // namespace
-
-TEST(BinarySerializeTest, RoundTripsAllEventKinds) {
-  ExecutionTrace trace = MakeKitchenSinkTrace();
-  const std::string bytes = TraceToBytes(trace);
-  auto decoded = TraceFromBytes(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-
-  EXPECT_EQ(decoded->failed(), trace.failed());
-  EXPECT_EQ(decoded->failure_signature(), trace.failure_signature());
-  EXPECT_EQ(decoded->end_tick(), trace.end_tick());
-  EXPECT_EQ(decoded->thread_count(), trace.thread_count());
-  ASSERT_EQ(decoded->events().size(), trace.events().size());
-  for (size_t i = 0; i < trace.events().size(); ++i) {
-    ExpectEventsEqual(decoded->events()[i], trace.events()[i]);
-  }
-  // Bit-stable: re-encoding reproduces the identical bytes.
-  EXPECT_EQ(TraceToBytes(*decoded), bytes);
-}
-
-TEST(BinarySerializeTest, RoundTripsEmptyTrace) {
-  ExecutionTrace empty;
-  auto decoded = TraceFromBytes(TraceToBytes(empty));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->events().empty());
-  EXPECT_FALSE(decoded->failed());
-  EXPECT_EQ(decoded->end_tick(), 0);
-  EXPECT_EQ(decoded->thread_count(), 0);
-}
-
-TEST(BinarySerializeTest, EveryTruncationFailsCleanly) {
-  const std::string bytes = TraceToBytes(MakeKitchenSinkTrace());
-  // Every proper prefix must decode to InvalidArgument -- never crash,
-  // never succeed, never over-read.
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto decoded = TraceFromBytes(std::string_view(bytes).substr(0, cut));
-    ASSERT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes decoded";
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(BinarySerializeTest, TrailingGarbageIsAnError) {
-  std::string bytes = TraceToBytes(MakeKitchenSinkTrace());
-  bytes += "garbage";
-  auto decoded = TraceFromBytes(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(decoded.status().message().find("trailing"), std::string::npos);
-}
-
-TEST(BinarySerializeTest, ImplausibleEventCountIsRejected) {
-  // Valid header, then an event count claiming ~2^31 events in 4 bytes.
-  WireWriter writer;
-  SerializeTrace(ExecutionTrace{}, writer);
-  std::string bytes = writer.Release();
-  // The count is the last u32 of the empty-trace encoding; overwrite it.
-  for (size_t i = bytes.size() - 4; i < bytes.size(); ++i) bytes[i] = '\xff';
-  auto decoded = TraceFromBytes(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(WireReaderTest, LatchesTruncationAndReportsOffset) {
   WireWriter writer;
   writer.U32(7);
