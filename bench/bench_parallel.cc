@@ -16,9 +16,12 @@
 //     overlapping replicas buy wall-clock on any machine.
 //
 // Every configuration must agree with serial dispatch on the discovered
-// causal path (bit-identical reports, the ReplicableTarget contract); the
-// bench prints rounds/executions/speculative executions so the accounting
-// is visible next to the speedup.
+// causal path (bit-identical reports, the ReplicableTarget contract), and
+// the batched rows at 1/2/4/8 workers must agree on rounds, executions and
+// speculative executions (the scan window is a constant, so the worker
+// count cannot change them). Both checks are deterministic; the bench exits
+// 1 when either fails. It prints rounds/executions/speculative executions
+// so the accounting is visible next to the speedup.
 
 #include <atomic>
 #include <chrono>
@@ -170,13 +173,38 @@ std::string PathKey(const DiscoveryReport& report) {
   return key;
 }
 
-void PrintRow(const char* label, const RunStats& run, const RunStats& base) {
+/// Prints one row; returns false when its causal path differs from the
+/// baseline's.
+bool PrintRow(const char* label, const RunStats& run, const RunStats& base) {
   std::printf("%-22s | %9.2f %7.2fx %7llu %11llu %6llu%s\n", label, run.ms,
               base.ms / run.ms, static_cast<unsigned long long>(run.rounds),
               static_cast<unsigned long long>(run.executions),
               static_cast<unsigned long long>(run.speculative),
               run.path == base.path ? "" : "  [PATH MISMATCH]");
   g_profile.Metric(g_prefix + "_" + Slug(label) + "_wall_ms", run.ms);
+  return run.path == base.path;
+}
+
+/// Returns false (and says why on stderr) when a parallel batched row's
+/// rounds, executions or speculative executions differ from the 1-worker
+/// batched row's.
+bool SameCounters(const char* label, const RunStats& run,
+                  const RunStats& batch) {
+  if (run.rounds == batch.rounds && run.executions == batch.executions &&
+      run.speculative == batch.speculative) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "BUG: %s %s: rounds/executions/speculative %llu/%llu/%llu, "
+               "batched (1 worker) %llu/%llu/%llu\n",
+               g_prefix.c_str(), label,
+               static_cast<unsigned long long>(run.rounds),
+               static_cast<unsigned long long>(run.executions),
+               static_cast<unsigned long long>(run.speculative),
+               static_cast<unsigned long long>(batch.rounds),
+               static_cast<unsigned long long>(batch.executions),
+               static_cast<unsigned long long>(batch.speculative));
+  return false;
 }
 
 void PrintHeader(const char* title) {
@@ -225,8 +253,9 @@ RunStats TimeDiscovery(MakeBuilder make_builder, const EngineOptions& engine,
   return stats;
 }
 
+/// Returns false when a run fails or a row breaks a self-check.
 template <typename MakeBuilder>
-void BenchSubject(const char* title, MakeBuilder make_builder,
+bool BenchSubject(const char* title, MakeBuilder make_builder,
                   EngineOptions engine, int repeats) {
   PrintHeader(title);
   engine.linear_scan = true;
@@ -237,7 +266,7 @@ void BenchSubject(const char* title, MakeBuilder make_builder,
   serial.parallelism = 1;
   RunStats base =
       TimeDiscovery([&]() { return make_builder(1); }, serial, repeats);
-  if (!base.ok) return;
+  if (!base.ok) return false;
   PrintRow("serial", base, base);
 
   EngineOptions batched = engine;
@@ -245,8 +274,8 @@ void BenchSubject(const char* title, MakeBuilder make_builder,
   batched.parallelism = 1;
   RunStats batch =
       TimeDiscovery([&]() { return make_builder(1); }, batched, repeats);
-  if (!batch.ok) return;
-  PrintRow("batched (1 worker)", batch, base);
+  if (!batch.ok) return false;
+  bool ok = PrintRow("batched (1 worker)", batch, base);
 
   for (int workers : {2, 4, 8}) {
     EngineOptions parallel = engine;
@@ -254,12 +283,14 @@ void BenchSubject(const char* title, MakeBuilder make_builder,
     parallel.parallelism = workers;
     RunStats run = TimeDiscovery([&]() { return make_builder(workers); },
                                  parallel, repeats);
-    if (!run.ok) return;
+    if (!run.ok) return false;
     const std::string label =
         "parallel (" + std::to_string(workers) + " workers)";
-    PrintRow(label.c_str(), run, base);
+    ok &= PrintRow(label.c_str(), run, base);
+    ok &= SameCounters(label.c_str(), run, batch);
   }
   std::printf("\n");
+  return ok;
 }
 
 // ---- latency-bound subject (core-level API, custom target) ---------------
@@ -300,17 +331,17 @@ RunStats TimeLatencyBound(const VmTarget& observed, const AcDag& dag,
   return stats;
 }
 
-void BenchLatencyBound(std::chrono::microseconds latency, int repeats) {
+bool BenchLatencyBound(std::chrono::microseconds latency, int repeats) {
   g_prefix = "kafka_latency";
   auto study = MakeKafkaUseAfterFree();
-  if (!study.ok()) return;
+  if (!study.ok()) return false;
   auto vm = VmTarget::Create(&study->program, study->target_options);
   if (!vm.ok()) {
     std::fprintf(stderr, "vm: %s\n", vm.status().ToString().c_str());
-    return;
+    return false;
   }
   auto dag = (*vm)->BuildAcDag();
-  if (!dag.ok()) return;
+  if (!dag.ok()) return false;
 
   const std::string title =
       "VM case study with " + std::to_string(latency.count()) +
@@ -323,26 +354,28 @@ void BenchLatencyBound(std::chrono::microseconds latency, int repeats) {
   EngineOptions serial = engine;
   serial.batched_dispatch = false;
   RunStats base = TimeLatencyBound(**vm, *dag, latency, 1, serial, repeats);
-  if (!base.ok) return;
+  if (!base.ok) return false;
   PrintRow("serial", base, base);
 
   EngineOptions batched = engine;
   batched.batched_dispatch = true;
   RunStats batch = TimeLatencyBound(**vm, *dag, latency, 1, batched, repeats);
-  if (!batch.ok) return;
-  PrintRow("batched (1 worker)", batch, base);
+  if (!batch.ok) return false;
+  bool ok = PrintRow("batched (1 worker)", batch, base);
 
   for (int workers : {2, 4, 8}) {
     EngineOptions parallel = batched;
     parallel.parallelism = workers;
     RunStats run =
         TimeLatencyBound(**vm, *dag, latency, workers, parallel, repeats);
-    if (!run.ok) return;
+    if (!run.ok) return false;
     const std::string label =
         "parallel (" + std::to_string(workers) + " workers)";
-    PrintRow(label.c_str(), run, base);
+    ok &= PrintRow(label.c_str(), run, base);
+    ok &= SameCounters(label.c_str(), run, batch);
   }
   std::printf("\n");
+  return ok;
 }
 
 // ---- heterogeneous pool: static sharding vs work stealing ----------------
@@ -460,11 +493,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "model: %s\n", model.status().ToString().c_str());
     return 1;
   }
+  bool ok = true;
   {
     g_prefix = "model";
     EngineOptions engine = EngineOptions::Linear();
     engine.trials_per_intervention = 4;
-    BenchSubject(
+    ok &= BenchSubject(
         "Synthetic model (symmetric DAG, 90+ predicates, 4 trials)",
         [&](int workers) {
           SessionBuilder builder;
@@ -482,7 +516,7 @@ int main(int argc, char** argv) {
     g_prefix = "kafka_cpu";
     EngineOptions engine = EngineOptions::Linear();
     engine.trials_per_intervention = 6;
-    BenchSubject(
+    ok &= BenchSubject(
         "VM case study, CPU-bound (kafka use-after-free, 6 trials)",
         [&](int workers) {
           SessionBuilder builder;
@@ -495,12 +529,13 @@ int main(int argc, char** argv) {
   }
 
   // VM case study, latency-bound: the regime the paper's subjects live in.
-  BenchLatencyBound(std::chrono::microseconds(latency_us), repeats);
+  ok &= BenchLatencyBound(std::chrono::microseconds(latency_us), repeats);
 
   // Heterogeneous pool (one straggler replica): static vs work stealing,
-  // self-checking -- the process exit code is the acceptance gate.
+  // self-checking.
   const int rc = BenchHeterogeneous(std::chrono::microseconds(latency_us),
                                     repeats);
   g_profile.Write();
-  return rc;
+  // The process exit code is the acceptance gate for every self-check.
+  return ok ? rc : 1;
 }

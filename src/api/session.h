@@ -187,7 +187,8 @@ class SessionBuilder {
   }
   /// Seed for random ordering / tie-breaking of the main engine.
   SessionBuilder& WithSeed(uint64_t seed);
-  /// Dispatch linear-scan rounds through RunInterventionsBatch.
+  /// Dispatch the linear scan through RunInterventionsBatch, a window of
+  /// up to 16 predicates per call (see EngineOptions::batched_dispatch).
   SessionBuilder& WithBatchedDispatch(bool batched = true);
   /// Replicate the target backend across `parallelism` workers and dispatch
   /// intervention rounds (and the trials within a round) concurrently

@@ -64,7 +64,7 @@ class BeliefState;  // budget/belief.h; live iff budgeting is enabled
 struct DiscoveryAction {
   enum class Kind : uint8_t {
     kRound,  ///< one group intervention (serial dispatch)
-    kBatch,  ///< a whole linear-scan round as one batched dispatch
+    kBatch,  ///< a window of linear-scan spans as one batched dispatch
     kDone,   ///< discovery finished; call Finalize()
   };
   Kind kind = Kind::kDone;
@@ -79,7 +79,8 @@ struct DiscoveryAction {
   /// kRound, unbudgeted: executions to run (trials_per_intervention).
   int trials = 1;
 
-  /// kBatch: one span per undecided scan item, in scan order.
+  /// kBatch: one span per undecided scan item of the window, in scan
+  /// order.
   InterventionSpans spans;
   /// kBatch, budgeted: per-span trial allocation and whether the global
   /// execution budget funded the span (unfunded spans are not executed and
@@ -223,7 +224,8 @@ class DiscoveryState {
   void FinishJunction();
   /// Plans a kRound action intervening on `item_indexes` as one group.
   void PlanRound(const std::vector<size_t>& item_indexes, const char* phase);
-  /// Plans a kBatch action over `pool` (budget allocation included).
+  /// Plans a kBatch action over the next scan window of `pool` (the whole
+  /// pool when a quota cannot fund the window; budget allocation included).
   void PlanBatch(const std::vector<size_t>& pool);
 
   void FeedRound(const DiscoveryAction& action, const ActionOutcome& outcome);

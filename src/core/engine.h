@@ -59,14 +59,17 @@ struct EngineOptions {
   int trials_per_intervention = 1;
   /// Seed for random ordering / tie-breaking.
   uint64_t seed = 0x41d5eedULL;
-  /// In linear-scan mode, submit the whole remaining round as one
-  /// InterventionTarget::RunInterventionsBatch call instead of one
+  /// In linear-scan mode, submit the scan in fixed windows of up to 16
+  /// undecided predicates, each window one
+  /// InterventionTarget::RunInterventionsBatch call, instead of one
   /// RunIntervened call per predicate. Decisions are identical on
-  /// deterministic targets; interventions already answered by Definition 2
-  /// pruning become speculative executions instead of being skipped --
-  /// still counted in DiscoveryReport::executions but reported separately
-  /// as DiscoveryReport::speculative_executions -- so `executions` may be
-  /// higher while wall-clock drops on backends with per-call overhead.
+  /// deterministic targets. Predicates that Definition 2 pruning decides
+  /// before their window is sent never run; ones it decides after their
+  /// window was sent become speculative executions instead of being
+  /// skipped -- still counted in DiscoveryReport::executions but reported
+  /// separately as DiscoveryReport::speculative_executions -- so
+  /// `executions` may be higher while wall-clock drops on backends with
+  /// per-call overhead.
   bool batched_dispatch = false;
   /// Target-level parallelism this engine run is configured for. The engine
   /// spawns no threads itself -- exec::ParallelTarget does -- but
@@ -159,8 +162,8 @@ struct DiscoveryReport : SubstrateCounters {
   /// The subset of `executions` spent on speculative work: spans submitted
   /// by batched dispatch whose item was already decided (by Definition 2
   /// pruning) before their result was consumed. Those spans execute but are
-  /// not rounds -- the wall-clock price of shipping a whole scan to a
-  /// batching/parallel backend at once.
+  /// not rounds -- the wall-clock price of shipping a window of the scan to
+  /// a batching/parallel backend at once.
   uint64_t speculative_executions = 0;
   std::vector<InterventionRound> history;
   /// True iff the causal predicates are totally ordered by AC-DAG

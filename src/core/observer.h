@@ -66,9 +66,9 @@ class Observer {
   virtual void OnPhaseChanged(SessionPhase phase) { (void)phase; }
 
   /// An intervention round is about to execute with these predicates
-  /// forced. Under EngineOptions::batched_dispatch the whole scan executes
-  /// as one batch first and rounds are delivered as their results are
-  /// consumed, so this hook then fires after the physical execution --
+  /// forced. Under EngineOptions::batched_dispatch each window of the scan
+  /// executes as one batch first and rounds are delivered as their results
+  /// are consumed, so this hook then fires after the physical execution --
   /// still immediately before the matching OnRoundFinished.
   virtual void OnRoundStarted(uint64_t round,
                               const std::vector<PredicateId>& intervened) {

@@ -1,6 +1,7 @@
 #include "runtime/program_io.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/strings.h"
@@ -347,19 +348,6 @@ void SerializeProgram(const Program& program, WireWriter& writer) {
 Result<Program> DeserializeProgram(WireReader& reader) {
   AID_ASSIGN_OR_RETURN(Program program, ProgramSerde::Deserialize(reader));
   AID_RETURN_IF_ERROR(ValidateProgram(program));
-  return program;
-}
-
-std::string ProgramToBytes(const Program& program) {
-  WireWriter writer;
-  SerializeProgram(program, writer);
-  return writer.Release();
-}
-
-Result<Program> ProgramFromBytes(std::string_view bytes) {
-  WireReader reader(bytes);
-  AID_ASSIGN_OR_RETURN(Program program, DeserializeProgram(reader));
-  AID_RETURN_IF_ERROR(reader.Finish());
   return program;
 }
 

@@ -16,9 +16,6 @@
 #ifndef AID_RUNTIME_PROGRAM_IO_H_
 #define AID_RUNTIME_PROGRAM_IO_H_
 
-#include <string>
-#include <string_view>
-
 #include "common/status.h"
 #include "runtime/program.h"
 #include "trace/serialize.h"
@@ -42,10 +39,6 @@ Result<Program> DeserializeProgram(WireReader& reader);
 /// wire-received programs must be checked before they reach a Vm (the
 /// runner daemons do this in their decode path).
 Status ValidateProgram(const Program& program);
-
-/// Whole-buffer conveniences.
-std::string ProgramToBytes(const Program& program);
-Result<Program> ProgramFromBytes(std::string_view bytes);
 
 /// Symbol tables serialize as their name list in id order (ids are dense and
 /// assigned in insertion order, so the list reconstructs the table exactly).

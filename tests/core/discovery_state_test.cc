@@ -23,6 +23,7 @@
 #include "casestudies/case_study.h"
 #include "core/engine.h"
 #include "synth/flaky_target.h"
+#include "synth/generator.h"
 #include "synth/model.h"
 #include "trace/serialize.h"
 
@@ -502,6 +503,58 @@ TEST(DiscoveryStateCheckpointTest, TagtAndBatchedBoundariesResumeToo) {
       EXPECT_TRUE(SameDiscoveryOutcome(*baseline, *resumed))
           << "linear_scan=" << options.linear_scan << " checkpoint " << k;
     }
+  }
+}
+
+/// Figure 4's scan fits in one window; a fig8 model whose batched scan
+/// spans several windows must resume identically at every boundary
+/// between them.
+TEST(DiscoveryStateCheckpointTest, BatchedScanResumesAtEveryWindowBoundary) {
+  SyntheticAppOptions generator;
+  generator.max_threads = 40;
+  generator.seed = 11;
+  auto model = GenerateSyntheticApp(generator);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto dag = (*model)->BuildAcDag();
+  ASSERT_TRUE(dag.ok()) << dag.status();
+
+  EngineOptions options = EngineOptions::Linear();
+  options.batched_dispatch = true;
+  options.trials_per_intervention = 3;
+
+  // The uninterrupted run, counting its windows.
+  ModelTarget baseline_target(model->get());
+  DiscoveryState state(&*dag, options, Rng(options.seed));
+  int windows = 0;
+  while (true) {
+    auto action = state.NextAction();
+    ASSERT_TRUE(action.ok()) << action.status();
+    if (action->kind == DiscoveryAction::Kind::kDone) break;
+    ASSERT_EQ(action->kind, DiscoveryAction::Kind::kBatch);
+    ++windows;
+    auto outcome = ExecuteDiscoveryAction(state, *action, &baseline_target);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(state.Feed(*action, *outcome).ok());
+  }
+  auto baseline = state.Finalize();
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  ASSERT_GE(windows, 3);
+
+  const auto history_of = [](const DiscoveryReport& report) {
+    std::vector<std::pair<std::vector<PredicateId>, bool>> rounds;
+    for (const InterventionRound& round : report.history) {
+      EXPECT_EQ(round.phase, "giwp");
+      rounds.emplace_back(round.intervened, round.failure_stopped);
+    }
+    return rounds;
+  };
+  for (int k = 1; k < windows; ++k) {
+    ModelTarget pre(model->get());
+    ModelTarget post(model->get());  // a "fresh host" for the resumed leg
+    auto resumed = CheckpointAfter(&*dag, options, &pre, &post, k);
+    ASSERT_TRUE(resumed.ok()) << "window " << k << ": " << resumed.status();
+    EXPECT_TRUE(SameDiscoveryOutcome(*baseline, *resumed)) << "window " << k;
+    EXPECT_EQ(history_of(*baseline), history_of(*resumed)) << "window " << k;
   }
 }
 

@@ -369,8 +369,9 @@ TEST(EngineBatchedDispatchTest, BatchedLinearScanMatchesSerial) {
   EXPECT_EQ(batched_report->causal_path, serial_report->causal_path);
   EXPECT_EQ(batched_report->spurious, serial_report->spurious);
   EXPECT_EQ(batched_report->rounds, serial_report->rounds);
-  // Batched dispatch executes the whole scan speculatively; pruning skips
-  // show up as extra executions, never as different decisions.
+  // Batched dispatch executes each window of the scan speculatively;
+  // pruning skips show up as extra executions, never as different
+  // decisions.
   EXPECT_GE(batched_report->executions, serial_report->executions);
 }
 

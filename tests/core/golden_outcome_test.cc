@@ -113,7 +113,9 @@ std::vector<Preset> Presets() {
           {"LinearBatched", batched}};
 }
 
-// Recorded before the AC-DAG moved to word-packed rows.
+// Recorded before the AC-DAG moved to word-packed rows. The synthetic
+// LinearBatched executions and speculative executions were re-recorded when
+// batched scans moved to 16-span windows; nothing else in those rows changed.
 const Golden kGolden[] = {
     {"npgsql", "Aid",
      {4, 12, 0, {33, 34, 32, 0}, 0,
@@ -239,7 +241,7 @@ const Golden kGolden[] = {
      {21, 21, 0, {3, 31, 32, 34, 35, 36, 0}, 30,
       0x7b1a12d30c98a798ULL, 0xec22acc7ac6ca669ULL}},
     {"synth_t8_s1", "LinearBatched",
-     {21, 36, 15, {3, 31, 32, 34, 35, 36, 0}, 30,
+     {21, 25, 4, {3, 31, 32, 34, 35, 36, 0}, 30,
       0x7b1a12d30c98a798ULL, 0xec22acc7ac6ca669ULL}},
     {"synth_t12_s7", "Aid",
      {14, 14, 0, {1, 21, 22, 24, 25, 56, 57, 0}, 50,
@@ -257,7 +259,7 @@ const Golden kGolden[] = {
      {14, 14, 0, {1, 21, 22, 24, 25, 56, 57, 0}, 50,
       0x0044364cf9993b46ULL, 0x463bb9cf56a9db1dULL}},
     {"synth_t12_s7", "LinearBatched",
-     {14, 57, 43, {1, 21, 22, 24, 25, 56, 57, 0}, 50,
+     {14, 34, 20, {1, 21, 22, 24, 25, 56, 57, 0}, 50,
       0x0044364cf9993b46ULL, 0x463bb9cf56a9db1dULL}},
     {"synth_t20_s3", "Aid",
      {14, 14, 0, {1, 2, 3, 13, 14, 15, 77, 0}, 70,
@@ -275,7 +277,7 @@ const Golden kGolden[] = {
      {8, 8, 0, {1, 2, 3, 13, 14, 15, 77, 0}, 70,
       0xe1f2086280b353a5ULL, 0x406fc87f8b98de09ULL}},
     {"synth_t20_s3", "LinearBatched",
-     {8, 77, 69, {1, 2, 3, 13, 14, 15, 77, 0}, 70,
+     {8, 17, 9, {1, 2, 3, 13, 14, 15, 77, 0}, 70,
       0xe1f2086280b353a5ULL, 0x406fc87f8b98de09ULL}},
     {"synth_t40_s11", "Aid",
      {18, 18, 0, {151, 184, 185, 271, 272, 0}, 267,
@@ -293,7 +295,7 @@ const Golden kGolden[] = {
      {173, 173, 0, {151, 184, 185, 271, 272, 0}, 267,
       0xaa1db023cbd203c7ULL, 0xa0e4c21cb917ca1eULL}},
     {"synth_t40_s11", "LinearBatched",
-     {173, 272, 99, {151, 184, 185, 271, 272, 0}, 267,
+     {173, 178, 5, {151, 184, 185, 271, 272, 0}, 267,
       0xaa1db023cbd203c7ULL, 0xa0e4c21cb917ca1eULL}},
     {"synth_t160_s6", "Aid",
      {31, 31, 0, {1, 2, 3, 64, 65, 546, 547, 807, 808, 809, 1129, 0}, 1118,
@@ -311,7 +313,7 @@ const Golden kGolden[] = {
      {39, 39, 0, {1, 2, 3, 64, 65, 546, 547, 807, 808, 809, 1129, 0}, 1118,
       0x9cdb197182d467eaULL, 0xc1daca3a01a83898ULL}},
     {"synth_t160_s6", "LinearBatched",
-     {39, 1129, 1090, {1, 2, 3, 64, 65, 546, 547, 807, 808, 809, 1129, 0}, 1118,
+     {39, 66, 27, {1, 2, 3, 64, 65, 546, 547, 807, 808, 809, 1129, 0}, 1118,
       0x9cdb197182d467eaULL, 0xc1daca3a01a83898ULL}},
 };
 

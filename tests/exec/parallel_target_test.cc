@@ -279,8 +279,8 @@ TEST(ParallelTargetTest, SpeculativeExecutionsAreReportedDistinctly) {
   EXPECT_EQ(serial_report->speculative_executions, 0);
   EXPECT_EQ(serial_report->executions, serial_report->rounds * trials);
 
-  // Parallel batched dispatch executes the whole scan; spans that pruning
-  // answered before consumption are speculative -- counted in executions,
+  // Parallel batched dispatch executes the scan a window at a time; spans
+  // that pruning answered before consumption are speculative -- counted in executions,
   // reported distinctly, and excluded from rounds.
   ModelTarget primary(model.get());
   auto parallel = ParallelTarget::Create(&primary, /*parallelism=*/4);

@@ -17,7 +17,6 @@
 #include "proc/client.h"
 #include "proc/subject_spec.h"
 #include "runtime/program.h"
-#include "runtime/program_io.h"
 #include "synth/generator.h"
 
 #if AID_PROC_SUPPORTED
@@ -484,6 +483,19 @@ TEST(SubjectSpecTest, TruncatedSpecFailsCleanly) {
 }
 
 // --- program serialization ------------------------------------------------
+//
+// A program travels only inside a vm-program spec, so these cases encode
+// and decode it through one.
+
+/// The SPEC payload carrying `program`.
+std::string ProgramSpecBytes(const Program& program) {
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kVmProgram;
+  spec.program = &program;
+  auto encoded = EncodeSubjectSpec(spec);
+  EXPECT_TRUE(encoded.ok()) << encoded.status();
+  return encoded.ok() ? *encoded : std::string();
+}
 
 TEST(ProgramIoTest, ProgramRoundTripsAndRunsIdentically) {
   ProgramBuilder builder;
@@ -507,9 +519,12 @@ TEST(ProgramIoTest, ProgramRoundTripsAndRunsIdentically) {
   auto program = builder.Build("Main");
   ASSERT_TRUE(program.ok()) << program.status();
 
-  const std::string bytes = ProgramToBytes(*program);
-  auto decoded = ProgramFromBytes(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const std::string bytes = ProgramSpecBytes(*program);
+  auto spec = DecodeSubjectSpec(bytes);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ASSERT_EQ(spec->kind, SubjectKind::kVmProgram);
+  const std::unique_ptr<Program>& decoded = spec->program;
+  ASSERT_NE(decoded, nullptr);
 
   EXPECT_EQ(decoded->entry(), program->entry());
   EXPECT_EQ(decoded->methods().size(), program->methods().size());
@@ -519,7 +534,7 @@ TEST(ProgramIoTest, ProgramRoundTripsAndRunsIdentically) {
   EXPECT_EQ(decoded->globals(), program->globals());
   EXPECT_EQ(decoded->arrays(), program->arrays());
   // Bit-stable re-encode.
-  EXPECT_EQ(ProgramToBytes(*decoded), bytes);
+  EXPECT_EQ(ProgramSpecBytes(*decoded), bytes);
 }
 
 TEST(ProgramIoTest, TruncatedProgramFailsCleanly) {
@@ -529,9 +544,10 @@ TEST(ProgramIoTest, TruncatedProgramFailsCleanly) {
   main_method.LoadGlobal(0, "x").Return(0);
   auto program = builder.Build("Main");
   ASSERT_TRUE(program.ok());
-  const std::string bytes = ProgramToBytes(*program);
+  const std::string bytes = ProgramSpecBytes(*program);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(ProgramFromBytes(std::string_view(bytes).substr(0, cut)).ok());
+    EXPECT_FALSE(
+        DecodeSubjectSpec(std::string_view(bytes).substr(0, cut)).ok());
   }
 }
 

@@ -2,15 +2,20 @@
 // bit-flipped, and semantically corrupt program bytes must come back as a
 // Status error -- never a crash -- because both runner daemons
 // (aid_subject_host, aid_runner) decode attacker-reachable bytes with this
-// code path before ever forking a subject.
+// code path before ever forking a subject. A program only ever travels
+// inside a vm-program SubjectSpec, so every case here drives the codec
+// through EncodeSubjectSpec/DecodeSubjectSpec, the path a runner takes.
 
 #include "runtime/program_io.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.h"
+#include "proc/subject_spec.h"
 #include "runtime/program.h"
 #include "trace/serialize.h"
 
@@ -48,6 +53,30 @@ Program BuildRichProgram() {
   return std::move(*program);
 }
 
+/// The SPEC payload carrying `program`.
+std::string SpecBytes(const Program& program) {
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kVmProgram;
+  spec.program = &program;
+  auto bytes = EncodeSubjectSpec(spec);
+  AID_CHECK(bytes.ok());
+  return std::move(*bytes);
+}
+
+/// Where the embedded program starts in SpecBytes(program): the program is
+/// the payload's tail.
+size_t ProgramOffset(const Program& program) {
+  WireWriter writer;
+  SerializeProgram(program, writer);
+  return SpecBytes(program).size() - writer.Release().size();
+}
+
+/// Decodes a SPEC payload and hands back its program.
+Result<Program> DecodeProgramSpec(std::string_view bytes) {
+  AID_ASSIGN_OR_RETURN(OwnedSubjectSpec spec, DecodeSubjectSpec(bytes));
+  return std::move(*spec.program);
+}
+
 MethodDef& MutableMethod(Program& program, std::string_view name) {
   const SymbolId id = program.method_names().Find(name);
   return const_cast<std::vector<MethodDef>&>(
@@ -56,18 +85,18 @@ MethodDef& MutableMethod(Program& program, std::string_view name) {
 
 TEST(ProgramIoCorruptTest, RoundTripSurvivesAndRevalidates) {
   const Program program = BuildRichProgram();
-  const std::string bytes = ProgramToBytes(program);
-  auto decoded = ProgramFromBytes(bytes);
+  const std::string bytes = SpecBytes(program);
+  auto decoded = DecodeProgramSpec(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(ValidateProgram(*decoded).ok());
   // Decode -> re-encode is byte-identical (dense ids, ordered tables).
-  EXPECT_EQ(ProgramToBytes(*decoded), bytes);
+  EXPECT_EQ(SpecBytes(*decoded), bytes);
 }
 
 TEST(ProgramIoCorruptTest, EveryTruncationIsARejectedError) {
-  const std::string bytes = ProgramToBytes(BuildRichProgram());
+  const std::string bytes = SpecBytes(BuildRichProgram());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    auto decoded = ProgramFromBytes(std::string_view(bytes).substr(0, len));
+    auto decoded = DecodeProgramSpec(std::string_view(bytes).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
   }
 }
@@ -76,11 +105,11 @@ TEST(ProgramIoCorruptTest, EveryByteFlipIsHandledWithoutCrashing) {
   // Bit-flipped bytes may decode to a different-but-valid program (e.g. a
   // flipped initial value); the contract is "error or success, no crash,
   // and whatever decodes passes validation".
-  const std::string pristine = ProgramToBytes(BuildRichProgram());
+  const std::string pristine = SpecBytes(BuildRichProgram());
   for (size_t i = 0; i < pristine.size(); ++i) {
     std::string bytes = pristine;
     bytes[i] = static_cast<char>(~bytes[i]);
-    auto decoded = ProgramFromBytes(bytes);
+    auto decoded = DecodeProgramSpec(bytes);
     if (decoded.ok()) {
       EXPECT_TRUE(ValidateProgram(*decoded).ok()) << "byte " << i;
     }
@@ -88,21 +117,25 @@ TEST(ProgramIoCorruptTest, EveryByteFlipIsHandledWithoutCrashing) {
 }
 
 TEST(ProgramIoCorruptTest, TrailingGarbageIsRejected) {
-  std::string bytes = ProgramToBytes(BuildRichProgram());
+  std::string bytes = SpecBytes(BuildRichProgram());
   bytes += "extra";
-  EXPECT_FALSE(ProgramFromBytes(bytes).ok());
+  EXPECT_FALSE(DecodeProgramSpec(bytes).ok());
 }
 
 TEST(ProgramIoCorruptTest, OutOfRangeEntryIsRejected) {
-  std::string bytes = ProgramToBytes(BuildRichProgram());
-  bytes[0] = 0x7f;  // entry method id is the leading i32
-  EXPECT_FALSE(ProgramFromBytes(bytes).ok());
+  const Program program = BuildRichProgram();
+  std::string bytes = SpecBytes(program);
+  bytes[ProgramOffset(program)] = 0x7f;  // the entry id leads the program
+  EXPECT_FALSE(DecodeProgramSpec(bytes).ok());
 }
 
 TEST(ProgramIoCorruptTest, UnknownObjectKindByteIsRejected) {
-  // Hand-written wire bytes: structurally well-formed except the object
-  // kind byte, which no enum value covers.
+  // Hand-written program bytes after a real spec header: structurally
+  // well-formed except the object kind byte, which no enum value covers.
+  const Program header_source = BuildRichProgram();
   WireWriter w;
+  w.Raw(std::string_view(SpecBytes(header_source))
+            .substr(0, ProgramOffset(header_source)));
   w.I32(0);              // entry = Main
   w.U32(1);              // method names
   w.Str("Main");
@@ -130,14 +163,14 @@ TEST(ProgramIoCorruptTest, UnknownObjectKindByteIsRejected) {
   w.U32(0);              // mutexes
   w.I32(kInvalidSymbol); // index_out_of_range
   w.I32(kInvalidSymbol); // deadlock
-  const auto decoded = ProgramFromBytes(w.Release());
+  const auto decoded = DecodeProgramSpec(w.Release());
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("ObjectKind"), std::string::npos);
 }
 
 // Semantic corruptions: mutate a valid in-memory program the way hostile
-// bytes would present it, re-serialize, and require the decode path (which
-// runs ValidateProgram) to reject it.
+// bytes would present it, re-encode it in a spec, and require the decode
+// path (which runs ValidateProgram) to reject it.
 struct SemanticCorruption {
   const char* name;
   const char* expect_in_message;
@@ -150,7 +183,7 @@ class SemanticCorruptionTest
 TEST_P(SemanticCorruptionTest, RejectedByDecode) {
   Program program = BuildRichProgram();
   GetParam().apply(program);
-  const auto decoded = ProgramFromBytes(ProgramToBytes(program));
+  const auto decoded = DecodeProgramSpec(SpecBytes(program));
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find(GetParam().expect_in_message),
             std::string::npos)

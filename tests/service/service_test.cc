@@ -270,7 +270,9 @@ TEST(ServiceTest, ThreeConcurrentSessionsMatchSoloRuns) {
 
 TEST(ServiceTest, SessionPastTheCapGetsAStructuredError) {
   // A long chain under Linear x many trials keeps the occupant session live
-  // for thousands of scheduler turns -- plenty to observe the rejection.
+  // for ~150k executions (a few hundred ms) -- plenty to observe the
+  // rejection even on a loaded machine. At 32 trials it drained in ~8 ms,
+  // and the second client was sometimes admitted into the freed slot.
   auto occupant_model = ChainModel(301);
   auto model = Figure4Model();
   ServiceOptions options;
@@ -285,7 +287,7 @@ TEST(ServiceTest, SessionPastTheCapGetsAStructuredError) {
   slow.label = "occupant";
   slow.spec = ModelSpec(occupant_model.get());
   slow.engine = EngineOptions::Linear();
-  slow.engine.trials_per_intervention = 32;
+  slow.engine.trials_per_intervention = 1024;
   ASSERT_TRUE((*occupant)->Submit(slow).ok());
 
   ServiceSubmission submission;
