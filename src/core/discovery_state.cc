@@ -450,7 +450,6 @@ void DiscoveryState::PlanBatch(const std::vector<size_t>& pool) {
   action.kind = DiscoveryAction::Kind::kBatch;
   action.phase = kPhaseGiwp;
   action.budgeted = options_.budget.enabled;
-  action.trials = options_.trials_per_intervention;
   action.spans.reserve(selected.size());
   for (size_t i : selected) action.spans.push_back(items_[i].preds);
   action.alloc = std::move(alloc);
@@ -1105,49 +1104,35 @@ Result<ActionOutcome> ExecuteDiscoveryAction(DiscoveryState& state,
       telemetry->SetActiveParent(batch_span.id());
     }
     outcome.batch.resize(action.spans.size());
-    if (!action.budgeted) {
+    // Submit one sub-batch per distinct allocation (the batch interface
+    // takes a single trial count), then map results back to scan order.
+    // Unbudgeted batches fund every span at one count: a single call.
+    std::map<int, std::vector<size_t>> buckets;
+    for (size_t k = 0; k < action.spans.size(); ++k) {
+      if (action.funded[k]) buckets[action.alloc[k]].push_back(k);
+    }
+    for (const auto& [trials, indexes] : buckets) {
+      InterventionSpans sub;
+      sub.reserve(indexes.size());
+      for (size_t k : indexes) sub.push_back(action.spans[k]);
       Result<std::vector<TargetRunResult>> batch =
-          target->RunInterventionsBatch(action.spans, action.trials);
+          target->RunInterventionsBatch(sub, trials);
       if (!batch.ok()) {
         run_status = batch.status();
-      } else if (batch->size() != action.spans.size()) {
+        break;
+      }
+      if (batch->size() != indexes.size()) {
         // Backends are third-party code; a contract violation is their
         // runtime error, not our programming error.
         run_status = Status::Internal(
             "RunInterventionsBatch returned " +
             std::to_string(batch->size()) + " results for " +
-            std::to_string(action.spans.size()) + " spans");
-      } else {
-        outcome.batch = std::move(*batch);
+            std::to_string(sub.size()) + " spans");
+        break;
       }
-    } else {
-      // Submit one sub-batch per distinct allocation (the batch interface
-      // takes a single trial count), then map results back to scan order.
-      std::map<int, std::vector<size_t>> buckets;
-      for (size_t k = 0; k < action.spans.size(); ++k) {
-        if (action.funded[k]) buckets[action.alloc[k]].push_back(k);
-      }
-      for (const auto& [trials, indexes] : buckets) {
-        InterventionSpans sub;
-        sub.reserve(indexes.size());
-        for (size_t k : indexes) sub.push_back(action.spans[k]);
-        Result<std::vector<TargetRunResult>> batch =
-            target->RunInterventionsBatch(sub, trials);
-        if (!batch.ok()) {
-          run_status = batch.status();
-          break;
-        }
-        if (batch->size() != indexes.size()) {
-          run_status = Status::Internal(
-              "RunInterventionsBatch returned " +
-              std::to_string(batch->size()) + " results for " +
-              std::to_string(sub.size()) + " spans");
-          break;
-        }
-        for (size_t j = 0; j < indexes.size(); ++j) {
-          outcome.budgeted_trials += (*batch)[j].logs.size();
-          outcome.batch[indexes[j]] = std::move((*batch)[j]);
-        }
+      for (size_t j = 0; j < indexes.size(); ++j) {
+        outcome.budgeted_trials += (*batch)[j].logs.size();
+        outcome.batch[indexes[j]] = std::move((*batch)[j]);
       }
     }
     if (telemetry != nullptr) telemetry->SetActiveParent(0);

@@ -82,9 +82,10 @@ struct DiscoveryAction {
   /// kBatch: one span per undecided scan item of the window, in scan
   /// order.
   InterventionSpans spans;
-  /// kBatch, budgeted: per-span trial allocation and whether the global
-  /// execution budget funded the span (unfunded spans are not executed and
-  /// their items stay undecided).
+  /// kBatch: per-span trial allocation and whether the global execution
+  /// budget funded the span (unfunded spans are not executed and their
+  /// items stay undecided). Unbudgeted batches fund every span at
+  /// trials_per_intervention.
   std::vector<int> alloc;
   std::vector<uint8_t> funded;
 };

@@ -23,14 +23,6 @@ uint64_t MicrosSince(Clock::time_point start) {
 }
 }  // namespace
 
-std::string_view SchedulerPolicyName(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kStatic: return "static";
-    case SchedulerPolicy::kWorkStealing: return "work-stealing";
-  }
-  return "unknown";
-}
-
 Status ValidateSchedulerOptions(const SchedulerOptions& options) {
   if (options.chunks_per_worker < 1) {
     return Status::InvalidArgument(

@@ -47,7 +47,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -68,8 +67,6 @@ enum class SchedulerPolicy : uint8_t {
   /// Latency-aware work stealing (the default; see file comment).
   kWorkStealing = 1,
 };
-
-std::string_view SchedulerPolicyName(SchedulerPolicy policy);
 
 struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::kWorkStealing;

@@ -7,12 +7,12 @@ namespace aid {
 Result<std::unique_ptr<FleetTarget>> FleetTarget::Create(
     std::vector<Endpoint> endpoints, const SubjectSpec& spec,
     RemoteOptions options) {
-  // Reuse RemoteTarget's validation and spec freezing wholesale, then lift
-  // the frozen bytes: the fleet IS a dealer of RemoteTargets.
-  AID_ASSIGN_OR_RETURN(std::unique_ptr<RemoteTarget> prototype,
-                       RemoteTarget::Create(endpoints, spec, options));
+  // The fleet IS a dealer of RemoteTargets: one validation and one frozen
+  // spec, shared by every replica it deals.
+  AID_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> spec_bytes,
+                       RemoteTarget::Freeze(endpoints, spec, options));
   return std::unique_ptr<FleetTarget>(new FleetTarget(
-      prototype->spec_bytes_, std::move(endpoints), std::move(options)));
+      std::move(spec_bytes), std::move(endpoints), std::move(options)));
 }
 
 std::vector<Endpoint> FleetTarget::RotatedEndpoints(uint64_t first) const {

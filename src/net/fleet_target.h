@@ -13,6 +13,11 @@
 // around a slow runner's replicas; placement itself never looks at
 // latency.
 //
+// Every replica the fleet deals shares one spec, validated and frozen once
+// by Create (RemoteTarget's checks plus WireReplicaTarget::FreezeSpec,
+// proc/client.h), and one RemoteOptions; each replica spends its own
+// max_respawns budget on its own reconnects.
+//
 // Used serially (parallelism 1, no pool), the FleetTarget lazily binds
 // itself to the next endpoint in the rotation and behaves as that
 // RemoteTarget. Its trial cursor commits only on success: a failed trial
@@ -44,9 +49,10 @@ namespace aid {
 
 class FleetTarget : public ReplicableTarget {
  public:
-  /// Validates and freezes `spec` (serialized once, shared by every
-  /// replica the fleet deals out). No connection is opened until a replica
-  /// first executes. Returns Unimplemented on platforms without sockets.
+  /// Validates and freezes `spec` exactly as RemoteTarget::Create does
+  /// (serialized once, shared by every replica the fleet deals out). No
+  /// connection is opened until a replica first executes. Returns
+  /// Unimplemented on platforms without sockets.
   static Result<std::unique_ptr<FleetTarget>> Create(
       std::vector<Endpoint> endpoints, const SubjectSpec& spec,
       RemoteOptions options = {});

@@ -4,14 +4,13 @@
 #include <thread>
 #include <utility>
 
-#include "proc/client.h"
-#include "telemetry/telemetry.h"
+#include "net/channel.h"
 
 namespace aid {
 
-Result<std::unique_ptr<RemoteTarget>> RemoteTarget::Create(
-    std::vector<Endpoint> endpoints, const SubjectSpec& spec,
-    RemoteOptions options) {
+Result<std::shared_ptr<const std::string>> RemoteTarget::Freeze(
+    const std::vector<Endpoint>& endpoints, const SubjectSpec& spec,
+    const RemoteOptions& options) {
   if (!RemoteFleetSupported()) {
     return Status::Unimplemented(
         "RemoteTarget: the remote fleet requires POSIX sockets, which this "
@@ -21,49 +20,26 @@ Result<std::unique_ptr<RemoteTarget>> RemoteTarget::Create(
     return Status::InvalidArgument(
         "RemoteTarget: at least one runner endpoint is required");
   }
-  if (options.trial_deadline_ms < 0) {
-    return Status::InvalidArgument(
-        "RemoteTarget: trial_deadline_ms must be >= 0, got " +
-        std::to_string(options.trial_deadline_ms));
-  }
-  if (options.max_reconnects < 0) {
-    return Status::InvalidArgument(
-        "RemoteTarget: max_reconnects must be >= 0, got " +
-        std::to_string(options.max_reconnects));
-  }
   if (options.connect_attempts < 1) {
     return Status::InvalidArgument(
         "RemoteTarget: connect_attempts must be >= 1, got " +
         std::to_string(options.connect_attempts));
   }
-  SubjectSpec effective = spec;
-  // Injection knobs live on the options (the session-facing surface) but
-  // execute in the runner's session child, so they ride inside the spec.
-  if (options.inject_crash_period != 0) {
-    effective.crash_period = options.inject_crash_period;
-  }
-  if (options.inject_hang_period != 0) {
-    effective.hang_period = options.inject_hang_period;
-  }
-  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(effective));
+  return FreezeSpec(spec, options, "RemoteTarget");
+}
+
+Result<std::unique_ptr<RemoteTarget>> RemoteTarget::Create(
+    std::vector<Endpoint> endpoints, const SubjectSpec& spec,
+    RemoteOptions options) {
+  AID_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> bytes,
+                       Freeze(endpoints, spec, options));
   return std::unique_ptr<RemoteTarget>(new RemoteTarget(
-      std::make_shared<const std::string>(std::move(bytes)),
-      std::move(endpoints), std::move(options)));
+      std::move(bytes), std::move(endpoints), std::move(options)));
 }
 
-RemoteTarget::~RemoteTarget() {
-  if (channel_ != nullptr) {
-    // Best-effort goodbye so the runner's session child exits promptly
-    // instead of discovering the closed socket on its next read.
-    (void)channel_->Write(ProcMsgType::kShutdown, {},
-                          /*deadline_ms=*/1000);
-  }
-  Disconnect();
-}
+RemoteTarget::~RemoteTarget() { DropPeer(/*graceful=*/true); }
 
-Status RemoteTarget::EnsureConnected() {
-  if (channel_ != nullptr) return Status::OK();
-
+Result<std::unique_ptr<FrameChannel>> RemoteTarget::StartPeer() {
   Status last = Status::Internal("RemoteTarget: no connect attempt ran");
   for (int attempt = 0; attempt < options_.connect_attempts; ++attempt) {
     if (attempt > 0) {
@@ -82,13 +58,13 @@ Status RemoteTarget::EnsureConnected() {
         std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       }
     }
-    // connect_timeout_ms budgets the whole attempt: TCP connect AND the
+    // startup_timeout_ms budgets the whole attempt: TCP connect AND the
     // handshake share one absolute deadline.
     const auto attempt_deadline =
         std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.connect_timeout_ms);
+        std::chrono::milliseconds(options_.startup_timeout_ms);
     const Endpoint& endpoint = current_endpoint();
-    Result<int> fd = ConnectTo(endpoint, options_.connect_timeout_ms);
+    Result<int> fd = ConnectTo(endpoint, options_.startup_timeout_ms);
     if (!fd.ok()) {
       last = Status(fd.status().code(),
                     "RemoteTarget: " + endpoint.ToString() +
@@ -97,40 +73,30 @@ Status RemoteTarget::EnsureConnected() {
       continue;
     }
     auto channel = std::make_unique<SocketChannel>(*fd);
-    SubjectHandshake handshake;
     const auto handshake_budget =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             attempt_deadline - std::chrono::steady_clock::now())
             .count();
-    handshake.timeout_ms =
-        handshake_budget > 0 ? static_cast<int>(handshake_budget) : 1;
-    handshake.expected_catalog_size = options_.expected_catalog_size;
-    handshake.previous_catalog_size = remote_catalog_size_;
-    handshake.peer = "runner " + endpoint.ToString();
-    Result<uint32_t> catalog =
-        HandshakeSubject(*channel, *spec_bytes_, handshake);
-    if (!catalog.ok()) {
-      // A structural handshake failure -- version mismatch
-      // (FailedPrecondition) or a host that cannot decode/build the
-      // shipped spec (InvalidArgument) -- will not heal by retrying
-      // elsewhere: the fleet is misdeployed. Fail loudly instead of
-      // burning the backoff schedule. Everything else (Internal covers
-      // both catalog mismatches AND transient local I/O, Aborted a peer
-      // that died mid-handshake) stays retryable with failover, because a
-      // flaky read must not abort a run that a healthy sibling endpoint
-      // could have served.
-      const StatusCode code = catalog.status().code();
-      if (code == StatusCode::kFailedPrecondition ||
-          code == StatusCode::kInvalidArgument) {
-        return Status(code, "RemoteTarget: " + catalog.status().message());
-      }
-      last = Status(code, "RemoteTarget: " + catalog.status().message());
-      ++endpoint_index_;
-      continue;
+    Status handshake = HandshakePeer(
+        *channel, "runner " + endpoint.ToString(),
+        handshake_budget > 0 ? static_cast<int>(handshake_budget) : 1);
+    if (handshake.ok()) {
+      return std::unique_ptr<FrameChannel>(std::move(channel));
     }
-    remote_catalog_size_ = *catalog;
-    channel_ = std::move(channel);
-    return Status::OK();
+    // A structural handshake failure -- version mismatch
+    // (FailedPrecondition) or a host that cannot decode/build the shipped
+    // spec (InvalidArgument) -- will not heal by retrying elsewhere: the
+    // fleet is misdeployed. Fail loudly instead of burning the backoff
+    // schedule. Everything else (Internal covers both catalog mismatches
+    // AND transient local I/O, Aborted a peer that died mid-handshake)
+    // stays retryable with failover, because a flaky read must not abort a
+    // run that a healthy sibling endpoint could have served.
+    if (handshake.code() == StatusCode::kFailedPrecondition ||
+        handshake.code() == StatusCode::kInvalidArgument) {
+      return handshake;
+    }
+    last = std::move(handshake);
+    ++endpoint_index_;
   }
   return Status(last.code(),
                 last.message() + " (after " +
@@ -139,67 +105,9 @@ Status RemoteTarget::EnsureConnected() {
                     std::to_string(endpoints_.size()) + " endpoint(s))");
 }
 
-void RemoteTarget::Disconnect() { channel_.reset(); }
-
-Status RemoteTarget::Reconnect() {
-  Disconnect();
-  if (counters_.respawns >= static_cast<uint64_t>(options_.max_reconnects)) {
-    return Status::Aborted(
-        "RemoteTarget: remote subject crashed/hung through " +
-        std::to_string(counters_.respawns) +
-        " reconnects (max_reconnects); giving up on a crash loop");
-  }
-  ++counters_.respawns;
-  return EnsureConnected();
-}
-
-Result<PredicateLog> RemoteTarget::RunOneTrial(
-    const std::vector<PredicateId>& intervened, uint64_t trial_index) {
-  AID_RETURN_IF_ERROR(EnsureConnected());
-  // Connection loss -> kCrashed, deadline -> kTimedOut, reconnect either
-  // way (proc/client.h has the full lifecycle contract). On a timeout the
-  // dropped connection is also what kills the hung remote subject: the
-  // runner-side watchdog sees the hangup and reaps its session child.
-  const Endpoint served_by = current_endpoint();
-  const uint64_t micros_before = counters_.trial_micros;
-  Result<PredicateLog> log =
-      RunTrialWithRecovery(*channel_, trial_index, intervened,
-                           remote_catalog_size_, options_.trial_deadline_ms,
-                           &counters_,
-                           [this]() { return Reconnect(); },
-                           options_.telemetry.get());
-  const uint64_t trial_micros = counters_.trial_micros - micros_before;
-  if (options_.telemetry != nullptr && trial_micros > 0) {
-    // Per-endpoint latency distribution (the generic per-transport
-    // histogram is recorded inside RunTrialWithRecovery).
-    options_.telemetry
-        ->LatencyHistogram("aid_endpoint_trial_latency_us",
-                           {{"endpoint", served_by.ToString()}})
-        ->Record(trial_micros);
-  }
-  return log;
-}
-
-Result<TargetRunResult> RemoteTarget::RunIntervened(
-    const std::vector<PredicateId>& intervened, int trials) {
-  if (trials < 1) trials = 1;
-  TargetRunResult result;
-  result.logs.reserve(static_cast<size_t>(trials));
-  for (int i = 0; i < trials; ++i) {
-    const uint64_t trial_index = trial_cursor_++;
-    ++counters_.executions;
-    AID_ASSIGN_OR_RETURN(PredicateLog log,
-                         RunOneTrial(intervened, trial_index));
-    result.logs.push_back(std::move(log));
-  }
-  return result;
-}
-
-Result<std::unique_ptr<ReplicableTarget>> RemoteTarget::Clone() const {
-  auto clone = std::unique_ptr<RemoteTarget>(
-      new RemoteTarget(spec_bytes_, endpoints_, options_));
-  clone->trial_cursor_ = trial_cursor_;
-  return std::unique_ptr<ReplicableTarget>(std::move(clone));
+std::unique_ptr<WireReplicaTarget> RemoteTarget::NewReplica() const {
+  return std::unique_ptr<WireReplicaTarget>(
+      new RemoteTarget(spec_bytes(), endpoints_, options_));
 }
 
 }  // namespace aid

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -174,55 +175,154 @@ Result<PredicateLog> RunTrialOverChannel(
   }
 }
 
-Result<PredicateLog> RunTrialWithRecovery(
-    FrameChannel& channel, uint64_t trial_index,
-    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
-    int trial_deadline_ms, SubstrateCounters* counters,
-    const std::function<Status()>& replace_peer, Telemetry* telemetry) {
+Result<std::shared_ptr<const std::string>> WireReplicaTarget::FreezeSpec(
+    const SubjectSpec& spec, const WireReplicaOptions& options,
+    std::string_view who) {
+  if (options.trial_deadline_ms < 0) {
+    return Status::InvalidArgument(
+        std::string(who) + ": trial_deadline_ms must be >= 0, got " +
+        std::to_string(options.trial_deadline_ms));
+  }
+  if (options.max_respawns < 0) {
+    return Status::InvalidArgument(
+        std::string(who) + ": max_respawns must be >= 0, got " +
+        std::to_string(options.max_respawns));
+  }
+  SubjectSpec effective = spec;
+  if (options.inject_crash_period != 0) {
+    effective.crash_period = options.inject_crash_period;
+  }
+  if (options.inject_hang_period != 0) {
+    effective.hang_period = options.inject_hang_period;
+  }
+  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(effective));
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
+Result<TargetRunResult> WireReplicaTarget::RunIntervened(
+    const std::vector<PredicateId>& intervened, int trials) {
+  if (trials < 1) trials = 1;
+  TargetRunResult result;
+  result.logs.reserve(static_cast<size_t>(trials));
+  for (int i = 0; i < trials; ++i) {
+    const uint64_t trial_index = trial_cursor_++;
+    ++counters_.executions;
+    AID_ASSIGN_OR_RETURN(PredicateLog log, RunTrial(intervened, trial_index));
+    result.logs.push_back(std::move(log));
+  }
+  return result;
+}
+
+Result<std::unique_ptr<ReplicableTarget>> WireReplicaTarget::Clone() const {
+  std::unique_ptr<WireReplicaTarget> clone = NewReplica();
+  clone->trial_cursor_ = trial_cursor_;
+  return std::unique_ptr<ReplicableTarget>(std::move(clone));
+}
+
+Status WireReplicaTarget::HandshakePeer(FrameChannel& channel,
+                                        std::string peer, int timeout_ms) {
+  SubjectHandshake handshake;
+  handshake.timeout_ms = timeout_ms;
+  handshake.expected_catalog_size = options().expected_catalog_size;
+  handshake.previous_catalog_size = catalog_size_;
+  handshake.peer = std::move(peer);
+  Result<uint32_t> catalog = HandshakeSubject(channel, *spec_bytes_,
+                                              handshake);
+  if (!catalog.ok()) {
+    return Status(catalog.status().code(),
+                  std::string(who_) + ": " + catalog.status().message());
+  }
+  catalog_size_ = *catalog;
+  return Status::OK();
+}
+
+void WireReplicaTarget::DropPeer(bool graceful) {
+  if (channel_ == nullptr) return;
+  if (graceful) {
+    // Best-effort goodbye so the peer exits promptly instead of
+    // discovering the closed channel on its next read.
+    (void)channel_->Write(ProcMsgType::kShutdown, {}, /*deadline_ms=*/1000);
+  }
+  channel_.reset();  // closing is the EOF backstop for peers mid-read
+  ReapPeer(graceful);
+}
+
+Status WireReplicaTarget::EnsurePeer() {
+  if (channel_ != nullptr) return Status::OK();
+  AID_ASSIGN_OR_RETURN(channel_, StartPeer());
+  return Status::OK();
+}
+
+Status WireReplicaTarget::Respawn() {
+  DropPeer(/*graceful=*/false);
+  if (counters_.respawns >= static_cast<uint64_t>(options().max_respawns)) {
+    return Status::Aborted(std::string(who_) +
+                           ": subject crashed/hung through " +
+                           std::to_string(counters_.respawns) +
+                           " respawns (max_respawns); giving up on a crash "
+                           "loop");
+  }
+  ++counters_.respawns;
+  return EnsurePeer();
+}
+
+Result<PredicateLog> WireReplicaTarget::RunTrial(
+    const std::vector<PredicateId>& intervened, uint64_t trial_index) {
+  AID_RETURN_IF_ERROR(EnsurePeer());
+  Telemetry* telemetry = options().telemetry.get();
   // Trial timing at the wire, charged on every exit path: the substrate's
-  // real per-trial latency -- RPC round trip and any peer replacement --
-  // feeds the latency-aware scheduler's per-replica EWMA
-  // (exec/scheduler.h).
+  // real per-trial latency -- RPC round trip and any respawn -- feeds the
+  // latency-aware scheduler's per-replica EWMA (exec/scheduler.h).
   const Clock::time_point start = Clock::now();
-  // Read before the trial: replace_peer destroys `channel`.
-  const std::string_view transport = channel.transport();
+  // Read before the trial: a respawn replaces the channel and may move to
+  // another endpoint.
+  const std::string_view transport = channel_->transport();
+  const std::string endpoint =
+      telemetry != nullptr ? endpoint_label() : std::string();
   // The engine-side "trial" span, parented under whatever round span the
-  // engine published. It covers the whole trial including any peer
-  // replacement, and is the import anchor for the host-side spans.
+  // engine published. It covers the whole trial including any respawn,
+  // and is the import anchor for the host-side spans.
   ScopedSpan trial_span;
   if (telemetry != nullptr && telemetry->tracer() != nullptr) {
     trial_span = ScopedSpan(telemetry->tracer(), "trial",
                             telemetry->active_parent());
   }
   Result<PredicateLog> out = [&]() -> Result<PredicateLog> {
-    Result<PredicateLog> run =
-        RunTrialOverChannel(channel, trial_index, intervened, catalog_size,
-                            trial_deadline_ms, telemetry, trial_span.id());
+    Result<PredicateLog> run = RunTrialOverChannel(
+        *channel_, trial_index, intervened, catalog_size_,
+        options().trial_deadline_ms, telemetry, trial_span.id());
     if (run.ok()) return run;
     PredicateLog log;
     log.failed = true;
     if (run.status().code() == StatusCode::kAborted) {
       log.outcome = TrialOutcome::kCrashed;
-      ++counters->crashed_trials;
+      ++counters_.crashed_trials;
     } else if (run.status().code() == StatusCode::kDeadlineExceeded) {
       log.outcome = TrialOutcome::kTimedOut;
-      ++counters->timed_out_trials;
+      ++counters_.timed_out_trials;
     } else {
       return run;
     }
-    AID_RETURN_IF_ERROR(replace_peer());
+    AID_RETURN_IF_ERROR(Respawn());
     return log;
   }();
   trial_span.End();
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                            Clock::now() - start)
                            .count();
-  if (elapsed > 0) counters->trial_micros += static_cast<uint64_t>(elapsed);
-  if (telemetry != nullptr && elapsed > 0) {
+  if (elapsed <= 0) return out;
+  counters_.trial_micros += static_cast<uint64_t>(elapsed);
+  if (telemetry != nullptr) {
     telemetry
         ->LatencyHistogram("aid_trial_latency_us",
                            {{"transport", std::string(transport)}})
         ->Record(static_cast<uint64_t>(elapsed));
+    if (!endpoint.empty()) {
+      telemetry
+          ->LatencyHistogram("aid_endpoint_trial_latency_us",
+                             {{"endpoint", endpoint}})
+          ->Record(static_cast<uint64_t>(elapsed));
+    }
   }
   return out;
 }

@@ -4,10 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <utility>
-#include <vector>
 
-#include "common/logging.h"
-#include "proc/client.h"
 #include "proc/wire.h"
 
 #if AID_PROC_SUPPORTED
@@ -25,14 +22,6 @@
 #endif
 
 namespace aid {
-
-std::string_view IsolationName(Isolation isolation) {
-  switch (isolation) {
-    case Isolation::kInProcess: return "in_process";
-    case Isolation::kSubprocess: return "subprocess";
-  }
-  return "unknown";
-}
 
 #if AID_PROC_SUPPORTED
 
@@ -79,35 +68,6 @@ std::string ResolveHostPath(const std::string& configured) {
 
 }  // namespace
 
-Result<std::unique_ptr<SubprocessTarget>> SubprocessTarget::Create(
-    const SubjectSpec& spec, SubprocessOptions options) {
-  if (options.trial_deadline_ms < 0) {
-    return Status::InvalidArgument(
-        "SubprocessTarget: trial_deadline_ms must be >= 0, got " +
-        std::to_string(options.trial_deadline_ms));
-  }
-  if (options.max_respawns < 0) {
-    return Status::InvalidArgument(
-        "SubprocessTarget: max_respawns must be >= 0, got " +
-        std::to_string(options.max_respawns));
-  }
-  SubjectSpec effective = spec;
-  // The injection knobs live on the options (the session-facing surface) but
-  // execute in the child, so they ride inside the frozen spec.
-  if (options.inject_crash_period != 0) {
-    effective.crash_period = options.inject_crash_period;
-  }
-  if (options.inject_hang_period != 0) {
-    effective.hang_period = options.inject_hang_period;
-  }
-  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(effective));
-  return std::unique_ptr<SubprocessTarget>(new SubprocessTarget(
-      std::make_shared<const std::string>(std::move(bytes)),
-      std::move(options)));
-}
-
-SubprocessTarget::~SubprocessTarget() { StopChild(/*force_kill=*/false); }
-
 namespace {
 
 /// Creates a pipe whose BOTH ends are close-on-exec from birth. pipe2 makes
@@ -136,9 +96,7 @@ std::mutex& SpawnMutex() {
 
 }  // namespace
 
-Status SubprocessTarget::EnsureChild() {
-  if (child_pid_ > 0) return Status::OK();
-
+Result<std::unique_ptr<FrameChannel>> SubprocessTarget::StartPeer() {
   const std::string host = ResolveHostPath(options_.host_path);
   int to_child[2];    // parent writes -> child stdin
   int from_child[2];  // child stdout -> parent reads
@@ -182,141 +140,66 @@ Status SubprocessTarget::EnsureChild() {
   // Parent.
   ::close(to_child[0]);
   ::close(from_child[1]);
-  channel_ = std::make_unique<PipeChannel>(
+  auto channel = std::make_unique<PipeChannel>(
       /*read_fd=*/from_child[0], /*write_fd=*/to_child[1], /*owns_fds=*/true);
   child_pid_ = pid;
-
-  // Handshake: HELLO, SPEC, READY -- all under the spawn budget. (The spec
-  // can exceed the pipe buffer; the handshake deadline keeps a host that
-  // stops reading from wedging the engine.)
-  SubjectHandshake handshake;
-  handshake.timeout_ms = options_.spawn_timeout_ms;
-  handshake.expected_catalog_size = options_.expected_catalog_size;
-  handshake.previous_catalog_size = child_catalog_size_;
-  handshake.peer = "subject host '" + host + "'";
-  Result<uint32_t> catalog = HandshakeSubject(*channel_, *spec_bytes_,
-                                              handshake);
-  if (!catalog.ok()) {
-    StopChild(/*force_kill=*/true);
-    return Status(catalog.status().code(),
-                  "SubprocessTarget: " + catalog.status().message());
+  Status handshake = HandshakePeer(*channel, "subject host '" + host + "'",
+                                   options_.startup_timeout_ms);
+  if (!handshake.ok()) {
+    channel.reset();
+    ReapPeer(/*graceful=*/false);
+    return handshake;
   }
-  child_catalog_size_ = *catalog;
-  return Status::OK();
+  return std::unique_ptr<FrameChannel>(std::move(channel));
 }
 
-void SubprocessTarget::StopChild(bool force_kill) {
-  if (child_pid_ <= 0) {
-    channel_.reset();
-    return;
-  }
-  if (!force_kill && channel_ != nullptr) {
-    (void)channel_->Write(ProcMsgType::kShutdown, {});
-  }
-  channel_.reset();  // closing both ends is the EOF backstop for hosts mid-read
-
+void SubprocessTarget::ReapPeer(bool graceful) {
+  if (child_pid_ <= 0) return;
   const pid_t pid = static_cast<pid_t>(child_pid_);
   child_pid_ = -1;
-  if (force_kill) {
-    ::kill(pid, SIGKILL);
-    (void)WaitpidRetry(pid, nullptr, 0);
-    return;
-  }
-  // Grace period, then SIGKILL: a wedged host must not wedge our destructor.
-  constexpr int kGraceMs = 2000;
-  constexpr int kPollMs = 10;
-  for (int waited = 0; waited < kGraceMs; waited += kPollMs) {
-    const pid_t rc = WaitpidRetry(pid, nullptr, WNOHANG);
-    if (rc == pid || (rc < 0 && errno == ECHILD)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+  if (graceful) {
+    // Grace period, then SIGKILL: a wedged host must not wedge our
+    // destructor.
+    constexpr int kGraceMs = 2000;
+    constexpr int kPollMs = 10;
+    for (int waited = 0; waited < kGraceMs; waited += kPollMs) {
+      const pid_t rc = WaitpidRetry(pid, nullptr, WNOHANG);
+      if (rc == pid || (rc < 0 && errno == ECHILD)) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+    }
   }
   ::kill(pid, SIGKILL);
   (void)WaitpidRetry(pid, nullptr, 0);
 }
 
-Status SubprocessTarget::Respawn() {
-  if (counters_.respawns >= static_cast<uint64_t>(options_.max_respawns)) {
-    return Status::Aborted(
-        "SubprocessTarget: subject crashed/hung through " +
-        std::to_string(counters_.respawns) +
-        " respawns (max_respawns); giving up on a crash loop");
-  }
-  ++counters_.respawns;
-  return EnsureChild();
-}
-
-Result<PredicateLog> SubprocessTarget::RunOneTrial(
-    const std::vector<PredicateId>& intervened, uint64_t trial_index) {
-  AID_RETURN_IF_ERROR(EnsureChild());
-  // Crash -> kCrashed, deadline -> SIGKILL + kTimedOut, fresh child either
-  // way (proc/client.h has the full lifecycle contract).
-  return RunTrialWithRecovery(
-      *channel_, trial_index, intervened, child_catalog_size_,
-      options_.trial_deadline_ms, &counters_,
-      [this]() {
-        StopChild(/*force_kill=*/true);
-        return Respawn();
-      },
-      options_.telemetry.get());
-}
-
-Result<TargetRunResult> SubprocessTarget::RunIntervened(
-    const std::vector<PredicateId>& intervened, int trials) {
-  if (trials < 1) trials = 1;
-  TargetRunResult result;
-  result.logs.reserve(static_cast<size_t>(trials));
-  for (int i = 0; i < trials; ++i) {
-    const uint64_t trial_index = trial_cursor_++;
-    ++counters_.executions;
-    AID_ASSIGN_OR_RETURN(PredicateLog log,
-                         RunOneTrial(intervened, trial_index));
-    result.logs.push_back(std::move(log));
-  }
-  return result;
-}
-
-Result<std::unique_ptr<ReplicableTarget>> SubprocessTarget::Clone() const {
-  auto clone = std::unique_ptr<SubprocessTarget>(
-      new SubprocessTarget(spec_bytes_, options_));
-  clone->trial_cursor_ = trial_cursor_;
-  return std::unique_ptr<ReplicableTarget>(std::move(clone));
-}
-
 #else  // !AID_PROC_SUPPORTED
 
-Result<std::unique_ptr<SubprocessTarget>> SubprocessTarget::Create(
-    const SubjectSpec&, SubprocessOptions) {
-  return Status::Unimplemented(
-      "SubprocessTarget: process isolation requires fork/exec, which this "
-      "platform does not provide");
-}
-
-SubprocessTarget::~SubprocessTarget() = default;
-
-Status SubprocessTarget::EnsureChild() {
+Result<std::unique_ptr<FrameChannel>> SubprocessTarget::StartPeer() {
   return Status::Unimplemented("SubprocessTarget: unsupported platform");
 }
 
-void SubprocessTarget::StopChild(bool) {}
-
-Status SubprocessTarget::Respawn() {
-  return Status::Unimplemented("SubprocessTarget: unsupported platform");
-}
-
-Result<PredicateLog> SubprocessTarget::RunOneTrial(
-    const std::vector<PredicateId>&, uint64_t) {
-  return Status::Unimplemented("SubprocessTarget: unsupported platform");
-}
-
-Result<TargetRunResult> SubprocessTarget::RunIntervened(
-    const std::vector<PredicateId>&, int) {
-  return Status::Unimplemented("SubprocessTarget: unsupported platform");
-}
-
-Result<std::unique_ptr<ReplicableTarget>> SubprocessTarget::Clone() const {
-  return Status::Unimplemented("SubprocessTarget: unsupported platform");
-}
+void SubprocessTarget::ReapPeer(bool) {}
 
 #endif  // AID_PROC_SUPPORTED
+
+Result<std::unique_ptr<SubprocessTarget>> SubprocessTarget::Create(
+    const SubjectSpec& spec, SubprocessOptions options) {
+  if (!SubprocessIsolationSupported()) {
+    return Status::Unimplemented(
+        "SubprocessTarget: process isolation requires fork/exec, which this "
+        "platform does not provide");
+  }
+  AID_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> bytes,
+                       FreezeSpec(spec, options, "SubprocessTarget"));
+  return std::unique_ptr<SubprocessTarget>(
+      new SubprocessTarget(std::move(bytes), std::move(options)));
+}
+
+SubprocessTarget::~SubprocessTarget() { DropPeer(/*graceful=*/true); }
+
+std::unique_ptr<WireReplicaTarget> SubprocessTarget::NewReplica() const {
+  return std::unique_ptr<WireReplicaTarget>(
+      new SubprocessTarget(spec_bytes(), options_));
+}
 
 }  // namespace aid

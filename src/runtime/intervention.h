@@ -56,8 +56,6 @@ enum class VmActionKind : uint8_t {
   kForceReturnDistinct,
 };
 
-std::string_view VmActionKindName(VmActionKind kind);
-
 /// One injection. Fields beyond (kind, method, occurrence) are per-kind.
 struct VmAction {
   VmActionKind kind = VmActionKind::kDelayAtEnter;

@@ -78,7 +78,7 @@ TEST(RemoteTargetTest, TrialsMatchTheInProcessModelTarget) {
       EXPECT_TRUE(remote_result->logs[i].complete());
     }
   }
-  EXPECT_EQ((*remote)->remote_catalog_size(), model->catalog().size());
+  EXPECT_EQ((*remote)->peer_catalog_size(), model->catalog().size());
   EXPECT_EQ((*remote)->executions(), 6);
   EXPECT_EQ((*remote)->counters().crashed_trials, 0);
   EXPECT_EQ((*remote)->counters().respawns, 0);
@@ -216,7 +216,7 @@ TEST(RemoteTargetTest, DeadRunnerExhaustsConnectAttempts) {
   options.connect_attempts = 2;
   options.backoff_ms = 5;
   options.backoff_max_ms = 10;
-  options.connect_timeout_ms = 2000;
+  options.startup_timeout_ms = 2000;
   auto remote = RemoteTarget::Create({dead}, ModelSpec(model.get()), options);
   ASSERT_TRUE(remote.ok()) << remote.status();
 
@@ -253,6 +253,56 @@ TEST(RemoteTargetTest, ValidationRejectsBadOptions) {
   no_attempts.connect_attempts = 0;
   EXPECT_FALSE(
       RemoteTarget::Create({Endpoint{"h", 1}}, spec, no_attempts).ok());
+  RemoteOptions negative_respawns;
+  negative_respawns.max_respawns = -1;
+  EXPECT_EQ(RemoteTarget::Create({Endpoint{"h", 1}}, spec, negative_respawns)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RemoteTargetTest, CrashLoopAbortsAtMaxRespawns) {
+  auto model = MakeModel();
+  auto runner = Runner::Start();
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  RemoteOptions options;
+  options.inject_crash_period = 1;  // every trial crashes
+  options.max_respawns = 3;
+  auto remote = RemoteTarget::Create({(*runner)->endpoint()},
+                                     ModelSpec(model.get()), options);
+  ASSERT_TRUE(remote.ok()) << remote.status();
+
+  auto result = (*remote)->RunIntervened({}, 50);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kAborted);
+  EXPECT_EQ((*remote)->counters().respawns, 3);
+  EXPECT_EQ((*remote)->counters().crashed_trials, 4);
+}
+
+TEST(RemoteTargetTest, CloneContinuesAtTheCursor) {
+  auto model = MakeModel();
+  auto runner = Runner::Start();
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  auto remote = RemoteTarget::Create({(*runner)->endpoint()},
+                                     ModelSpec(model.get()));
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  ASSERT_TRUE((*remote)->RunIntervened({}, 4).ok());
+  EXPECT_EQ((*remote)->trial_position(), 4u);
+  auto clone = (*remote)->Clone();
+  ASSERT_TRUE(clone.ok()) << clone.status();
+  EXPECT_EQ((*clone)->trial_position(), 4u);
+  EXPECT_EQ((*clone)->executions(), 0);
+
+  // The clone picks the stream up where the original left it: trial 4 is
+  // the bytes the in-process target produces at that position.
+  auto next = (*clone)->RunIntervened({}, 1);
+  ASSERT_TRUE(next.ok()) << next.status();
+  ModelTarget local(model.get());
+  local.SeekTrial(4);
+  auto expected = local.RunIntervened({}, 1);
+  ASSERT_TRUE(expected.ok());
+  ExpectSameLog(expected->logs[0], next->logs[0]);
+  EXPECT_EQ((*clone)->trial_position(), 5u);
 }
 
 TEST(FleetTargetTest, ClonesDealRoundRobinBeforeAndAfterTrialsRun) {

@@ -123,7 +123,7 @@ TEST_F(SchedulerFleetTest, FleetCursorCommitsOnlyOnSuccess) {
   // Crash on the 3rd trial with no reconnect budget: the call fails
   // mid-stream after consuming a partial prefix.
   options.inject_crash_period = 3;
-  options.max_reconnects = 0;
+  options.max_respawns = 0;
   auto fleet = FleetTarget::Create(endpoints, spec, options);
   ASSERT_TRUE(fleet.ok()) << fleet.status();
 

@@ -78,7 +78,7 @@ TEST(SubprocessTargetTest, MatchesInProcessModelDispatch) {
   }
   EXPECT_EQ((*target)->executions(), reference.executions());
   EXPECT_EQ((*target)->counters().respawns, 0);
-  EXPECT_EQ((*target)->child_catalog_size(), model->catalog().size());
+  EXPECT_EQ((*target)->peer_catalog_size(), model->catalog().size());
 }
 
 TEST(SubprocessTargetTest, FlakyModelMatchesPositionally) {
@@ -205,7 +205,7 @@ TEST(SubprocessTargetTest, MissingHostBinaryFailsWithClearError) {
   auto model = MakeModel();
   SubprocessOptions options;
   options.host_path = "/nonexistent/aid_subject_host";
-  options.spawn_timeout_ms = 5000;
+  options.startup_timeout_ms = 5000;
   auto target = SubprocessTarget::Create(ModelSpec(model.get()), options);
   ASSERT_TRUE(target.ok()) << target.status();
   auto result = (*target)->RunIntervened({}, 1);
