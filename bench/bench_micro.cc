@@ -29,10 +29,13 @@ void BM_GenerateSyntheticApp(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateSyntheticApp)->Arg(4)->Arg(16)->Arg(40);
 
+// Exactly range(0) threads in two parallel blocks, seed 101: Arg(400) is
+// the model of aidbench's synth_3k workload (2,718 predicates).
 void BM_BuildAcDag(benchmark::State& state) {
   SyntheticAppOptions options;
-  options.max_threads = static_cast<int>(state.range(0));
-  options.seed = 42;
+  options.min_threads = options.max_threads = static_cast<int>(state.range(0));
+  options.blocks_min = options.blocks_max = 2;
+  options.seed = 101;
   auto model = GenerateSyntheticApp(options);
   for (auto _ : state) {
     auto dag = (*model)->BuildAcDag();

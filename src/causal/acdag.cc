@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
 #include <sstream>
 
 #include "common/logging.h"
@@ -35,30 +34,69 @@ void ForEachBit(std::span<const uint64_t> row, F&& f) {
 }
 
 /// Kahn's algorithm over n nodes whose successors `for_each_successor(i, f)`
-/// passes to f, smallest index first among ready nodes. Shorter than n iff
-/// the relation has a cycle.
+/// passes to f, smallest index first among ready nodes. The ready set is a
+/// bitset scanned from `low`, the lowest word that may hold a ready node; a
+/// node made ready below it moves `low` back down. Shorter than n iff the
+/// relation has a cycle.
 template <typename ForEachSuccessor>
 std::vector<size_t> KahnOrder(size_t n, ForEachSuccessor&& for_each_successor) {
   std::vector<size_t> indegree(n, 0);
   for (size_t i = 0; i < n; ++i) {
     for_each_successor(i, [&](size_t j) { ++indegree[j]; });
   }
-  std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>>
-      ready;
+  std::vector<uint64_t> ready(WordsFor(n), 0);
   for (size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push(i);
+    if (indegree[i] == 0) SetBit(ready.data(), i);
   }
   std::vector<size_t> order;
   order.reserve(n);
-  while (!ready.empty()) {
-    const size_t i = ready.top();
-    ready.pop();
+  for (size_t low = 0;;) {
+    while (low < ready.size() && ready[low] == 0) ++low;
+    if (low == ready.size()) break;
+    const size_t i =
+        low * 64 + static_cast<size_t>(std::countr_zero(ready[low]));
+    ready[low] &= ready[low] - 1;
     order.push_back(i);
     for_each_successor(i, [&](size_t j) {
-      if (--indegree[j] == 0) ready.push(j);
+      if (--indegree[j] != 0) return;
+      SetBit(ready.data(), j);
+      low = std::min(low, j / 64);
     });
   }
   return order;
+}
+
+/// Distinct node ids, ascending, and the table that finds them.
+struct DenseNodes {
+  std::vector<PredicateId> nodes;
+  /// index[id]: the position of `id` in nodes, or -1; dense over
+  /// 0..nodes.back().
+  std::vector<int> index;
+};
+
+/// Sorts and deduplicates `ids` by marking them in a table sized by the
+/// largest id, which then serves as the id -> position lookup.
+/// InvalidArgument if `failure` is not among them (`what` names the list in
+/// the message) or an id is negative.
+Result<DenseNodes> IndexNodes(const std::vector<PredicateId>& ids,
+                              PredicateId failure, const char* what) {
+  if (std::find(ids.begin(), ids.end(), failure) == ids.end()) {
+    return Status::InvalidArgument(
+        StrFormat("failure predicate must be among the %s", what));
+  }
+  const auto [lowest, highest] = std::minmax_element(ids.begin(), ids.end());
+  if (*lowest < 0) {
+    return Status::InvalidArgument("predicate ids must be non-negative");
+  }
+  DenseNodes out;
+  out.index.assign(static_cast<size_t>(*highest) + 1, -1);
+  for (PredicateId id : ids) out.index[static_cast<size_t>(id)] = 0;
+  for (size_t id = 0; id < out.index.size(); ++id) {
+    if (out.index[id] < 0) continue;
+    out.index[id] = static_cast<int>(out.nodes.size());
+    out.nodes.push_back(static_cast<PredicateId>(id));
+  }
+  return out;
 }
 
 Status CycleError() {
@@ -74,13 +112,9 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
   if (catalog == nullptr) {
     return Status::InvalidArgument("catalog must not be null");
   }
-  std::vector<PredicateId> nodes = candidates;
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  if (!std::binary_search(nodes.begin(), nodes.end(), failure)) {
-    return Status::InvalidArgument(
-        "failure predicate must be among the candidates");
-  }
+  AID_ASSIGN_OR_RETURN(DenseNodes dense,
+                       IndexNodes(candidates, failure, "candidates"));
+  const std::vector<PredicateId>& nodes = dense.nodes;
 
   const size_t n = nodes.size();
   const size_t words = WordsFor(n);
@@ -158,27 +192,23 @@ Result<AcDag> AcDag::Build(const PredicateCatalog* catalog,
     ForEachBit({co_occurred.data() + i * words, words}, f);
   });
   if (order.size() != n) return CycleError();
-  return FromClosure(catalog, std::move(nodes), std::move(co_occurred),
-                     std::move(order), failure);
+  return FromClosure(catalog, std::move(dense.nodes), std::move(dense.index),
+                     std::move(co_occurred), std::move(order), failure);
 }
 
 Result<AcDag> AcDag::FromEdges(
     const PredicateCatalog* catalog, const std::vector<PredicateId>& nodes_in,
     const std::vector<std::pair<PredicateId, PredicateId>>& edges,
     PredicateId failure) {
-  std::vector<PredicateId> nodes = nodes_in;
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  if (!std::binary_search(nodes.begin(), nodes.end(), failure)) {
-    return Status::InvalidArgument(
-        "failure predicate must be among the nodes");
-  }
-  const size_t n = nodes.size();
+  AID_ASSIGN_OR_RETURN(DenseNodes dense,
+                       IndexNodes(nodes_in, failure, "nodes"));
+  const size_t n = dense.nodes.size();
   const size_t words = WordsFor(n);
+  const std::vector<int>& index = dense.index;
   auto index_of = [&](PredicateId id) -> size_t {
-    auto it = std::lower_bound(nodes.begin(), nodes.end(), id);
-    return it != nodes.end() && *it == id
-               ? static_cast<size_t>(it - nodes.begin())
+    return id >= 0 && static_cast<size_t>(id) < index.size() &&
+                   index[static_cast<size_t>(id)] >= 0
+               ? static_cast<size_t>(index[static_cast<size_t>(id)])
                : n;
   };
 
@@ -213,36 +243,35 @@ Result<AcDag> AcDag::FromEdges(
   std::vector<size_t> order = KahnOrder(n, for_each_child);
   if (order.size() != n) return CycleError();
   // Close in reverse topological order: each row is its children plus
-  // their already closed rows.
+  // their already closed rows. A child with no children (the failure, say)
+  // has an empty row, so it only sets its own bit.
   std::vector<uint64_t> rows(n * words, 0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     uint64_t* row = rows.data() + *it * words;
     for_each_child(*it, [&](size_t c) {
       SetBit(row, c);
+      if (first[c] == first[c + 1]) return;
       const uint64_t* child = rows.data() + c * words;
       for (size_t w = 0; w < words; ++w) row[w] |= child[w];
     });
   }
-  return FromClosure(catalog, std::move(nodes), std::move(rows),
-                     std::move(order), failure);
+  return FromClosure(catalog, std::move(dense.nodes), std::move(dense.index),
+                     std::move(rows), std::move(order), failure);
 }
 
 Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
                                  std::vector<PredicateId> nodes,
+                                 std::vector<int> index,
                                  std::vector<uint64_t> rows,
                                  std::vector<size_t> order,
                                  PredicateId failure) {
-  if (!nodes.empty() && nodes.front() < 0) {
-    return Status::InvalidArgument("predicate ids must be non-negative");
-  }
   size_t n = nodes.size();
   size_t words = WordsFor(n);
 
   // Keep the failure node and every node that reaches it: a predicate with
   // no path to F cannot cause F under the temporal over-approximation.
-  const size_t failure_index = static_cast<size_t>(
-      std::lower_bound(nodes.begin(), nodes.end(), failure) - nodes.begin());
-  AID_CHECK(failure_index < n && nodes[failure_index] == failure);
+  const size_t failure_index =
+      static_cast<size_t>(index[static_cast<size_t>(failure)]);
   std::vector<size_t> keep;
   for (size_t i = 0; i < n; ++i) {
     if (i == failure_index ||
@@ -270,6 +299,10 @@ Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
     // of a kept node's ancestor.
     std::erase_if(order, [&](size_t i) { return new_index[i] == n; });
     for (size_t& i : order) i = new_index[i];
+    for (size_t i = 0; i < n; ++i) {
+      index[static_cast<size_t>(nodes[i])] =
+          new_index[i] == n ? -1 : static_cast<int>(new_index[i]);
+    }
     nodes = std::move(kept_nodes);
     rows = std::move(kept_rows);
     n = nodes.size();
@@ -280,10 +313,7 @@ Result<AcDag> AcDag::FromClosure(const PredicateCatalog* catalog,
   dag.catalog_ = catalog;
   dag.failure_ = failure;
   dag.words_ = words;
-  dag.index_.assign(static_cast<size_t>(nodes.back()) + 1, -1);
-  for (size_t i = 0; i < n; ++i) {
-    dag.index_[static_cast<size_t>(nodes[i])] = static_cast<int>(i);
-  }
+  dag.index_ = std::move(index);
   dag.topo_order_.reserve(n);
   dag.topo_pos_.resize(n);
   for (size_t pos = 0; pos < n; ++pos) {

@@ -21,14 +21,23 @@
 // to its surviving candidates with a mask, and Definition 2's ancestor guard
 // ANDs one row with an intervened-node mask. No transposed copy is kept.
 //
-// The deterministic topological order (Kahn's algorithm, smallest id first
-// among ready nodes) is computed once, at construction: FromEdges takes it
-// from the direct edges, which order the closure identically.
+// The deterministic topological order is min-index Kahn: next comes the
+// smallest node index (so the smallest id) among the nodes whose ancestors
+// are all placed. It is computed once, at construction, with the ready set
+// as a word-packed bitset scanned from the lowest word that can hold a ready
+// node. FromEdges takes it from the direct edges, which order the closure
+// identically.
 //
-// Cost, n nodes, w = ceil(n/64), E closure pairs: Build O(L * n * w + E)
-// over L failed logs (the order is one Kahn pass over the closure);
-// FromEdges O((edges + n) * w), plus O(E) only when nodes that cannot reach
-// the failure are dropped; Reaches, Contains, TopoPosition O(1); EdgeCount
+// Cost, n nodes, w = ceil(n/64), E closure pairs, m the largest node id,
+// D direct edges of which D' end at a node with children of its own: both
+// builders sort the nodes by marking them in one table over ids 0..m, which
+// then maps each id to its index (O(m + n), kept as the DAG's id lookup).
+// Build O(m + L * n * w + E) over L failed logs (the order is one Kahn pass
+// over the closure); FromEdges O(m + D + n * w + D' * w): a table lookup
+// per edge endpoint, Kahn over the direct edges, and one w-word row OR per
+// edge into a non-sink (an edge into a sink, such as the failure, only sets
+// a bit); plus O(E) only when nodes that cannot reach the failure are
+// dropped. Reaches, Contains, TopoPosition O(1); EdgeCount
 // O(n*w); FirstJunction(mask) O(n + k*w + j*w) for k single-node levels
 // above a j-way junction; TopoLevels(mask) O(n*w + E within the mask); the
 // reduction (Children/Parents, built lazily once) O(E * w).
@@ -142,10 +151,12 @@ class AcDag {
  private:
   AcDag() = default;
   /// Applies reachability-to-failure pruning to `rows` (the closure over
-  /// the sorted `nodes`, packed as described above) and to `order` (its
-  /// min-index Kahn order, as node indices), then indexes the result.
+  /// the sorted, non-negative `nodes`, packed as described above), to
+  /// `order` (its min-index Kahn order, as node indices) and to `index` (the
+  /// dense id -> node index table, as index_), then builds the DAG.
   static Result<AcDag> FromClosure(const PredicateCatalog* catalog,
                                    std::vector<PredicateId> nodes,
+                                   std::vector<int> index,
                                    std::vector<uint64_t> rows,
                                    std::vector<size_t> order,
                                    PredicateId failure);

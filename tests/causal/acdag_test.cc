@@ -192,9 +192,21 @@ TEST_F(AcDagTest, FromEdgesRejectsCycles) {
 
 TEST_F(AcDagTest, FromEdgesRejectsUnknownEndpointsAndSelfLoops) {
   const PredicateId a = Pred(1);
+  const PredicateId gap = Pred(2);  // interned, inside the id range, no node
   const PredicateId f = Failure();
-  EXPECT_FALSE(AcDag::FromEdges(&catalog_, {a, f}, {{a, 999}}, f).ok());
-  EXPECT_FALSE(AcDag::FromEdges(&catalog_, {a, f}, {{a, a}}, f).ok());
+  ASSERT_LT(a, gap);
+  ASSERT_LT(gap, f);
+  using Edges = std::vector<std::pair<PredicateId, PredicateId>>;
+  auto code = [&](const std::vector<PredicateId>& nodes, const Edges& edges) {
+    return AcDag::FromEdges(&catalog_, nodes, edges, f).status().code();
+  };
+  EXPECT_EQ(code({a, f}, {{a, 999}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({a, f}, {{a, -3}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({a, f}, {{a, a}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({a, f}, {{a, gap}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({a, f}, {{gap, f}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({-3, a, f}, {{a, f}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({-3, a, f}, {{-3, f}, {a, f}}), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AcDagTest, MaskKeepsInducedClosure) {
@@ -478,10 +490,22 @@ struct RandomDag {
 /// `n` nodes (failure included) under a random hidden order, so ids and
 /// topological positions disagree. Every predicate feeds the failure when
 /// `all_reach`; otherwise about one in five gets no edge of its own to it.
-RandomDag MakeRandomDag(size_t n, uint64_t seed, bool all_reach) {
+/// When `gapped`, predicates that are not nodes are interned too (at id 0,
+/// before about one node in three, and after the last node), so node ids
+/// skip values; they are returned in `gaps`.
+RandomDag MakeRandomDag(size_t n, uint64_t seed, bool all_reach, bool gapped,
+                        std::vector<PredicateId>* gaps = nullptr) {
   Rng rng(seed);
   RandomDag g;
+  auto intern_gap = [&] {
+    const PredicateId gap = g.catalog.Intern(Predicate{
+        .kind = PredKind::kSynthetic,
+        .occurrence = -1 - static_cast<int>(g.catalog.size())});
+    if (gaps != nullptr) gaps->push_back(gap);
+  };
+  if (gapped) intern_gap();
   for (size_t i = 0; i + 1 < n; ++i) {
+    if (gapped && rng.Uniform(3) == 0) intern_gap();
     if (i == n / 2) {
       g.failure = g.catalog.Intern(Predicate{.kind = PredKind::kFailure});
       g.nodes.push_back(g.failure);
@@ -493,6 +517,7 @@ RandomDag MakeRandomDag(size_t n, uint64_t seed, bool all_reach) {
     g.failure = g.catalog.Intern(Predicate{.kind = PredKind::kFailure});
     g.nodes.push_back(g.failure);
   }
+  if (gapped) intern_gap();
   std::sort(g.nodes.begin(), g.nodes.end());
   std::vector<PredicateId> hidden;
   for (PredicateId id : g.nodes) {
@@ -586,22 +611,40 @@ void ExpectSameDag(const AcDag& dag, const NaiveDag& ref, Rng& rng) {
 }
 
 class AcDagDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, bool, bool>> {};
 
 TEST_P(AcDagDifferentialTest, FromEdgesMatchesNaiveReference) {
-  const auto [n, all_reach] = GetParam();
-  const RandomDag g = MakeRandomDag(n, 1000 + n, all_reach);
-  auto dag = AcDag::FromEdges(&g.catalog, g.nodes, g.edges, g.failure);
+  const auto [n, all_reach, gapped] = GetParam();
+  std::vector<PredicateId> gaps;
+  const RandomDag g = MakeRandomDag(n, 1000 + n, all_reach, gapped, &gaps);
+  // The nodes in any order, one repeated: the builder sorts and dedups.
+  std::vector<PredicateId> input = g.nodes;
+  Rng shuffle(n + 1);
+  shuffle.Shuffle(input);
+  input.push_back(input.front());
+  auto dag = AcDag::FromEdges(&g.catalog, input, g.edges, g.failure);
   ASSERT_TRUE(dag.ok()) << dag.status();
   const NaiveDag ref(g.nodes, EdgeMatrix(g), g.failure);
   if (all_reach) EXPECT_EQ(ref.nodes.size(), n);
   Rng rng(n);
   ExpectSameDag(*dag, ref, rng);
+  // An interned id that is not a node is neither a member nor an endpoint.
+  for (PredicateId gap : gaps) {
+    EXPECT_FALSE(dag->Contains(gap));
+    std::vector<std::pair<PredicateId, PredicateId>> edges = g.edges;
+    edges.emplace_back(gap, g.failure);
+    EXPECT_EQ(AcDag::FromEdges(&g.catalog, g.nodes, edges, g.failure)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << gap;
+  }
 }
 
 TEST_P(AcDagDifferentialTest, BuildMatchesNaiveReference) {
-  const auto [n, all_reach] = GetParam();
-  const RandomDag g = MakeRandomDag(n, 3000 + n, all_reach);
+  const auto [n, all_reach, gapped] = GetParam();
+  std::vector<PredicateId> gaps;
+  const RandomDag g = MakeRandomDag(n, 3000 + n, all_reach, gapped, &gaps);
   // Failed logs with coarse random times (ties are common), the failure
   // last; about one predicate in eight is never observed (it co-occurs with
   // nothing, so it gets no edge and is dropped). A successful log with
@@ -621,6 +664,11 @@ TEST_P(AcDagDifferentialTest, BuildMatchesNaiveReference) {
       log.observed[id] = {t, t};
     }
     log.observed[g.failure] = {end, end};
+    // Predicates that are not candidates are observed too, and ignored.
+    for (PredicateId gap : gaps) {
+      const Tick t = static_cast<Tick>(rng.Uniform(n / 4 + 1));
+      log.observed[gap] = {t, t};
+    }
     logs.push_back(std::move(log));
   }
   PredicateLog success;
@@ -661,7 +709,39 @@ TEST_P(AcDagDifferentialTest, BuildMatchesNaiveReference) {
 INSTANTIATE_TEST_SUITE_P(
     WordBoundaries, AcDagDifferentialTest,
     ::testing::Combine(::testing::Values<size_t>(1, 63, 64, 65, 130, 300),
-                       ::testing::Bool()));
+                       ::testing::Bool(), ::testing::Bool()));
+
+TEST(AcDagKahnOrderTest, NodeFreedBelowTheScanIsTakenNext) {
+  // 140 predicates in three words, then the failure (index 140). p100
+  // (word 1) is p3's only parent and p130 (word 2) is p5's, so popping
+  // either frees a node in word 0 while higher-index nodes are still
+  // ready: min-index order must go back for it before p101 and p131.
+  RandomDag g;
+  std::vector<PredicateId> p;
+  for (int i = 0; i < 140; ++i) {
+    p.push_back(g.catalog.Intern(
+        Predicate{.kind = PredKind::kSynthetic, .occurrence = i}));
+  }
+  g.failure = g.catalog.Intern(Predicate{.kind = PredKind::kFailure});
+  g.nodes = p;
+  g.nodes.push_back(g.failure);
+  g.edges = {{p[100], p[3]}, {p[130], p[5]}};
+  for (PredicateId id : p) g.edges.emplace_back(id, g.failure);
+  auto dag = AcDag::FromEdges(&g.catalog, g.nodes, g.edges, g.failure);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+
+  std::vector<PredicateId> expected;
+  for (int i = 0; i < 140; ++i) {
+    if (i == 3 || i == 5) continue;
+    expected.push_back(p[static_cast<size_t>(i)]);
+    if (i == 100) expected.push_back(p[3]);
+    if (i == 130) expected.push_back(p[5]);
+  }
+  expected.push_back(g.failure);
+  EXPECT_EQ(dag->TopoOrder(), expected);
+  EXPECT_EQ(dag->TopoOrder(),
+            NaiveDag(g.nodes, EdgeMatrix(g), g.failure).TopoOrder());
+}
 
 }  // namespace
 }  // namespace aid
