@@ -11,8 +11,12 @@
 //   if (outcome->checkpointed) { ... resume later with outcome->checkpoint
 //   .state ... } else { use outcome->report ... }
 //
-// Submit performs admission synchronously (ACCEPTED or the service's
-// structured ERROR as a Status); Await blocks for the terminal frame --
+// Submit blocks for the admission verdict (ACCEPTED or the service's
+// structured ERROR as a Status). The service reads SUBMIT on its accept
+// thread but builds the subject -- observation and AC-DAG included -- as
+// the session's first turn on a worker, so ACCEPTED (or a build error)
+// arrives once that build finishes; a slow build never delays another
+// client's Connect. Await blocks for the terminal frame --
 // REPORT, CHECKPOINT, or ERROR. Resuming is a fresh Connect + Submit with
 // `resume_state` set to the checkpoint bytes and the same spec.
 
@@ -61,9 +65,10 @@ class ServiceClient {
   static Result<std::unique_ptr<ServiceClient>> Connect(
       const Endpoint& endpoint, int timeout_ms = 5000);
 
-  /// Sends SUBMIT and waits for the admission verdict. A service-side
-  /// rejection (session cap, bad spec/options/state) is returned as the
-  /// ERROR frame's carried Status. Call once per client.
+  /// Sends SUBMIT and waits for the admission verdict, which follows the
+  /// subject's build on a service worker. A service-side rejection
+  /// (session cap, bad spec/options/state, a failed build, shutdown) is
+  /// returned as the ERROR frame's carried Status. Call once per client.
   Result<AcceptedMsg> Submit(const ServiceSubmission& submission);
 
   /// Blocks for the terminal frame. timeout_ms <= 0 = forever. A service-

@@ -82,7 +82,8 @@ class DiscoveryService::Impl {
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    // Sessions still live never finished; tell their clients why.
+    // Sessions still live never finished; tell their clients why. A client
+    // whose build never ran gets this ERROR in place of ACCEPTED.
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, session] : sessions_) {
       (void)session->channel->Write(
@@ -107,11 +108,14 @@ class DiscoveryService::Impl {
  private:
   /// One live discovery: the client connection, the subject rebuilt from
   /// its spec (the spec owns the model/program the target borrows), and
-  /// the resumable state machine being interleaved.
+  /// the resumable state machine being interleaved. Registered unbuilt
+  /// (state null, `submit` set); the first turn builds it in place.
   struct Session {
     uint64_t id = 0;
     std::string label;
     std::unique_ptr<SocketChannel> channel;
+    /// The SUBMIT this session was admitted with; BuildSession consumes it.
+    SubmitMsg submit;
     OwnedSubjectSpec spec;
     std::unique_ptr<SessionTarget> target;
     std::optional<AcDag> dag;
@@ -142,9 +146,12 @@ class DiscoveryService::Impl {
     }
   }
 
-  /// The whole admission conversation: HELLO out, SUBMIT in, session built,
-  /// ACCEPTED (or structured ERROR) out. Runs on the accept thread, so
-  /// admissions are serial and the cap check cannot race itself.
+  /// The cheap half of admission: HELLO out, SUBMIT in and decoded, the
+  /// cap checked. Runs on the accept thread, so it must never wait on a
+  /// subject. The session is registered unbuilt and queued; its first turn
+  /// on a worker builds it and answers ACCEPTED or ERROR (BuildTurn).
+  /// Registering under the lock that checks the cap keeps the check
+  /// race-free, and a pending build counts toward the cap.
   void Admit(int conn_fd) {
     auto channel = std::make_unique<SocketChannel>(conn_fd);
     HelloMsg hello;
@@ -170,8 +177,10 @@ class DiscoveryService::Impl {
       Reject(*channel, submit.status());
       return;
     }
+    std::unique_lock<std::mutex> lock(mu_);
     if (options_.max_sessions > 0 &&
-        live_sessions() >= options_.max_sessions) {
+        sessions_.size() >= static_cast<size_t>(options_.max_sessions)) {
+      lock.unlock();
       Reject(*channel,
              Status::FailedPrecondition(
                  "service at its session cap (--max-sessions " +
@@ -179,35 +188,43 @@ class DiscoveryService::Impl {
                  "): retry once a session finishes or raise the cap"));
       return;
     }
-    Result<std::unique_ptr<Session>> session = BuildSession(std::move(*submit));
-    if (!session.ok()) {
-      Reject(*channel, session.status());
-      return;
+    const uint64_t id = next_session_id_++;
+    auto session = std::make_unique<Session>();
+    session->id = id;
+    session->channel = std::move(channel);
+    session->submit = std::move(*submit);
+    sessions_.emplace(id, std::move(session));
+    runnable_.push_back(id);
+    lock.unlock();
+    cv_.notify_one();
+  }
+
+  /// A session's first turn: builds it in place (its DiscoveryState
+  /// borrows session.dag, so a built session never moves) and answers the
+  /// SUBMIT. Returns true when the session is finished: rejected, or its
+  /// client gone before the answer.
+  bool BuildTurn(Session& session) {
+    const Status built = BuildSession(session);
+    if (!built.ok()) {
+      Reject(*session.channel, built);
+      return true;
     }
-    (*session)->channel = std::move(channel);
     AcceptedMsg accepted;
-    accepted.session_id = (*session)->id;
-    accepted.resumed = (*session)->folded_rounds > 0;
+    accepted.session_id = session.id;
+    accepted.resumed = session.folded_rounds > 0;
     // Count the session before ACCEPTED goes out: a client holding
     // ACCEPTED must never read a count that misses its own session.
     sessions_accepted_.fetch_add(1);
     if (sessions_counter_ != nullptr) sessions_counter_->Add();
-    if (!(*session)
-             ->channel
+    if (!session.channel
              ->Write(AsProcMsgType(ServiceMsgType::kAccepted),
                      EncodeAccepted(accepted), kFrameDeadlineMs)
              .ok()) {
       // The client hung up before the answer: the session fails unrun.
       if (failures_counter_ != nullptr) failures_counter_->Add();
-      return;
+      return true;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const uint64_t id = (*session)->id;
-      sessions_.emplace(id, std::move(*session));
-      runnable_.push_back(id);
-    }
-    cv_.notify_one();
+    return false;
   }
 
   void Reject(SocketChannel& channel, const Status& status) {
@@ -216,14 +233,15 @@ class DiscoveryService::Impl {
                         kFrameDeadlineMs);
   }
 
-  Result<std::unique_ptr<Session>> BuildSession(SubmitMsg msg) {
-    auto session = std::make_unique<Session>();
-    session->id = next_session_id_.fetch_add(1);
-    session->label = msg.label.empty()
-                         ? "session-" + std::to_string(session->id)
-                         : std::move(msg.label);
-    session->checkpoint_after_rounds = msg.checkpoint_after_rounds;
-    AID_ASSIGN_OR_RETURN(session->spec, DecodeSubjectSpec(msg.spec));
+  /// Decodes the session's SUBMIT and builds everything it runs on: the
+  /// subject, the target (observation included), the AC-DAG and the
+  /// DiscoveryState, fresh or resumed.
+  Status BuildSession(Session& session) {
+    SubmitMsg msg = std::move(session.submit);
+    session.label = msg.label.empty() ? "session-" + std::to_string(session.id)
+                                      : std::move(msg.label);
+    session.checkpoint_after_rounds = msg.checkpoint_after_rounds;
+    AID_ASSIGN_OR_RETURN(session.spec, DecodeSubjectSpec(msg.spec));
 
     const bool resuming = !msg.state.empty();
     EngineOptions engine;
@@ -245,16 +263,16 @@ class DiscoveryService::Impl {
       AID_RETURN_IF_ERROR(ValidateDiscoveryOptions(engine));
     }
 
-    AID_RETURN_IF_ERROR(BuildTarget(*session, engine.parallelism));
-    AID_ASSIGN_OR_RETURN(AcDag dag, session->target->BuildAcDag());
-    session->dag.emplace(std::move(dag));
+    AID_RETURN_IF_ERROR(BuildTarget(session, engine.parallelism));
+    AID_ASSIGN_OR_RETURN(AcDag dag, session.target->BuildAcDag());
+    session.dag.emplace(std::move(dag));
 
     if (resuming) {
       // The checkpoint carries the options the discovery started with
       // (SUBMIT's engine bytes only shaped the rebuilt target above).
       AID_ASSIGN_OR_RETURN(
-          session->state,
-          DiscoveryState::Deserialize(&*session->dag, msg.state,
+          session.state,
+          DiscoveryState::Deserialize(&*session.dag, msg.state,
                                       /*observer=*/nullptr,
                                       /*telemetry=*/nullptr));
       // Positional nondeterminism (flaky manifestation flips, injected
@@ -262,34 +280,34 @@ class DiscoveryService::Impl {
       // the rebuilt target at the checkpoint's spend ledger replays the
       // uninterrupted run's coin flips exactly (exec/replicable.h).
       if (auto* replicable = dynamic_cast<ReplicableTarget*>(
-              session->target->intervention_target())) {
-        replicable->SeekTrial(session->state->executions());
+              session.target->intervention_target())) {
+        replicable->SeekTrial(session.state->executions());
       }
     } else {
       engine.observer = nullptr;
       engine.telemetry = nullptr;  // see the header: engine spans stay off
-      session->state = std::make_unique<DiscoveryState>(
-          &*session->dag, engine, Rng(engine.seed));
+      session.state = std::make_unique<DiscoveryState>(
+          &*session.dag, engine, Rng(engine.seed));
     }
-    session->quota_enforced_externally =
+    session.quota_enforced_externally =
         options_.session_quota > 0 &&
-        !session->state->options().budget.enabled;
-    session->folded_rounds = session->state->next_round_index() - 1;
-    session->folded_executions = session->state->executions();
+        !session.state->options().budget.enabled;
+    session.folded_rounds = session.state->next_round_index() - 1;
+    session.folded_executions = session.state->executions();
 
     if (options_.telemetry != nullptr) {
       MetricsRegistry& metrics = options_.telemetry->metrics();
-      const MetricLabels labels = {{"session", session->label}};
-      session->rounds_counter =
+      const MetricLabels labels = {{"session", session.label}};
+      session.rounds_counter =
           metrics.GetCounter("aid_service_rounds_total", labels);
-      session->executions_counter =
+      session.executions_counter =
           metrics.GetCounter("aid_service_executions_total", labels);
-      session->turns_counter =
+      session.turns_counter =
           metrics.GetCounter("aid_service_turns_total", labels);
       // A resumed session's pre-checkpoint work was counted where it ran;
       // only the rounds executed HERE are folded in (folded_* above).
     }
-    return session;
+    return Status::OK();
   }
 
   /// Rebuilds the target a SubjectSpec describes, its intervention
@@ -342,7 +360,8 @@ class DiscoveryService::Impl {
       // One worker owns the session for the whole turn (its id is out of
       // the queue), so target I/O runs without the lock.
       lock.unlock();
-      const bool finished = RunOneTurn(*session);
+      const bool finished = session->state == nullptr ? BuildTurn(*session)
+                                                      : RunOneTurn(*session);
       lock.lock();
       if (finished) {
         sessions_.erase(id);
@@ -432,7 +451,7 @@ class DiscoveryService::Impl {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> next_session_id_{1};
+  uint64_t next_session_id_ = 1;  ///< guarded by mu_
   std::atomic<uint64_t> sessions_accepted_{0};
 
   /// Daemon-wide instruments (null without telemetry).
@@ -444,8 +463,8 @@ class DiscoveryService::Impl {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  /// Live sessions by id; a session's id is in runnable_ exactly once
-  /// (or held by the worker running its turn).
+  /// Live sessions by id, unbuilt ones included; a session's id is in
+  /// runnable_ exactly once (or held by the worker running its turn).
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
   std::deque<uint64_t> runnable_;
 

@@ -14,13 +14,21 @@
 // rounds left cannot starve a session with 2; wall-clock interleaves
 // proportionally to round cost.
 //
-// Admission control: at `max_sessions` live sessions, further SUBMITs get
-// a structured FAILED_PRECONDITION ERROR frame (the aid_runner
-// --max-sessions pattern one layer up). `session_quota` caps what any one
-// session may spend: budgeted sessions have their BudgetOptions::
-// max_executions clamped to the quota (they degrade gracefully into
-// best-effort reports with per-candidate confidence); unbudgeted sessions
-// are hard-stopped with an ERROR when they cross it.
+// Admission: the accept thread only greets the client, reads and decodes
+// its SUBMIT and checks the cap; it then registers the session unbuilt and
+// queues it. The session's first turn on a worker builds it -- the subject
+// decode, the target's observation phase, the AC-DAG and the DiscoveryState
+// -- and answers ACCEPTED or a structured ERROR. One subject's observation
+// therefore never holds back another client's admission.
+//
+// Admission control: at `max_sessions` live sessions (pending builds
+// included), further SUBMITs get a structured FAILED_PRECONDITION ERROR
+// frame (the aid_runner --max-sessions pattern one layer up).
+// `session_quota` caps what any one session may spend: budgeted sessions
+// have their BudgetOptions::max_executions clamped to the quota (they
+// degrade gracefully into best-effort reports with per-candidate
+// confidence); unbudgeted sessions are hard-stopped with an ERROR when
+// they cross it.
 //
 // Checkpoint/resume: a SUBMIT with checkpoint_after_rounds > 0 detaches
 // the session at that round boundary and ships the serialized
@@ -60,9 +68,9 @@ struct ServiceOptions {
   int backlog = 16;
   /// Accept-loop tick; doubles as the Stop() latency bound.
   int accept_poll_ms = 200;
-  /// Worker threads executing session actions. Each worker drives one
-  /// session's action at a time, so this is the daemon's cross-session
-  /// execution parallelism.
+  /// Worker threads executing session builds and actions. Each worker
+  /// drives one session's turn at a time, so this is the daemon's
+  /// cross-session execution parallelism.
   int workers = 2;
   /// Admission cap on concurrent live sessions; 0 = unlimited.
   int max_sessions = 8;
@@ -94,10 +102,11 @@ class DiscoveryService {
   int port() const;
   Endpoint endpoint() const;
 
-  /// Sessions currently live (admitted, not yet reported / checkpointed /
-  /// failed).
+  /// Sessions currently live: past the cap check and not yet reported /
+  /// checkpointed / failed (sessions awaiting their build included).
   int live_sessions();
-  /// Sessions ever admitted (resumed ones included).
+  /// Sessions ever admitted (resumed ones included): counted when their
+  /// build succeeds, before ACCEPTED goes out.
   uint64_t sessions_accepted() const;
 
   /// Stops accepting, drains nothing: live sessions get a best-effort

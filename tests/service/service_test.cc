@@ -5,6 +5,10 @@
 //     report bit-identical (SameDiscoveryOutcome) to a solo engine run;
 //   * admission: at max_sessions the daemon answers a structured
 //     FAILED_PRECONDITION ERROR, and a drained slot admits the next SUBMIT;
+//   * off-thread builds: a session is built on a worker as its first turn,
+//     so a case study held inside its build delays no other client's
+//     admission, counts toward the cap, and a failed build or a Stop()
+//     still answers the client with a structured ERROR;
 //   * quota: unbudgeted sessions crossing session_quota are stopped with an
 //     ERROR; budgeted sessions have their global budget clamped and finish
 //     with a best-effort report instead;
@@ -19,7 +23,11 @@
 
 #include "service/service.h"
 
+#include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +91,102 @@ SubjectSpec FlakySpec(const GroundTruthModel* model, double manifest,
   return spec;
 }
 
+SubjectSpec CaseSpec(const std::string& key) {
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kCase;
+  spec.case_key = key;
+  return spec;
+}
+
+/// The latch HeldCaseBuilds closes: while it is held, every target build of
+/// the "case" backend waits at it before observing anything.
+struct CaseBuildLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  int waiting = 0;  ///< builds currently at the latch
+};
+
+CaseBuildLatch& Latch() {
+  static CaseBuildLatch latch;
+  return latch;
+}
+
+/// The "case" backend behind the latch. It delegates to the per-key
+/// built-in, so with the latch open it builds exactly what "case" does.
+Result<std::unique_ptr<SessionTarget>> LatchedCaseTarget(
+    const TargetConfig& config) {
+  CaseBuildLatch& latch = Latch();
+  {
+    std::unique_lock<std::mutex> lock(latch.mu);
+    ++latch.waiting;
+    latch.cv.notify_all();
+    latch.cv.wait(lock, [&] { return !latch.held; });
+    --latch.waiting;
+  }
+  return TargetFactory::Create("case:" + config.case_study, config);
+}
+
+/// Holds case-study builds inside the service for as long as a test needs.
+/// Destruction releases the latch and then joins the client threads started
+/// with Spawn, so a failed assertion never leaves a build held or a thread
+/// unjoined. Declare it after the service it is used with.
+class HeldCaseBuilds {
+ public:
+  HeldCaseBuilds() {
+    TargetFactory::Register("case", LatchedCaseTarget);
+    std::lock_guard<std::mutex> lock(Latch().mu);
+    Latch().held = true;
+  }
+  ~HeldCaseBuilds() { ReleaseAndJoin(); }
+  HeldCaseBuilds(const HeldCaseBuilds&) = delete;
+  HeldCaseBuilds& operator=(const HeldCaseBuilds&) = delete;
+
+  void Spawn(std::function<void()> body) {
+    threads_.emplace_back(std::move(body));
+  }
+
+  /// Waits (up to 10 s) until `count` builds are held at the latch.
+  bool AwaitHeld(int count) {
+    std::unique_lock<std::mutex> lock(Latch().mu);
+    return Latch().cv.wait_for(lock, std::chrono::seconds(10), [&] {
+      return Latch().waiting >= count;
+    });
+  }
+
+  int held() {
+    std::lock_guard<std::mutex> lock(Latch().mu);
+    return Latch().waiting;
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(Latch().mu);
+      Latch().held = false;
+    }
+    Latch().cv.notify_all();
+  }
+
+  void ReleaseAndJoin() {
+    Release();
+    for (std::thread& thread : threads_) {
+      if (thread.joinable()) thread.join();
+    }
+  }
+
+ private:
+  std::vector<std::thread> threads_;
+};
+
+/// One whole client conversation; the first failure is the result.
+Result<ServiceOutcome> RunSession(const Endpoint& endpoint,
+                                  const ServiceSubmission& submission) {
+  AID_ASSIGN_OR_RETURN(std::unique_ptr<ServiceClient> client,
+                       ServiceClient::Connect(endpoint));
+  AID_RETURN_IF_ERROR(client->Submit(submission).status());
+  return client->Await(/*timeout_ms=*/60000);
+}
+
 /// The terminal frame is written before the session is unregistered, so a
 /// client can observe its own session for one more scheduler beat; drains
 /// within that beat.
@@ -96,6 +200,15 @@ void ExpectDrained(DiscoveryService* service) {
 
 /// The ground truth every service report is held to: a solo blocking engine
 /// run of the same subject and options.
+DiscoveryReport SoloRun(SessionTarget& target, const EngineOptions& options) {
+  auto dag = target.BuildAcDag();
+  EXPECT_TRUE(dag.ok()) << dag.status();
+  CausalPathDiscovery engine(&*dag, target.intervention_target(), options);
+  auto report = engine.Run();
+  EXPECT_TRUE(report.ok()) << report.status();
+  return *report;
+}
+
 DiscoveryReport SoloRun(const GroundTruthModel* model,
                         const EngineOptions& options,
                         double manifest = 1.0, uint64_t seed = 1) {
@@ -103,12 +216,26 @@ DiscoveryReport SoloRun(const GroundTruthModel* model,
                     ? MakeModelSessionTarget(model, manifest, seed, "flaky")
                     : MakeModelSessionTarget(model);
   EXPECT_TRUE(target.ok()) << target.status();
-  auto dag = (*target)->BuildAcDag();
-  EXPECT_TRUE(dag.ok()) << dag.status();
-  CausalPathDiscovery engine(&*dag, (*target)->intervention_target(), options);
-  auto report = engine.Run();
-  EXPECT_TRUE(report.ok()) << report.status();
-  return *report;
+  return SoloRun(**target, options);
+}
+
+DiscoveryReport CaseSoloRun(const std::string& key,
+                            const EngineOptions& options) {
+  auto target = TargetFactory::Create("case:" + key, TargetConfig{});
+  EXPECT_TRUE(target.ok()) << target.status();
+  return SoloRun(**target, options);
+}
+
+/// The case study the held-build tests submit, and how.
+const char kHeldCase[] = "kafka";
+
+ServiceSubmission CaseSubmission() {
+  ServiceSubmission submission;
+  submission.label = std::string("case:") + kHeldCase;
+  submission.spec = CaseSpec(kHeldCase);
+  submission.engine = EngineOptions::Aid();
+  submission.engine.trials_per_intervention = 3;
+  return submission;
 }
 
 TEST(ServiceProtocolTest, ReportRoundTripsFieldForField) {
@@ -501,6 +628,138 @@ TEST(ServiceTest, RejectsACorruptStateBlob) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   ExpectDrained(service->get());
+}
+
+TEST(ServiceTest, HeldCaseStudyBuildDelaysNoOtherAdmission) {
+  // The case study's build (its observation phase and AC-DAG) is held on a
+  // worker; a model client must still connect, be admitted and finish. A
+  // build on the accept thread would keep the model's HELLO from going out.
+  auto model = Figure4Model();
+  const EngineOptions engine = EngineOptions::Aid();
+  ServiceOptions options;
+  options.workers = 2;
+  auto service = DiscoveryService::Start(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const Endpoint endpoint = (*service)->endpoint();
+
+  Result<ServiceOutcome> case_outcome = Status::Internal("never ran");
+  HeldCaseBuilds held;
+  held.Spawn([&] { case_outcome = RunSession(endpoint, CaseSubmission()); });
+  ASSERT_TRUE(held.AwaitHeld(1));
+
+  auto client = ServiceClient::Connect(endpoint, /*timeout_ms=*/1000);
+  ASSERT_TRUE(client.ok()) << client.status();
+  ServiceSubmission submission;
+  submission.label = "beside-a-held-build";
+  submission.spec = ModelSpec(model.get());
+  submission.engine = engine;
+  auto accepted = (*client)->Submit(submission);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  auto outcome = (*client)->Await(/*timeout_ms=*/60000);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(held.held(), 1);  // the case study is still inside its build
+  EXPECT_TRUE(
+      SameDiscoveryOutcome(outcome->report, SoloRun(model.get(), engine)));
+
+  held.ReleaseAndJoin();
+  ASSERT_TRUE(case_outcome.ok()) << case_outcome.status();
+  ASSERT_FALSE(case_outcome->checkpointed);
+  EXPECT_TRUE(SameDiscoveryOutcome(
+      case_outcome->report, CaseSoloRun(kHeldCase, CaseSubmission().engine)));
+  EXPECT_EQ((*service)->sessions_accepted(), 2u);
+  ExpectDrained(service->get());
+}
+
+TEST(ServiceTest, PendingBuildCountsTowardTheCap) {
+  auto model = Figure4Model();
+  ServiceOptions options;
+  options.max_sessions = 1;
+  options.workers = 2;
+  auto service = DiscoveryService::Start(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const Endpoint endpoint = (*service)->endpoint();
+
+  Result<ServiceOutcome> case_outcome = Status::Internal("never ran");
+  HeldCaseBuilds held;
+  held.Spawn([&] { case_outcome = RunSession(endpoint, CaseSubmission()); });
+  ASSERT_TRUE(held.AwaitHeld(1));
+  EXPECT_EQ((*service)->live_sessions(), 1);
+  EXPECT_EQ((*service)->sessions_accepted(), 0u);  // not built, not admitted
+
+  auto client = ServiceClient::Connect(endpoint, /*timeout_ms=*/1000);
+  ASSERT_TRUE(client.ok()) << client.status();
+  ServiceSubmission submission;
+  submission.label = "past-a-pending-build";
+  submission.spec = ModelSpec(model.get());
+  submission.engine = EngineOptions::Aid();
+  auto rejected = (*client)->Submit(submission);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(rejected.status().message().find("--max-sessions 1"),
+            std::string::npos)
+      << rejected.status();
+
+  held.ReleaseAndJoin();
+  ASSERT_TRUE(case_outcome.ok()) << case_outcome.status();
+  EXPECT_TRUE(SameDiscoveryOutcome(
+      case_outcome->report, CaseSoloRun(kHeldCase, CaseSubmission().engine)));
+  EXPECT_EQ((*service)->sessions_accepted(), 1u);
+  ExpectDrained(service->get());
+}
+
+TEST(ServiceTest, FailedBuildIsRejectedAndFreesItsSlot) {
+  // The worker's build fails (no such case study): the client still gets
+  // ERROR in answer to SUBMIT, the rejection is counted, nothing is
+  // admitted, and the slot drains.
+  ServiceOptions options;
+  options.max_sessions = 1;
+  options.telemetry = Telemetry::Create();
+  auto service = DiscoveryService::Start(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+
+  auto client = ServiceClient::Connect((*service)->endpoint());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ServiceSubmission submission;
+  submission.label = "no-such-case";
+  submission.spec = CaseSpec("no-such-case");
+  submission.engine = EngineOptions::Aid();
+  auto rejected = (*client)->Submit(submission);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound)
+      << rejected.status();
+  EXPECT_EQ((*service)->sessions_accepted(), 0u);
+  EXPECT_EQ(options.telemetry->Snapshot().metrics.Value(
+                "aid_service_rejections_total", {}),
+            1u);
+  ExpectDrained(service->get());
+}
+
+TEST(ServiceTest, StopDuringAHeldBuildAnswersTheClientWithAnError) {
+  ServiceOptions options;
+  auto service = DiscoveryService::Start(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const Endpoint endpoint = (*service)->endpoint();
+
+  Result<ServiceOutcome> case_outcome = Status::Internal("never ran");
+  HeldCaseBuilds held;
+  held.Spawn([&] { case_outcome = RunSession(endpoint, CaseSubmission()); });
+  ASSERT_TRUE(held.AwaitHeld(1));
+  // Stop() waits for the worker inside the build, so another thread has to
+  // let the build go.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    held.Release();
+  });
+  (*service)->Stop();
+  releaser.join();
+  held.ReleaseAndJoin();
+  ASSERT_FALSE(case_outcome.ok());
+  EXPECT_EQ(case_outcome.status().code(), StatusCode::kAborted)
+      << case_outcome.status();
+  EXPECT_NE(case_outcome.status().message().find("shutting down"),
+            std::string::npos)
+      << case_outcome.status();
+  EXPECT_EQ((*service)->live_sessions(), 0);
 }
 
 #else  // !AID_NET_SUPPORTED
