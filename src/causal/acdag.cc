@@ -387,10 +387,15 @@ void AcDag::AddToMask(PredicateId id, NodeMask& mask) const {
 
 std::vector<PredicateId> AcDag::MaskMembers(
     std::span<const uint64_t> mask) const {
-  AID_CHECK(mask.size() == words_);
   std::vector<PredicateId> out;
-  ForEachBit(mask, [&](size_t j) { out.push_back(nodes_[j]); });
+  AppendMaskMembers(mask, out);
   return out;
+}
+
+void AcDag::AppendMaskMembers(std::span<const uint64_t> mask,
+                              std::vector<PredicateId>& out) const {
+  AID_CHECK(mask.size() == words_);
+  ForEachBit(mask, [&](size_t j) { out.push_back(nodes_[j]); });
 }
 
 std::vector<std::vector<PredicateId>> AcDag::TopoLevels(

@@ -119,6 +119,9 @@ class AcDag {
   void AddToMask(PredicateId id, NodeMask& mask) const;
   /// The nodes in `mask`, ascending id.
   std::vector<PredicateId> MaskMembers(std::span<const uint64_t> mask) const;
+  /// Appends the nodes in `mask` to `out`, ascending id.
+  void AppendMaskMembers(std::span<const uint64_t> mask,
+                         std::vector<PredicateId>& out) const;
   /// The closure row of `id`: its descendants (excluding `id`) as a mask.
   std::span<const uint64_t> DescendantMask(PredicateId id) const {
     return Row(static_cast<size_t>(IndexOf(id)));

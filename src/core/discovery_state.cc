@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "budget/belief.h"
@@ -251,16 +250,16 @@ void DiscoveryState::PumpBranchOuter() {
   }
   dag_->AddToMask(dag_->failure(), shared);
   items_.clear();
+  items_.reserve(junction_members.size());
   AcDag::NodeMask branch(words);
   for (PredicateId p : junction_members) {
     const std::span<const uint64_t> desc = dag_->DescendantMask(p);
     for (size_t w = 0; w < words; ++w) {
       branch[w] = desc[w] & live[w] & ~shared[w];
     }
-    Item item;
+    Item& item = items_.emplace_back();
     item.preds.push_back(p);
-    for (PredicateId q : dag_->MaskMembers(branch)) item.preds.push_back(q);
-    items_.push_back(std::move(item));
+    dag_->AppendMaskMembers(branch, item.preds);
   }
   decisions_.assign(items_.size(), ItemDecision::kUndecided);
   bp_live_.resize(items_.size());
@@ -288,17 +287,20 @@ void DiscoveryState::PumpBranchInner() {
 }
 
 void DiscoveryState::FinishJunction() {
-  // Remove the losing branches' predicates from the candidate set.
-  std::unordered_set<PredicateId> removed;
+  // Remove the losing branches' predicates from the candidate set. Every
+  // id is a DAG node, and nodes() ascends, so its last id bounds them all.
+  std::vector<bool> removed(static_cast<size_t>(dag_->nodes().back()) + 1);
   for (size_t i = 0; i < items_.size(); ++i) {
     if (decisions_[i] == ItemDecision::kSpurious) {
-      for (PredicateId id : items_[i].preds) removed.insert(id);
+      for (PredicateId id : items_[i].preds) {
+        removed[static_cast<size_t>(id)] = true;
+      }
     }
   }
   std::vector<PredicateId> next;
   next.reserve(bp_remaining_.size());
   for (PredicateId id : bp_remaining_) {
-    if (!removed.count(id)) next.push_back(id);
+    if (!removed[static_cast<size_t>(id)]) next.push_back(id);
   }
   if (budget_exhausted_) {
     // The budget ran out mid-junction: keep what the partial search
@@ -699,15 +701,15 @@ bool DiscoveryState::ItemObserved(const Item& item,
 
 void DiscoveryState::InterventionalPruning(
     const std::vector<size_t>& intervened, const TargetRunResult& result) {
-  std::unordered_set<size_t> intervened_set(intervened.begin(),
-                                            intervened.end());
+  std::vector<bool> is_intervened(items_.size());
   AcDag::NodeMask intervened_mask(dag_->words(), 0);
   for (size_t j : intervened) {
+    is_intervened[j] = true;
     for (PredicateId id : items_[j].preds) dag_->AddToMask(id, intervened_mask);
   }
   for (size_t i = 0; i < items_.size(); ++i) {
     if (decisions_[i] != ItemDecision::kUndecided) continue;
-    if (intervened_set.count(i)) continue;
+    if (is_intervened[i]) continue;
     // Ancestor guard (Definition 2): an ancestor of an intervened predicate
     // may have had its causal influence muted by the intervention.
     if (ReachesAny(items_[i], intervened_mask)) continue;

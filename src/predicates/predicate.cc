@@ -69,6 +69,34 @@ const PredicateObservation& ObservationSet::at(PredicateId id) const {
   return LowerBound(id)->second;
 }
 
+void ObservationSet::AssignSorted(std::vector<value_type> entries) {
+  bits_.clear();
+  if (!entries.empty()) {
+    const PredicateId last = entries.back().first;
+    AID_CHECK(last >= 0);
+    bits_.resize((static_cast<size_t>(last) >> 6) + 1, 0);
+    // The current word is built in a register and stored when the ids move
+    // past it. Checking against `last` too keeps an unsorted id from
+    // indexing past the bitset before the order check catches it.
+    PredicateId previous = kInvalidPredicate;
+    size_t word = 0;
+    uint64_t bits = 0;
+    for (const value_type& entry : entries) {
+      const PredicateId id = entry.first;
+      AID_CHECK(previous < id && id <= last);
+      previous = id;
+      if (static_cast<size_t>(id) >> 6 != word) {
+        bits_[word] = bits;
+        word = static_cast<size_t>(id) >> 6;
+        bits = 0;
+      }
+      bits |= uint64_t{1} << (id & 63);
+    }
+    bits_[word] = bits;
+  }
+  entries_ = std::move(entries);
+}
+
 size_t ObservationSet::erase(PredicateId id) {
   if (!Has(id)) return 0;
   bits_[static_cast<size_t>(id) >> 6] &= ~(uint64_t{1} << (id & 63));

@@ -98,6 +98,8 @@ struct PredicateObservation {
 /// at, operator[], erase, size/empty, and iteration as (id, observation)
 /// pairs in id order. Inserting an id above every present id appends; an
 /// out-of-order insert (only the trace extractor does that) shifts the tail.
+/// A producer that has a whole execution's entries at once hands them over
+/// with AssignSorted.
 /// Iterators expose the id mutably for structured bindings; callers must not
 /// change it.
 class ObservationSet {
@@ -126,6 +128,10 @@ class ObservationSet {
     }
     return InsertSorted(id);
   }
+  /// Replaces the contents with `entries`, whose ids must be non-negative
+  /// and strictly increasing (checked), and sets the occurrence bits in one
+  /// sweep. The result equals inserting each entry with operator[].
+  void AssignSorted(std::vector<value_type> entries);
   /// Removes `id`; returns the number of entries removed (0 or 1).
   size_t erase(PredicateId id);
 

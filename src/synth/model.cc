@@ -24,15 +24,31 @@ PredicateId GroundTruthModel::AddPredicate(int index) {
   const PredicateId id = catalog_.Intern(
       Predicate{.kind = PredKind::kSynthetic, .occurrence = index});
   predicates_.push_back(id);
-  true_parents_.resize(catalog_.size());
+  GrowTables();
   return id;
 }
 
 PredicateId GroundTruthModel::AddFailure() {
   AID_CHECK(failure_ == kInvalidPredicate);
   failure_ = catalog_.Intern(Predicate{.kind = PredKind::kFailure});
-  true_parents_.resize(catalog_.size());
+  GrowTables();
   return failure_;
+}
+
+void GroundTruthModel::GrowTables() {
+  true_parents_.resize(catalog_.size());
+  rule_heads_.resize(catalog_.size());
+  ticks_.resize(catalog_.size());
+  // A predicate interned twice keeps its last creation position, as the
+  // log's entry for it did when each creation was visited in turn.
+  if (!predicates_.empty()) {
+    ticks_[static_cast<size_t>(predicates_.back())] =
+        static_cast<Tick>(predicates_.size() - 1);
+  }
+  if (failure_ != kInvalidPredicate) {
+    ticks_[static_cast<size_t>(failure_)] =
+        static_cast<Tick>(predicates_.size());
+  }
 }
 
 void GroundTruthModel::SetTrueParents(PredicateId id,
@@ -53,8 +69,12 @@ void GroundTruthModel::SetTrueParents(PredicateId id,
   std::optional<std::vector<PredicateId>>& slot =
       true_parents_[static_cast<size_t>(id)];
   if (slot && backward(*slot)) --backward_rules_;
+  if (backward(parents)) ++backward_rules_;
+  rule_heads_[static_cast<size_t>(id)] = {
+      .first_slot =
+          parents.empty() ? 0 : static_cast<uint32_t>(parents.front()) + 1,
+      .more = parents.size() > 1};
   slot = std::move(parents);
-  if (backward(*slot)) ++backward_rules_;
 }
 
 void GroundTruthModel::SetCausalChain(std::vector<PredicateId> chain) {
@@ -74,62 +94,70 @@ void GroundTruthModel::AddTemporalEdge(PredicateId from, PredicateId to) {
 
 PredicateLog GroundTruthModel::Execute(
     const std::vector<PredicateId>& intervened) const {
-  // Per predicate: not (yet) occurred, occurs, or intervened.
-  enum : uint8_t { kAbsent, kOccurs, kBlocked };
-  std::vector<uint8_t> state(catalog_.size(), kAbsent);
+  // One byte per id at slot id + 1; slot 0 is the rule index's "no parent
+  // needed" and always reads occurred. `open` is 0 for intervened ids and
+  // for F, which the pass leaves at "not occurred" (an F parent never
+  // holds); F's own rule is evaluated after the pass.
+  const size_t n = catalog_.size();
+  std::vector<uint8_t> open(n + 1, 1);
   for (PredicateId id : intervened) {
-    if (id >= 0 && static_cast<size_t>(id) < state.size()) {
-      state[static_cast<size_t>(id)] = kBlocked;
+    if (id >= 0 && static_cast<size_t>(id) < n) {
+      open[static_cast<size_t>(id) + 1] = 0;
     }
   }
+  if (failure_ != kInvalidPredicate) {
+    open[static_cast<size_t>(failure_) + 1] = 0;
+  }
+  std::vector<uint8_t> occ(n + 1, 0);
+  occ[0] = 1;
+  const auto rule_holds = [&](size_t id) -> uint8_t {
+    const RuleHead head = rule_heads_[id];
+    uint8_t holds = occ[head.first_slot];
+    if (head.more) {  // rare: a conjunction of several parents
+      const std::vector<PredicateId>& rule = *true_parents_[id];
+      for (size_t k = 1; k < rule.size(); ++k) {
+        holds &= occ[static_cast<size_t>(rule[k]) + 1];
+      }
+    }
+    return holds;
+  };
 
   // Least fixpoint of the rules, starting from "nothing occurs". Occurrence
   // is monotone in the parents, so the passes only ever add predicates and
   // a cycle never bootstraps itself. With no backward rule every parent is
   // final before its child is evaluated, and the first pass is the answer.
-  const auto rule_holds = [&](PredicateId id) {
-    const auto& rule = true_parents_[static_cast<size_t>(id)];
-    if (!rule) return true;  // spontaneous
-    for (PredicateId parent : *rule) {
-      if (state[static_cast<size_t>(parent)] != kOccurs) return false;
-    }
-    return true;
-  };
   size_t occurred = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (PredicateId id : predicates_) {
-      uint8_t& s = state[static_cast<size_t>(id)];
-      if (s != kAbsent || !rule_holds(id)) continue;
-      s = kOccurs;
-      ++occurred;
-      changed = true;
+  for (bool grew = true; grew;) {
+    const size_t before = occurred;
+    for (size_t id = 0; id < n; ++id) {
+      const uint8_t fresh = open[id + 1] & rule_holds(id) & ~occ[id + 1];
+      occ[id + 1] |= fresh;
+      occurred += fresh;
     }
-    if (backward_rules_ == 0) break;
+    grew = backward_rules_ != 0 && occurred != before;
   }
-  // The failure predicate cannot be intervened, only caused.
-  const bool failed = failure_ == kInvalidPredicate || rule_holds(failure_);
+  const bool failed = failure_ == kInvalidPredicate ||
+                      rule_holds(static_cast<size_t>(failure_)) != 0;
+  if (failed && failure_ != kInvalidPredicate) {
+    occ[static_cast<size_t>(failure_) + 1] = 1;
+    ++occurred;
+  }
 
-  // Ticks are creation positions with F last; entries go out in id order
-  // (F, created first by the generators, is slotted in at its id).
+  // Entries in id order, F at its id with the last tick. Every id writes
+  // the next slot and only an occurring one advances past it, so the
+  // buffer holds one spare slot for a trailing non-occurring id.
+  std::vector<ObservationSet::value_type> entries(occurred + 1);
+  size_t next = 0;
+  for (size_t id = 0; id < n; ++id) {
+    const Tick tick = ticks_[id];
+    entries[next] = {static_cast<PredicateId>(id), {tick, tick}};
+    next += occ[id + 1];
+  }
+  entries.pop_back();
+
   PredicateLog log;
   log.failed = failed;
-  log.observed.reserve(occurred + (failed ? 1 : 0));
-  const Tick failure_tick = static_cast<Tick>(predicates_.size());
-  bool failure_pending = failed && failure_ != kInvalidPredicate;
-  Tick tick = 0;
-  for (PredicateId id : predicates_) {
-    if (failure_pending && failure_ < id) {
-      log.observed[failure_] = {failure_tick, failure_tick};
-      failure_pending = false;
-    }
-    if (state[static_cast<size_t>(id)] == kOccurs) {
-      log.observed[id] = {tick, tick};
-    }
-    ++tick;
-  }
-  if (failure_pending) log.observed[failure_] = {failure_tick, failure_tick};
+  log.observed.AssignSorted(std::move(entries));
   return log;
 }
 

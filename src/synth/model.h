@@ -10,9 +10,19 @@
 //   (no parents = spontaneous: occurs unless intervened)
 //
 // taking the least fixpoint, so a predicate on or below a cycle of rules
-// never occurs. The rules live in a dense id-indexed table; when every
-// rule's parents precede its predicate in creation order (generators build
-// rules that way), one pass in that order computes the fixpoint.
+// never occurs. The rules live in a dense id-indexed table (`true_parents`,
+// the one rule store, which subject_spec serializes). Beside it the model
+// keeps a rule index, also by id and updated by every SetTrueParents: each
+// predicate's first true parent, or a sentinel when no parent is needed (no
+// rule, or an empty one), and whether the rule has more parents. Execute
+// runs over one byte per id, shifted up one slot so that slot 0, the
+// sentinel, always reads "occurred":
+//
+//   occ[id] |= open[id] & occ[first parent] & (more ? the other parents : 1)
+//
+// in id (= creation) order. When every rule's parents precede its predicate
+// (generators build rules that way), one pass is the fixpoint; otherwise
+// the same pass repeats until nothing changes.
 //
 // The observable AC-DAG is the temporal over-approximation the generator
 // also emits: it contains the true causal edges plus the merely-temporal
@@ -21,6 +31,7 @@
 #ifndef AID_SYNTH_MODEL_H_
 #define AID_SYNTH_MODEL_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -56,7 +67,8 @@ class GroundTruthModel {
   /// Evaluates which predicates occur under `intervened`: one pass in
   /// creation order when every rule's parents come first, else iterated to
   /// the least fixpoint. Returns a PredicateLog (failed = F occurred) whose
-  /// ticks are creation positions, with F last.
+  /// ticks are creation positions, with F last. Ids outside the catalog and
+  /// F itself are ignored in `intervened`: F is only ever caused.
   PredicateLog Execute(const std::vector<PredicateId>& intervened) const;
 
   /// Builds the observable AC-DAG (temporal edges, transitively closed).
@@ -85,10 +97,25 @@ class GroundTruthModel {
   size_t size() const { return predicates_.size(); }
 
  private:
+  /// Sizes the id-indexed tables to the catalog and records the newest
+  /// predicate's tick (and F's, which follows every predicate).
+  void GrowTables();
+
   PredicateCatalog catalog_;
   std::vector<PredicateId> predicates_;  ///< excludes F
   PredicateId failure_ = kInvalidPredicate;
   std::vector<std::optional<std::vector<PredicateId>>> true_parents_;
+  /// The rule index (see the file comment), by id: the first true parent's
+  /// slot in Execute's byte arrays (its id + 1; 0 when no parent is
+  /// needed), and whether true_parents_ holds more parents after it.
+  struct RuleHead {
+    uint32_t first_slot = 0;
+    bool more = false;
+  };
+  std::vector<RuleHead> rule_heads_;
+  /// By id: the tick of the predicate's observation, i.e. its creation
+  /// position (F's: the number of predicates, so F comes last).
+  std::vector<Tick> ticks_;
   /// Rules of predicates other than F with a parent that does not precede
   /// them in creation order; Execute needs a fixpoint while any exist.
   size_t backward_rules_ = 0;

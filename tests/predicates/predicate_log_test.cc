@@ -3,7 +3,8 @@
 // and out-of-order inserts, the extractor's keep-earliest-start update,
 // erase, find, at, Has) over ids that straddle 64-bit word boundaries, plus
 // a check that EncodePredicateLog writes exactly the bytes of the sort-then-
-// write encoding the checkpoint format and the VERDICT frame were defined by.
+// write encoding the checkpoint format and the VERDICT frame were defined by,
+// and that the bulk AssignSorted builds the same set as inserting each entry.
 
 #include <algorithm>
 #include <cstdint>
@@ -199,6 +200,105 @@ TEST(ObservationSetTest, EncodingMatchesSortThenWrite) {
     ExpectSame(decoded->observed, ref);
     EXPECT_TRUE(decoded->observed == log.observed);
   }
+}
+
+/// Compares a set built by AssignSorted with one built by operator[]: the
+/// entries, Has for every id up to past the bitset's last word, find and
+/// at, and the encoded bytes.
+void ExpectSameSet(const ObservationSet& bulk, const ObservationSet& built) {
+  EXPECT_TRUE(bulk == built);
+  ASSERT_EQ(bulk.size(), built.size());
+  EXPECT_EQ(bulk.empty(), built.empty());
+  const PredicateId top = built.empty() ? 0 : std::prev(built.end())->first;
+  for (PredicateId id = -2; id <= top + 130; ++id) {
+    ASSERT_EQ(bulk.Has(id), built.Has(id)) << "Has " << id;
+    ASSERT_EQ(bulk.find(id) == bulk.end(), built.find(id) == built.end())
+        << "find " << id;
+    if (built.Has(id)) {
+      EXPECT_EQ(bulk.find(id)->first, id);
+      EXPECT_EQ(bulk.at(id), built.at(id)) << "at " << id;
+    }
+  }
+  for (PredicateId id : {std::numeric_limits<PredicateId>::min(),
+                         std::numeric_limits<PredicateId>::max()}) {
+    EXPECT_FALSE(bulk.Has(id)) << id;
+    EXPECT_EQ(bulk.find(id), bulk.end()) << id;
+  }
+  PredicateLog bulk_log;
+  bulk_log.observed = bulk;
+  PredicateLog built_log;
+  built_log.observed = built;
+  WireWriter bulk_bytes;
+  EncodePredicateLog(bulk_log, bulk_bytes);
+  WireWriter built_bytes;
+  EncodePredicateLog(built_log, built_bytes);
+  EXPECT_EQ(bulk_bytes.Release(), built_bytes.Release());
+}
+
+TEST(ObservationSetTest, AssignSortedEqualsInsertingEachEntry) {
+  // Empty input, on a fresh set and over a filled one.
+  ObservationSet empty;
+  empty.AssignSorted({});
+  ExpectSameSet(empty, ObservationSet());
+  ObservationSet cleared;
+  for (PredicateId id : {3, 64, 200}) cleared[id] = {id, id};
+  cleared.AssignSorted({});
+  ExpectSameSet(cleared, ObservationSet());
+
+  // The bitset's word boundaries, alone and together.
+  const std::vector<std::vector<PredicateId>> fixed = {
+      {0},       {63},      {64},     {127},           {128},
+      {63, 64},  {127, 128}, {0, 63, 64, 127, 128}, {62, 65, 126, 129},
+      {1, 128},  {64, 127}};
+  for (const std::vector<PredicateId>& ids : fixed) {
+    SCOPED_TRACE(testing::Message() << "first id " << ids.front() << ", "
+                                    << ids.size() << " ids");
+    std::vector<ObservationSet::value_type> entries;
+    ObservationSet built;
+    for (PredicateId id : ids) {
+      entries.emplace_back(id, PredicateObservation{id, id + 1});
+      built[id] = {id, id + 1};
+    }
+    ObservationSet bulk;
+    bulk.AssignSorted(entries);
+    ExpectSameSet(bulk, built);
+  }
+
+  // Random sorted subsets over ids that straddle several words, assigned
+  // over whatever the set held before.
+  ObservationSet reused;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const PredicateId max_id =
+        static_cast<PredicateId>(rng.UniformRange(0, 300));
+    const double density = rng.Bernoulli(0.5) ? 0.9 : 0.1;
+    std::vector<ObservationSet::value_type> entries;
+    ObservationSet built;
+    for (PredicateId id = 0; id <= max_id; ++id) {
+      if (!rng.Bernoulli(density)) continue;
+      const PredicateObservation w = RandomWindow(rng);
+      entries.emplace_back(id, w);
+      built[id] = w;
+    }
+    reused.AssignSorted(entries);
+    ExpectSameSet(reused, built);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ObservationSetDeathTest, AssignSortedRejectsUnsortedOrNegativeIds) {
+  using Entries = std::vector<ObservationSet::value_type>;
+  const auto assign = [](Entries entries) {
+    ObservationSet set;
+    set.AssignSorted(std::move(entries));
+  };
+  EXPECT_DEATH(assign(Entries{{5, {}}, {3, {}}}), "AID_CHECK");
+  EXPECT_DEATH(assign(Entries{{5, {}}, {5, {}}}), "AID_CHECK");
+  EXPECT_DEATH(assign(Entries{{-1, {}}, {3, {}}}), "AID_CHECK");
+  EXPECT_DEATH(assign(Entries{{-3, {}}}), "AID_CHECK");
+  // An id above the last one would index past the bitset.
+  EXPECT_DEATH(assign(Entries{{1, {}}, {900, {}}, {2, {}}}), "AID_CHECK");
 }
 
 }  // namespace
