@@ -1005,6 +1005,22 @@ Result<std::unique_ptr<DiscoveryState>> DiscoveryState::Deserialize(
           "corrupt discovery state: branch live index out of range");
     }
   }
+  // Id sanity: the machine indexes flag vectors and DAG rows by the ids it
+  // keeps, so each must be a DAG node. (History ids are only reported.)
+  const auto all_nodes = [dag](const std::vector<PredicateId>& ids) {
+    return std::all_of(ids.begin(), ids.end(),
+                       [dag](PredicateId id) { return dag->Contains(id); });
+  };
+  bool ids_ok = all_nodes(state->candidates_) && all_nodes(state->causal_) &&
+                all_nodes(state->spurious_) &&
+                all_nodes(state->bp_remaining_);
+  for (const Item& item : state->items_) {
+    ids_ok = ids_ok && all_nodes(item.preds);
+  }
+  if (!ids_ok) {
+    return Status::InvalidArgument(
+        "corrupt discovery state: predicate id not in the AC-DAG");
+  }
   if (has_belief && !options.budget.enabled) {
     return Status::InvalidArgument(
         "corrupt discovery state: belief present without budgeting");

@@ -348,6 +348,87 @@ TEST(DiscoveryStateCheckpointTest, DeserializeRejectsCorruptedBytes) {
   }
 }
 
+/// The ids a checkpoint keeps for the machine to index by -- candidates,
+/// item members, the branch-pruning remainder -- must be nodes of the DAG
+/// it resumes on: finishing a junction indexes flag vectors with them.
+TEST(DiscoveryStateCheckpointTest, DeserializeRejectsIdsOutsideTheDag) {
+  SyntheticAppOptions generator;
+  generator.min_threads = generator.max_threads = 8;
+  generator.seed = 3;
+  auto model = GenerateSyntheticApp(generator);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto dag = (*model)->BuildAcDag();
+  ASSERT_TRUE(dag.ok()) << dag.status();
+
+  // Drive to the first checkpoint inside a junction's binary search and
+  // find its candidates vector and its first item's first member.
+  ModelTarget target(model->get());
+  DiscoveryState state(&*dag, EngineOptions::Aid(), Rng(1));
+  std::string checkpoint;
+  size_t candidates_at = 0;
+  uint32_t candidate_count = 0;
+  size_t member_at = 0;
+  while (checkpoint.empty()) {
+    auto action = state.NextAction();
+    ASSERT_TRUE(action.ok()) << action.status();
+    ASSERT_NE(action->kind, DiscoveryAction::Kind::kDone)
+        << "no checkpoint fell inside a junction";
+    auto outcome = ExecuteDiscoveryAction(state, *action, &target);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(state.Feed(*action, *outcome).ok());
+    auto blob = state.Serialize();
+    ASSERT_TRUE(blob.ok()) << blob.status();
+    // Layout: version, engine options, RNG words, stage, budget flag, then
+    // the candidates, causal and spurious vectors and the items.
+    WireReader r(*blob);
+    r.U8();
+    ASSERT_TRUE(DecodeEngineOptions(r).ok());
+    for (size_t i = 0; i < Rng::kStateWords; ++i) r.U64();
+    const uint8_t stage = r.U8();
+    r.U8();
+    if (stage != 2) continue;  // not Stage::kBranchInner
+    candidates_at = blob->size() - r.remaining();
+    candidate_count = r.U32();
+    for (uint32_t i = 0; i < candidate_count; ++i) r.I32();
+    for (int decided = 0; decided < 2; ++decided) {  // causal, spurious
+      const uint32_t n = r.U32();
+      for (uint32_t i = 0; i < n; ++i) r.I32();
+    }
+    ASSERT_GT(r.U32(), 0u);  // items
+    ASSERT_GT(r.U32(), 0u);  // the first item's members
+    member_at = blob->size() - r.remaining();
+    checkpoint = *std::move(blob);
+  }
+  ASSERT_TRUE(
+      DiscoveryState::Deserialize(&*dag, checkpoint, nullptr, nullptr).ok());
+  // Within the first junction the remainder still equals the candidates,
+  // so the last copy of the candidates' bytes is the remainder.
+  const size_t remaining_at = checkpoint.rfind(
+      checkpoint.substr(candidates_at, 4 + 4 * size_t{candidate_count}));
+  ASSERT_NE(remaining_at, std::string::npos);
+  ASSERT_GT(remaining_at, candidates_at);
+
+  const std::pair<const char*, size_t> fields[] = {
+      {"candidate", candidates_at + 4},
+      {"item member", member_at},
+      {"remainder", remaining_at + 4},
+  };
+  for (const auto& [field, at] : fields) {
+    for (int32_t id : {-1, static_cast<int32_t>(dag->catalog()->size()),
+                       std::numeric_limits<int32_t>::max()}) {
+      std::string bytes = checkpoint;
+      WireWriter w;
+      w.I32(id);
+      bytes.replace(at, 4, w.buffer());
+      auto resumed =
+          DiscoveryState::Deserialize(&*dag, bytes, nullptr, nullptr);
+      ASSERT_FALSE(resumed.ok()) << field << " id " << id;
+      EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+          << field << " id " << id;
+    }
+  }
+}
+
 TEST(DiscoveryStateCheckpointTest, EngineOptionsCodecRoundTrips) {
   EngineOptions options = EngineOptions::Tagt();
   options.linear_scan = true;
