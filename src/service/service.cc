@@ -11,7 +11,11 @@
 #include <utility>
 
 #if AID_NET_SUPPORTED
+#include <sched.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sys/syscall.h>
+#endif
 #endif
 
 #include "api/target_factory.h"
@@ -31,6 +35,42 @@ namespace {
 /// Deadline on any one admission/reply frame. The conversation is one
 /// round trip; the bound only caps a stalled peer.
 constexpr int kFrameDeadlineMs = 30000;
+
+/// The scheduling slice every service thread asks for: the kernel's
+/// shortest. A turn takes tens of microseconds.
+constexpr uint64_t kServiceSliceNs = 100'000;
+
+/// Asks the kernel to run the calling thread in short slices (Linux 6.12+
+/// EEVDF: sched_attr::sched_runtime of a fair-class thread), keeping its
+/// policy, nice value and flags. A session's build (a case study's
+/// observation) runs for milliseconds, and a thread woken onto the CPU
+/// running it waits out the builder's slice, ~2 ms by default. Whether
+/// that happened turned on where the kernel placed the threads, so a cheap
+/// session admitted beside a build took three times as long in some runs
+/// as in others. With every service thread on the shortest slice, a woken
+/// one waits at most that. Best effort: elsewhere the default stays.
+void RequestShortSlice() {
+#if defined(__linux__) && defined(SYS_sched_getattr) && \
+    defined(SYS_sched_setattr)
+  struct SchedAttr {  // the kernel's struct sched_attr, first version
+    uint32_t size;
+    uint32_t policy;
+    uint64_t flags;
+    int32_t nice;
+    uint32_t priority;
+    uint64_t runtime;
+    uint64_t deadline;
+    uint64_t period;
+  } attr{};
+  if (::syscall(SYS_sched_getattr, 0, &attr, sizeof(attr), 0) != 0 ||
+      attr.policy != SCHED_OTHER) {
+    return;
+  }
+  attr.size = sizeof(attr);
+  attr.runtime = kServiceSliceNs;
+  (void)::syscall(SYS_sched_setattr, 0, &attr, 0);
+#endif
+}
 
 }  // namespace
 
@@ -136,6 +176,7 @@ class DiscoveryService::Impl {
   };
 
   void AcceptLoop() {
+    RequestShortSlice();
     while (!stopping_.load()) {
       Result<int> conn = AcceptConnection(listen_fd_, options_.accept_poll_ms);
       if (!conn.ok()) {
@@ -348,6 +389,7 @@ class DiscoveryService::Impl {
   }
 
   void WorkerLoop() {
+    RequestShortSlice();
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
       cv_.wait(lock, [this]() {

@@ -12,7 +12,9 @@
 // small worker pool, one action (one intervention round, or one batched
 // scan) per session per turn, requeue at the tail. A session with 30
 // rounds left cannot starve a session with 2; wall-clock interleaves
-// proportionally to round cost.
+// proportionally to round cost. Every service thread asks the kernel for
+// short scheduling slices, so one woken beside a long build runs promptly
+// (see RequestShortSlice in service.cc).
 //
 // Admission: the accept thread only greets the client, reads and decodes
 // its SUBMIT and checks the cap; it then registers the session unbuilt and
