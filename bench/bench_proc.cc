@@ -3,8 +3,9 @@
 //
 // The subject is a synthetic ground-truth model whose executions cost
 // microseconds, so the numbers isolate what the proc/ machinery itself
-// charges per trial: one RUN_TRIAL frame out and one VERDICT frame carrying
-// the whole predicate log back, across two pipes and a context switch. The
+// charges per trial: its share of one RUN_TRIAL frame out per call and one
+// VERDICT frame carrying the whole predicate log back, across two pipes
+// and a context switch. It also times a started replica's teardown. The
 // paper's real subjects take seconds per execution (Section 7), which is
 // exactly why per-trial overhead in the microsecond range makes isolation
 // free in practice -- and every configuration must still produce the
@@ -12,6 +13,7 @@
 //
 // Usage: bench_proc [model_threads] (default 14)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,7 +23,7 @@
 
 #include "api/session.h"
 #include "bench_json.h"
-#include "proc/wire.h"
+#include "proc/subprocess_target.h"
 #include "synth/generator.h"
 #include "synth/model.h"
 
@@ -146,6 +148,32 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Replica teardown: SHUTDOWN, close, and reaping the exited host. Every
+  // session pays it once per replica.
+  constexpr int kTeardowns = 5;
+  std::vector<double> teardown_ms;
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model->get();
+  for (int i = 0; i < kTeardowns; ++i) {
+    auto replica = SubprocessTarget::Create(spec);
+    if (!replica.ok() || !(*replica)->RunIntervened({}, 1).ok()) {
+      std::fprintf(stderr, "teardown probe: replica failed to start\n");
+      return 1;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    replica->reset();
+    teardown_ms.push_back(
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  std::sort(teardown_ms.begin(), teardown_ms.end());
+  std::printf("\nteardown: %.3f ms per started replica (median of %d, max "
+              "%.3f)\n",
+              teardown_ms[kTeardowns / 2], kTeardowns, teardown_ms.back());
+  profile.Metric("teardown_ms_per_replica", teardown_ms[kTeardowns / 2]);
+
   std::printf("\nall subprocess reports bit-identical to in-process runs\n");
   profile.Attach(snapshot);
   profile.Write();

@@ -1,10 +1,9 @@
 // SocketChannel: the subject wire protocol over one TCP connection.
 //
-// The frames, deadlines, and failure vocabulary are exactly proc/wire.h's
-// (the reads/writes go through the same EINTR-retrying, poll-bounded
-// primitives); the only socket-specific behavior is ownership of the single
-// full-duplex descriptor and mapping ECONNRESET to Aborted (handled in the
-// shared primitives). A connection dropping mid-frame therefore classifies
+// The frames, deadlines, buffering and failure vocabulary are exactly
+// proc/wire.h's: SocketChannel is the shared frame-I/O core,
+// DescriptorChannel, over one full-duplex descriptor it owns. ECONNRESET
+// maps to Aborted there, so a connection dropping mid-frame classifies
 // identically to a subject-host pipe closing: Aborted, "the peer died".
 
 #ifndef AID_NET_CHANNEL_H_
@@ -12,32 +11,19 @@
 
 #include <string_view>
 
-#include "common/status.h"
 #include "net/socket.h"
 #include "proc/wire.h"
 
 namespace aid {
 
-class SocketChannel : public FrameChannel {
+class SocketChannel final : public DescriptorChannel {
  public:
-  /// Takes ownership of the connected socket `fd`.
-  explicit SocketChannel(int fd) : fd_(fd) {}
-  ~SocketChannel() override { Close(); }
+  /// Takes ownership of the connected socket `fd` and makes it
+  /// non-blocking.
+  explicit SocketChannel(int fd)
+      : DescriptorChannel(fd, fd, /*owns_fds=*/true) {}
 
-  SocketChannel(const SocketChannel&) = delete;
-  SocketChannel& operator=(const SocketChannel&) = delete;
-
-  Status Write(ProcMsgType type, std::string_view payload,
-               int deadline_ms = 0) override;
-  Result<ProcFrame> Read(int deadline_ms = 0) override;
-  void Close() override;
-  bool open() const override { return fd_ >= 0; }
   std::string_view transport() const override { return "socket"; }
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_;
 };
 
 }  // namespace aid

@@ -1,11 +1,13 @@
 #include "proc/client.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
 
+#include "core/engine.h"
 #include "telemetry/telemetry.h"
 
 #if AID_PROC_SUPPORTED
@@ -27,6 +29,24 @@ int RemainingMs(bool has_deadline, Clock::time_point deadline) {
                              .count();
   if (remaining <= 0) return -1;
   return static_cast<int>(remaining);
+}
+
+/// Imports a VERDICT's host-side spans under `trial_span`, re-based into
+/// the tracer's timeline: the host anchored them on the moment it began
+/// the trial, which happened (wire latency aside) at `anchor_us`, when the
+/// engine opened the trial's span. ImportSpan clamps inside the trial
+/// span, so skew can never break the cross-process nesting.
+void ImportHostSpans(Tracer& tracer, uint64_t trial_span, uint64_t anchor_us,
+                     const VerdictMsg& verdict) {
+  if (!verdict.has_host_telemetry) return;
+  const uint64_t host_start = verdict.host_recv_us;
+  auto rebase = [&](uint64_t host_us) {
+    return anchor_us + (host_us >= host_start ? host_us - host_start : 0);
+  };
+  for (const WireHostSpan& span : verdict.host_spans) {
+    tracer.ImportSpan(span.name, trial_span, rebase(span.start_us),
+                      rebase(span.end_us));
+  }
 }
 
 }  // namespace
@@ -104,68 +124,23 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
   return ready_msg.catalog_size;
 }
 
-Result<PredicateLog> RunTrialOverChannel(
-    FrameChannel& channel, uint64_t trial_index,
-    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
-    int trial_deadline_ms, Telemetry* telemetry, uint64_t trial_span_id) {
-  const bool has_deadline = trial_deadline_ms > 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(trial_deadline_ms);
-
-  Tracer* tracer = telemetry != nullptr ? telemetry->tracer() : nullptr;
-  const bool propagate = tracer != nullptr && trial_span_id != 0;
-
-  RunTrialMsg request;
-  request.trial_index = trial_index;
-  request.intervened = intervened;
-  uint64_t engine_send_us = 0;
-  if (propagate) {
-    request.has_span_context = true;
-    request.trace_id = 1;  // one trace per Telemetry bundle
-    request.parent_span_id = trial_span_id;
-    engine_send_us = tracer->NowMicros();
-  }
-  AID_RETURN_IF_ERROR(channel.Write(ProcMsgType::kRunTrial,
-                                    EncodeRunTrial(request),
-                                    has_deadline ? trial_deadline_ms : 0));
-
-  // The deadline budgets the whole trial, the RUN_TRIAL write included.
-  const int budget = RemainingMs(has_deadline, deadline);
-  if (budget < 0) {
-    return Status::DeadlineExceeded("trial " + std::to_string(trial_index) +
-                                    ": deadline expired");
-  }
-  Result<ProcFrame> frame = channel.Read(budget);
+Result<VerdictMsg> ReadTrialAnswer(FrameChannel& channel,
+                                   uint64_t trial_index,
+                                   uint32_t catalog_size, int deadline_ms,
+                                   bool* in_step) {
+  *in_step = false;
+  Result<ProcFrame> frame = channel.Read(deadline_ms);
   if (!frame.ok()) return frame.status();
   switch (frame->type) {
     case ProcMsgType::kVerdict: {
       Result<VerdictMsg> verdict = DecodeVerdict(frame->payload, catalog_size);
-      if (!verdict.ok()) return verdict.status();
-      if (propagate && verdict->has_host_telemetry) {
-        // Re-base the host's steady-clock span times into this tracer's
-        // timeline: the host anchored them on its RUN_TRIAL receive
-        // timestamp, which happened (wire latency aside) at our send
-        // timestamp. ImportSpan clamps inside the trial span, so skew
-        // can never break the cross-process nesting.
-        for (const WireHostSpan& span : verdict->host_spans) {
-          const uint64_t start =
-              engine_send_us +
-              (span.start_us >= verdict->host_recv_us
-                   ? span.start_us - verdict->host_recv_us
-                   : 0);
-          const uint64_t end =
-              engine_send_us +
-              (span.end_us >= verdict->host_recv_us
-                   ? span.end_us - verdict->host_recv_us
-                   : 0);
-          tracer->ImportSpan(span.name, trial_span_id, start, end);
-        }
-      }
-      return std::move(verdict->log);
+      *in_step = verdict.ok();
+      return verdict;
     }
     case ProcMsgType::kError: {
       Result<ErrorMsg> error = DecodeError(frame->payload);
       if (!error.ok()) return error.status();
+      *in_step = true;
       return error->ToStatus();
     }
     default:
@@ -204,11 +179,10 @@ Result<TargetRunResult> WireReplicaTarget::RunIntervened(
   if (trials < 1) trials = 1;
   TargetRunResult result;
   result.logs.reserve(static_cast<size_t>(trials));
-  for (int i = 0; i < trials; ++i) {
-    const uint64_t trial_index = trial_cursor_++;
-    ++counters_.executions;
-    AID_ASSIGN_OR_RETURN(PredicateLog log, RunTrial(intervened, trial_index));
-    result.logs.push_back(std::move(log));
+  for (int left = trials; left > 0;
+       left = trials - static_cast<int>(result.logs.size())) {
+    AID_RETURN_IF_ERROR(RunBatch(
+        intervened, std::min(left, kMaxTrialsPerIntervention), result.logs));
   }
   return result;
 }
@@ -266,65 +240,125 @@ Status WireReplicaTarget::Respawn() {
   return EnsurePeer();
 }
 
-Result<PredicateLog> WireReplicaTarget::RunTrial(
-    const std::vector<PredicateId>& intervened, uint64_t trial_index) {
+Status WireReplicaTarget::RunBatch(const std::vector<PredicateId>& intervened,
+                                   int count,
+                                   std::vector<PredicateLog>& logs) {
   AID_RETURN_IF_ERROR(EnsurePeer());
   Telemetry* telemetry = options().telemetry.get();
-  // Trial timing at the wire, charged on every exit path: the substrate's
-  // real per-trial latency -- RPC round trip and any respawn -- feeds the
-  // latency-aware scheduler's per-replica EWMA (exec/scheduler.h).
-  const Clock::time_point start = Clock::now();
-  // Read before the trial: a respawn replaces the channel and may move to
+  Tracer* tracer = telemetry != nullptr ? telemetry->tracer() : nullptr;
+  const int deadline_ms = options().trial_deadline_ms;
+  // Read before the batch: a respawn replaces the channel and may move to
   // another endpoint.
   const std::string_view transport = channel_->transport();
   const std::string endpoint =
       telemetry != nullptr ? endpoint_label() : std::string();
+
+  // Each trial is timed on its own, on every exit path: its share of the
+  // round trip plus any respawn feeds the latency-aware scheduler's
+  // per-replica EWMA (exec/scheduler.h). Trial k's clock, deadline and
+  // span start when answer k-1 arrives; the first trial's before the send.
+  Clock::time_point start = Clock::now();
   // The engine-side "trial" span, parented under whatever round span the
-  // engine published. It covers the whole trial including any respawn,
-  // and is the import anchor for the host-side spans.
+  // engine published. It covers the trial including any respawn, and is
+  // the import anchor for the host-side spans.
   ScopedSpan trial_span;
-  if (telemetry != nullptr && telemetry->tracer() != nullptr) {
-    trial_span = ScopedSpan(telemetry->tracer(), "trial",
-                            telemetry->active_parent());
+  uint64_t anchor_us = 0;
+  auto open_trial_span = [&]() {
+    if (tracer == nullptr) return;
+    trial_span = ScopedSpan(tracer, "trial", telemetry->active_parent());
+    anchor_us = tracer->NowMicros();
+  };
+  open_trial_span();
+
+  RunTrialMsg request;
+  request.trial_index = trial_cursor_;
+  request.count = static_cast<uint32_t>(count);
+  request.intervened = intervened;
+  if (trial_span.id() != 0) {
+    request.has_span_context = true;
+    request.trace_id = 1;  // one trace per Telemetry bundle
+    request.parent_span_id = trial_span.id();
   }
-  Result<PredicateLog> out = [&]() -> Result<PredicateLog> {
-    Result<PredicateLog> run = RunTrialOverChannel(
-        *channel_, trial_index, intervened, catalog_size_,
-        options().trial_deadline_ms, telemetry, trial_span.id());
-    if (run.ok()) return run;
-    PredicateLog log;
-    log.failed = true;
-    if (run.status().code() == StatusCode::kAborted) {
-      log.outcome = TrialOutcome::kCrashed;
-      ++counters_.crashed_trials;
-    } else if (run.status().code() == StatusCode::kDeadlineExceeded) {
-      log.outcome = TrialOutcome::kTimedOut;
-      ++counters_.timed_out_trials;
-    } else {
-      return run;
+  const Status sent = channel_->Write(ProcMsgType::kRunTrial,
+                                      EncodeRunTrial(request), deadline_ms);
+
+  for (int k = 0; k < count; ++k) {
+    const uint64_t trial_index = trial_cursor_++;
+    ++counters_.executions;
+    // A failed send leaves the first trial unanswered (and the request
+    // perhaps half written).
+    bool in_step = false;
+    const int budget = RemainingMs(
+        deadline_ms > 0, start + std::chrono::milliseconds(deadline_ms));
+    Result<VerdictMsg> answer =
+        !sent.ok()     ? Result<VerdictMsg>(sent)
+        : budget < 0   ? Result<VerdictMsg>(Status::DeadlineExceeded(
+                             "trial " + std::to_string(trial_index) +
+                             ": deadline expired"))
+                       : ReadTrialAnswer(*channel_, trial_index, catalog_size_,
+                                         budget, &in_step);
+    if (answer.ok() && trial_span.id() != 0) {
+      ImportHostSpans(*tracer, trial_span.id(), anchor_us, *answer);
     }
-    AID_RETURN_IF_ERROR(Respawn());
-    return log;
-  }();
-  trial_span.End();
-  const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-                           Clock::now() - start)
-                           .count();
-  if (elapsed <= 0) return out;
-  counters_.trial_micros += static_cast<uint64_t>(elapsed);
-  if (telemetry != nullptr) {
+    Result<PredicateLog> out =
+        answer.ok() ? Result<PredicateLog>(std::move(answer->log))
+                    : UnansweredTrial(answer.status(), in_step);
+    trial_span.End();
+    const Clock::time_point now = Clock::now();
+    ChargeTrial(std::chrono::duration_cast<std::chrono::microseconds>(
+                    now - start)
+                    .count(),
+                transport, endpoint);
+    if (!out.ok()) return out.status();
+    logs.push_back(std::move(out).value());
+    // A crash or timeout respawned the peer: the caller re-sends the rest.
+    if (!logs.back().complete()) return Status::OK();
+    if (k + 1 < count) {
+      start = now;
+      open_trial_span();
+    }
+  }
+  return Status::OK();
+}
+
+Result<PredicateLog> WireReplicaTarget::UnansweredTrial(const Status& failure,
+                                                        bool in_step) {
+  // Later answers of the batch may still be in flight, or half a frame:
+  // the next call must never read them.
+  if (!in_step) DropPeer(/*graceful=*/false);
+  PredicateLog log;
+  log.failed = true;
+  if (failure.code() == StatusCode::kAborted) {
+    log.outcome = TrialOutcome::kCrashed;
+    ++counters_.crashed_trials;
+  } else if (failure.code() == StatusCode::kDeadlineExceeded) {
+    log.outcome = TrialOutcome::kTimedOut;
+    ++counters_.timed_out_trials;
+  } else {
+    return failure;
+  }
+  AID_RETURN_IF_ERROR(Respawn());
+  return log;
+}
+
+void WireReplicaTarget::ChargeTrial(int64_t elapsed_us,
+                                    std::string_view transport,
+                                    const std::string& endpoint) {
+  if (elapsed_us <= 0) return;
+  const uint64_t micros = static_cast<uint64_t>(elapsed_us);
+  counters_.trial_micros += micros;
+  Telemetry* telemetry = options().telemetry.get();
+  if (telemetry == nullptr) return;
+  telemetry
+      ->LatencyHistogram("aid_trial_latency_us",
+                         {{"transport", std::string(transport)}})
+      ->Record(micros);
+  if (!endpoint.empty()) {
     telemetry
-        ->LatencyHistogram("aid_trial_latency_us",
-                           {{"transport", std::string(transport)}})
-        ->Record(static_cast<uint64_t>(elapsed));
-    if (!endpoint.empty()) {
-      telemetry
-          ->LatencyHistogram("aid_endpoint_trial_latency_us",
-                             {{"endpoint", endpoint}})
-          ->Record(static_cast<uint64_t>(elapsed));
-    }
+        ->LatencyHistogram("aid_endpoint_trial_latency_us",
+                           {{"endpoint", endpoint}})
+        ->Record(micros);
   }
-  return out;
 }
 
 #if AID_PROC_SUPPORTED

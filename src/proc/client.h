@@ -2,10 +2,10 @@
 //
 // proc::SubprocessTarget (pipes to a fork/exec'd child) and
 // net::RemoteTarget (TCP to an aid_runner) speak the identical conversation
-// -- HELLO/SPEC/READY handshake, then RUN_TRIAL / VERDICT trials, one
-// answer frame carrying the whole predicate log per trial -- and differ
-// only in how they bring a peer up and tear it down.
-// The free functions below implement the conversation over any
+// -- HELLO/SPEC/READY handshake, then one RUN_TRIAL per RunIntervened call
+// answered by one frame per trial, each VERDICT carrying the trial's whole
+// predicate log -- and differ only in how they bring a peer up and tear it
+// down. The free functions below implement the conversation over any
 // FrameChannel; WireReplicaTarget implements everything else both
 // transports share -- options, spec freezing, the trial loop and cursor,
 // the failure lifecycle and its respawn budget, the counters -- so the
@@ -66,25 +66,21 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
                                   std::string_view spec_bytes,
                                   const SubjectHandshake& options);
 
-/// Runs one trial over `channel`: sends RUN_TRIAL and returns the predicate
-/// log its VERDICT carries. `catalog_size` is what the handshake returned:
-/// a VERDICT naming a predicate outside it is rejected (InvalidArgument),
-/// as is one claiming a non-completed outcome. `trial_deadline_ms` budgets
-/// the WHOLE trial (send included). A host-side ERROR frame is returned as
-/// its carried Status, and any other frame is an Internal protocol error.
-/// Aborted / DeadlineExceeded surface the channel's classification for the
-/// caller to turn into crashed / timed-out trial accounting.
-///
-/// Telemetry (both optional): with a non-null `telemetry` and a nonzero
-/// `trial_span_id`, the RUN_TRIAL carries the engine-side span context over
-/// the wire and any host-side spans returned in the VERDICT are re-based
-/// into the engine tracer's timeline and imported under `trial_span_id` --
-/// the cross-process nesting of docs/telemetry.md.
-Result<PredicateLog> RunTrialOverChannel(
-    FrameChannel& channel, uint64_t trial_index,
-    const std::vector<PredicateId>& intervened, uint32_t catalog_size,
-    int trial_deadline_ms, Telemetry* telemetry = nullptr,
-    uint64_t trial_span_id = 0);
+/// Reads the answer to trial `trial_index` of an outstanding RUN_TRIAL
+/// within `deadline_ms` (<= 0 = no deadline) and returns its VERDICT.
+/// `catalog_size` is what the handshake returned: a VERDICT naming a
+/// predicate outside it is rejected (InvalidArgument), as is one claiming
+/// a non-completed outcome. A host-side ERROR is returned as its carried
+/// Status; it answered the trial and ended the host's batch, so the
+/// channel stays in step. Any other failure sets `*in_step` to false: the
+/// channel may still carry later answers of the batch, or half a frame,
+/// and must not be read again. Aborted / DeadlineExceeded surface the
+/// channel's classification for the caller to turn into crashed /
+/// timed-out trial accounting.
+Result<VerdictMsg> ReadTrialAnswer(FrameChannel& channel,
+                                   uint64_t trial_index,
+                                   uint32_t catalog_size, int deadline_ms,
+                                   bool* in_step);
 
 /// The knobs every wire replica shares. SubprocessOptions and
 /// RemoteOptions derive from it and add only their transport's own.
@@ -127,17 +123,23 @@ struct WireReplicaOptions {
 
 /// A ReplicableTarget whose subject runs in a peer at the far end of a
 /// FrameChannel. The peer starts lazily on first use, so building a target
-/// -- and cloning it into a pool -- stays cheap. Every trial runs
-/// RunTrialOverChannel; a peer death (Aborted) records a crashed trial, a
-/// deadline expiry records a timed-out trial -- both failing, both with an
-/// empty observation set (paper semantics: the failure was certainly not
-/// repressed, and pruning must not reason from an incomplete observation
-/// set), both counted -- and in either case the peer is dropped and a
-/// fresh one started, counting one respawn; past max_respawns the run
-/// fails with Aborted. Other errors (host-side ERROR frames, protocol
-/// corruption) propagate. Every trial charges its wall-clock (wire time
-/// plus any respawn) into counters().trial_micros: the substrate-level
-/// timing the latency-aware scheduler reads (exec/scheduler.h).
+/// -- and cloning it into a pool -- stays cheap. RunIntervened sends one
+/// RUN_TRIAL for all its trials (split at kMaxTrialsPerIntervention) and
+/// reads the answers in order, yet times, classifies and accounts every
+/// trial on its own: trial k's deadline runs from the arrival of answer
+/// k-1 (the first trial's from the send). A peer death (Aborted) records a
+/// crashed trial, a deadline expiry records a timed-out trial -- both
+/// failing, both with an empty observation set (paper semantics: the
+/// failure was certainly not repressed, and pruning must not reason from
+/// an incomplete observation set), both counted -- and in either case the
+/// peer is dropped and a fresh one started, counting one respawn, and the
+/// trials after the failed one are re-sent to it; past max_respawns the
+/// run fails with Aborted. Other errors propagate: a host-side ERROR keeps
+/// the peer, while a rejected frame (a hostile VERDICT, an unexpected
+/// frame type) also drops it, since later answers of the batch are still
+/// in flight. Every trial charges its wall-clock (wire time plus any
+/// respawn) into counters().trial_micros: the substrate-level timing the
+/// latency-aware scheduler reads (exec/scheduler.h).
 ///
 /// Clone() hands out another lazily-starting replica over the same frozen
 /// spec, positioned at this target's trial cursor. All per-trial
@@ -213,9 +215,20 @@ class WireReplicaTarget : public ReplicableTarget {
   Status EnsurePeer();
   /// DropPeer + EnsurePeer with the crash-loop guard applied.
   Status Respawn();
-  /// Runs one trial at `trial_index` with the failure lifecycle above.
-  Result<PredicateLog> RunTrial(const std::vector<PredicateId>& intervened,
-                                uint64_t trial_index);
+  /// Sends one RUN_TRIAL for `count` trials at the cursor and appends
+  /// their logs to `logs` with the failure lifecycle above. Returns early,
+  /// having respawned the peer, after a crashed or timed-out trial; the
+  /// caller re-sends the rest.
+  Status RunBatch(const std::vector<PredicateId>& intervened, int count,
+                  std::vector<PredicateLog>& logs);
+  /// The log of a trial that got no answer: a crashed or timed-out trial,
+  /// after which the peer is respawned, or else `failure` itself. Drops
+  /// the peer first unless `in_step` (a host ERROR ended the batch).
+  Result<PredicateLog> UnansweredTrial(const Status& failure, bool in_step);
+  /// Charges one trial's wall-clock into trial_micros and the latency
+  /// histograms.
+  void ChargeTrial(int64_t elapsed_us, std::string_view transport,
+                   const std::string& endpoint);
 
   std::shared_ptr<const std::string> spec_bytes_;
   const char* who_;

@@ -149,6 +149,63 @@ Status AnswerStats(FrameChannel& channel, const SubjectHostOptions& host) {
   return channel.Write(ProcMsgType::kStatsReply, EncodeStatsReply(reply));
 }
 
+/// Runs a RUN_TRIAL's trials back to back, answering each in order with
+/// its VERDICT. A subject-level error is answered with an ERROR, which
+/// ends the batch (the engine reads no further answers to this request).
+/// Fault injection happens mid-trial, after the request is accepted: the
+/// engine has committed to the trial and observes a genuine mid-trial
+/// death or hang. Returns an error only when the channel fails.
+Status ServeBatch(FrameChannel& channel, ReplicableTarget& target,
+                  const OwnedSubjectSpec& spec, const SubjectHostOptions& host,
+                  const RunTrialMsg& request, uint64_t recv_us) {
+  for (uint32_t k = 0; k < request.count; ++k) {
+    const uint64_t trial_index = request.trial_index + k;
+    // Trials after the first begin as the previous answer leaves.
+    const uint64_t trial_start_us = k == 0 ? recv_us : HostNowMicros();
+    if (HitsPeriod(trial_index, spec.crash_period)) std::abort();
+    if (HitsPeriod(trial_index, spec.hang_period)) HangForever();
+    if (host.trial_delay_us > 0) {
+      // Simulated slow host (see SubjectHostOptions): charged inside the
+      // trial so the engine-side deadline still covers it.
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(host.trial_delay_us));
+    }
+    const uint64_t run_start_us = HostNowMicros();
+    target.SeekTrial(trial_index);
+    Result<TargetRunResult> result =
+        target.RunIntervened(request.intervened, 1);
+    const uint64_t run_end_us = HostNowMicros();
+    if (result.ok() && result->logs.empty()) {
+      result = Status::Internal("subject host: target produced no log");
+    }
+    if (host.shared_stats != nullptr) {
+      host.shared_stats->RecordTrial(
+          run_end_us - trial_start_us,
+          !result.ok() || result->logs.front().failed);
+    }
+    if (!result.ok()) {
+      // Subject-level error: report it and keep serving (the engine
+      // decides whether to fail the discovery run).
+      return channel.Write(ProcMsgType::kError, EncodeError(result.status()));
+    }
+    // Host-side spans, sent back only when the engine propagated span
+    // context on the request: host.trial covers the whole trial (delay
+    // injection included), host.subject_run just the subject's execution.
+    // Times stay in this host's clock domain.
+    std::vector<WireHostSpan> host_spans;
+    if (request.has_span_context) {
+      host_spans.push_back(
+          WireHostSpan{"host.trial", trial_start_us, run_end_us});
+      host_spans.push_back(
+          WireHostSpan{"host.subject_run", run_start_us, run_end_us});
+    }
+    AID_RETURN_IF_ERROR(SendTrialAnswer(
+        channel, std::move(result->logs.front()), request.has_span_context,
+        trial_start_us, std::move(host_spans)));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void SharedHostStats::RecordTrial(uint64_t micros, bool failed) {
@@ -265,67 +322,8 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
                               EncodeError(request.status()));
           return 2;
         }
-        // Fault injection happens mid-trial, after the request is accepted:
-        // the engine has committed to this trial and observes a genuine
-        // mid-trial death or hang.
-        if (HitsPeriod(request->trial_index, spec.crash_period)) {
-          std::abort();
-        }
-        if (HitsPeriod(request->trial_index, spec.hang_period)) {
-          HangForever();
-        }
-        if (host.trial_delay_us > 0) {
-          // Simulated slow host (see SubjectHostOptions): charged inside
-          // the trial so the engine-side deadline still covers it.
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(host.trial_delay_us));
-        }
-        const uint64_t run_start_us = HostNowMicros();
-        subject.target->SeekTrial(request->trial_index);
-        Result<TargetRunResult> result =
-            subject.target->RunIntervened(request->intervened, 1);
-        const uint64_t run_end_us = HostNowMicros();
-        if (!result.ok()) {
-          // Subject-level error: report and keep serving (the engine decides
-          // whether to fail the discovery run).
-          if (host.shared_stats != nullptr) {
-            host.shared_stats->RecordTrial(run_end_us - recv_us,
-                                           /*failed=*/true);
-          }
-          if (!channel.Write(ProcMsgType::kError,
-                             EncodeError(result.status()))
-                   .ok()) {
-            return 2;
-          }
-          break;
-        }
-        if (result->logs.empty()) {
-          if (!channel.Write(ProcMsgType::kError,
-                             EncodeError(Status::Internal(
-                                 "subject host: target produced no log")))
-                   .ok()) {
-            return 2;
-          }
-          break;
-        }
-        if (host.shared_stats != nullptr) {
-          host.shared_stats->RecordTrial(run_end_us - recv_us,
-                                         result->logs.front().failed);
-        }
-        // Host-side spans, sent back only when the engine propagated span
-        // context on the request: host.trial covers the whole request
-        // handling (delay injection included), host.subject_run just the
-        // subject's execution. Times stay in this host's clock domain.
-        std::vector<WireHostSpan> host_spans;
-        if (request->has_span_context) {
-          host_spans.push_back(
-              WireHostSpan{"host.trial", recv_us, run_end_us});
-          host_spans.push_back(
-              WireHostSpan{"host.subject_run", run_start_us, run_end_us});
-        }
-        if (!SendTrialAnswer(channel, std::move(result->logs.front()),
-                             request->has_span_context, recv_us,
-                             std::move(host_spans))
+        if (!ServeBatch(channel, *subject.target, spec, host, *request,
+                        recv_us)
                  .ok()) {
           return 2;
         }

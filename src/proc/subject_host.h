@@ -6,10 +6,11 @@
 // models, VM case studies, arbitrary serialized VM programs -- behind the
 // protocol: it announces itself (HELLO), receives a SubjectSpec, builds the
 // corresponding ReplicableTarget (running the backend's observation phase
-// where one exists), acknowledges (READY), and then answers RUN_TRIAL
-// requests by seeking to the requested global trial index, executing one
-// trial, and answering with exactly one VERDICT frame that carries the
-// trial's whole predicate log.
+// where one exists), acknowledges (READY), and then serves RUN_TRIAL
+// requests: for each of the request's n trials, in order, it seeks to the
+// trial's global index, executes it, and answers with exactly one VERDICT
+// frame that carries the trial's whole predicate log (or an ERROR, which
+// ends the batch).
 //
 // The host is deliberately a library function plus a thin main(): tests can
 // drive RunSubjectHost over plain pipes without fork/exec, and the binary

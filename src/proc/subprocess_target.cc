@@ -1,5 +1,6 @@
 #include "proc/subprocess_target.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -159,13 +160,17 @@ void SubprocessTarget::ReapPeer(bool graceful) {
   child_pid_ = -1;
   if (graceful) {
     // Grace period, then SIGKILL: a wedged host must not wedge our
-    // destructor.
-    constexpr int kGraceMs = 2000;
-    constexpr int kPollMs = 10;
-    for (int waited = 0; waited < kGraceMs; waited += kPollMs) {
+    // destructor. A host exits right after SHUTDOWN, so the first wait is
+    // 100 us and each doubles, up to 10 ms.
+    using std::chrono::microseconds;
+    constexpr microseconds kGrace = std::chrono::seconds(2);
+    constexpr microseconds kMaxStep = std::chrono::milliseconds(10);
+    microseconds step(50);
+    for (microseconds waited(0); waited < kGrace; waited += step) {
       const pid_t rc = WaitpidRetry(pid, nullptr, WNOHANG);
       if (rc == pid || (rc < 0 && errno == ECHILD)) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+      step = std::min(step * 2, kMaxStep);
+      std::this_thread::sleep_for(step);
     }
   }
   ::kill(pid, SIGKILL);

@@ -7,11 +7,14 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #endif
 
 #include <chrono>
 #include <mutex>
+
+#include "core/engine.h"
 
 namespace aid {
 
@@ -35,219 +38,206 @@ std::string_view ProcMsgTypeName(ProcMsgType type) {
 namespace {
 
 /// A closed peer must surface as EPIPE (-> Status), not as a fatal SIGPIPE.
-/// Installed once, process-wide, before the first pipe write -- the standard
-/// contract of libraries that own pipe/socket transports.
+/// Installed once, process-wide, before the first channel exists -- the
+/// standard contract of libraries that own pipe/socket transports.
 void IgnoreSigpipeOnce() {
   static std::once_flag once;
   std::call_once(once, []() { ::signal(SIGPIPE, SIG_IGN); });
 }
 
-Status WriteAll(int fd, const char* data, size_t n) {
-  size_t written = 0;
-  while (written < n) {
-    const ssize_t rc = ::write(fd, data + written, n - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        return Status::Aborted("proc wire: peer closed the channel (" +
-                               std::string(std::strerror(errno)) + ")");
-      }
-      return Status::Internal(std::string("proc wire: write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<size_t>(rc);
-  }
-  return Status::OK();
+constexpr size_t kFrameHeader = 5;  // u32 length + u8 type
+
+int64_t NowMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-using Clock = std::chrono::steady_clock;
+/// Absolute give-up point for a call's `deadline_ms`; 0 = none.
+int64_t DeadlineMicros(int deadline_ms) {
+  return deadline_ms > 0 ? NowMicros() + int64_t{deadline_ms} * 1000 : 0;
+}
 
-/// WriteAll with an absolute give-up point: the fd is flipped to
-/// non-blocking for the duration and each would-block wait goes through
-/// poll(POLLOUT) with the remaining budget, so a peer that stops draining
-/// the pipe surfaces as DeadlineExceeded instead of wedging the writer.
-Status WriteAllDeadline(int fd, const char* data, size_t n,
-                        Clock::time_point deadline) {
-  const int flags = ::fcntl(fd, F_GETFL);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("proc wire: fcntl failed: ") +
-                            std::strerror(errno));
-  }
-  auto restore = [&]() { ::fcntl(fd, F_SETFL, flags); };
-  size_t written = 0;
-  while (written < n) {
-    const ssize_t rc = ::write(fd, data + written, n - written);
-    if (rc > 0) {
-      written += static_cast<size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-      restore();
-      return Status::Aborted("proc wire: peer closed the channel (" +
-                             std::string(std::strerror(errno)) + ")");
-    }
-    if (rc < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      restore();
-      return Status::Internal(std::string("proc wire: write failed: ") +
-                              std::strerror(errno));
-    }
-    // Pipe full: wait for drain within the remaining budget.
-    const auto remaining = deadline - Clock::now();
-    const int remaining_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-            .count());
-    if (remaining_ms <= 0) {
-      restore();
-      return Status::DeadlineExceeded("proc wire: write deadline expired");
+/// Waits until `fd` is ready for `events` or `deadline_us` passes
+/// (0 = wait indefinitely). Readiness includes POLLHUP/POLLERR: the next
+/// read or write reports what happened.
+Status AwaitReady(int fd, short events, int64_t deadline_us,
+                  const char* what) {
+  for (;;) {
+    int timeout_ms = -1;
+    if (deadline_us != 0) {
+      const int64_t remaining_ms = (deadline_us - NowMicros()) / 1000;
+      if (remaining_ms <= 0) {
+        return Status::DeadlineExceeded(std::string("proc wire: ") + what +
+                                        " deadline expired");
+      }
+      timeout_ms = static_cast<int>(remaining_ms);
     }
     struct pollfd pfd;
     pfd.fd = fd;
-    pfd.events = POLLOUT;
-    const int prc = ::poll(&pfd, 1, remaining_ms);
-    if (prc < 0 && errno != EINTR) {
-      restore();
+    pfd.events = events;
+    const int rc = ::poll(&pfd, 1, timeout_ms);
+    if (rc > 0) return Status::OK();
+    if (rc == 0) {
+      return Status::DeadlineExceeded(std::string("proc wire: ") + what +
+                                      " deadline expired");
+    }
+    if (errno != EINTR) {
       return Status::Internal(std::string("proc wire: poll failed: ") +
                               std::strerror(errno));
     }
-    if (prc == 0) {
-      restore();
-      return Status::DeadlineExceeded("proc wire: write deadline expired");
-    }
   }
-  restore();
+}
+
+/// Makes an owned descriptor non-blocking; for a borrowed one, reports
+/// whether it blocks.
+bool PrepareDescriptor(int fd, bool owned) {
+  if (fd < 0) return false;
+  const int flags = ::fcntl(fd, F_GETFL);
+  if (flags < 0) return false;
+  if (!owned) return (flags & O_NONBLOCK) == 0;
+  if ((flags & O_NONBLOCK) == 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  return false;
+}
+
+}  // namespace
+
+DescriptorChannel::DescriptorChannel(int read_fd, int write_fd,
+                                     bool owns_fds)
+    : read_fd_(read_fd), write_fd_(write_fd), owns_fds_(owns_fds) {
+  IgnoreSigpipeOnce();
+  read_blocks_ = PrepareDescriptor(read_fd_, owns_fds_);
+  write_blocks_ = write_fd_ == read_fd_
+                      ? read_blocks_
+                      : PrepareDescriptor(write_fd_, owns_fds_);
+}
+
+Status DescriptorChannel::Write(ProcMsgType type, std::string_view payload,
+                                int deadline_ms) {
+  if (write_fd_ < 0) {
+    return Status::Internal(std::string(transport()) +
+                            " channel: write side is closed");
+  }
+  if (payload.size() > kProcMaxFramePayload) {
+    return Status::InvalidArgument("proc wire: frame payload too large (" +
+                                   std::to_string(payload.size()) + " bytes)");
+  }
+  const int64_t deadline_us = DeadlineMicros(deadline_ms);
+  const uint32_t length = static_cast<uint32_t>(payload.size()) + 1;
+  const char header[kFrameHeader] = {
+      static_cast<char>(length & 0xff), static_cast<char>((length >> 8) & 0xff),
+      static_cast<char>((length >> 16) & 0xff),
+      static_cast<char>((length >> 24) & 0xff), static_cast<char>(type)};
+  // Header and payload leave in one writev(): one syscall and, over
+  // TCP_NODELAY sockets, one segment per frame.
+  const size_t total = kFrameHeader + payload.size();
+  size_t written = 0;
+  while (written < total) {
+    struct iovec parts[2];
+    int count = 0;
+    if (written < kFrameHeader) {
+      parts[count].iov_base = const_cast<char*>(header + written);
+      parts[count++].iov_len = kFrameHeader - written;
+    }
+    const size_t offset = written > kFrameHeader ? written - kFrameHeader : 0;
+    if (offset < payload.size()) {
+      parts[count].iov_base = const_cast<char*>(payload.data() + offset);
+      parts[count++].iov_len = payload.size() - offset;
+    }
+    if (write_blocks_ && deadline_us != 0) {
+      AID_RETURN_IF_ERROR(AwaitReady(write_fd_, POLLOUT, deadline_us, "write"));
+    }
+    const ssize_t rc = ::writev(write_fd_, parts, count);
+    if (rc >= 0) {
+      written += static_cast<size_t>(rc);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      AID_RETURN_IF_ERROR(AwaitReady(write_fd_, POLLOUT, deadline_us, "write"));
+      continue;
+    }
+    if (errno == EPIPE || errno == ECONNRESET) {
+      return Status::Aborted("proc wire: peer closed the channel (" +
+                             std::string(std::strerror(errno)) + ")");
+    }
+    return Status::Internal(std::string("proc wire: write failed: ") +
+                            std::strerror(errno));
+  }
   return Status::OK();
 }
 
-/// Reads exactly `n` bytes. `deadline` is the absolute give-up point
-/// (time_point::max() = block forever). EOF mid-message is Aborted: the only
-/// writer is the peer process, so a short stream means it died.
-Status ReadAllDeadline(int fd, char* out, size_t n, Clock::time_point deadline) {
-  size_t got = 0;
-  while (got < n) {
-    if (deadline != Clock::time_point::max()) {
-      const auto remaining = deadline - Clock::now();
-      const int remaining_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-              .count());
-      if (remaining_ms <= 0) {
-        return Status::DeadlineExceeded("proc wire: read deadline expired");
-      }
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int rc = ::poll(&pfd, 1, remaining_ms);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(std::string("proc wire: poll failed: ") +
-                                std::strerror(errno));
-      }
-      if (rc == 0) {
-        return Status::DeadlineExceeded("proc wire: read deadline expired");
-      }
-      // POLLHUP with buffered data still reads; plain read() below decides.
+Status DescriptorChannel::Fill(int64_t deadline_us) {
+  for (;;) {
+    if (read_blocks_ && deadline_us != 0) {
+      AID_RETURN_IF_ERROR(AwaitReady(read_fd_, POLLIN, deadline_us, "read"));
     }
-    const ssize_t rc = ::read(fd, out + got, n - got);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        return Status::Aborted("proc wire: peer reset the connection");
-      }
-      return Status::Internal(std::string("proc wire: read failed: ") +
-                              std::strerror(errno));
+    const ssize_t rc =
+        ::read(read_fd_, buffer_.data() + end_, buffer_.size() - end_);
+    if (rc > 0) {
+      end_ += static_cast<size_t>(rc);
+      return Status::OK();
     }
+    // EOF, even mid-frame: the only writer is the peer, so a short stream
+    // means it died.
     if (rc == 0) {
       return Status::Aborted("proc wire: peer closed the channel (EOF)");
     }
-    got += static_cast<size_t>(rc);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      AID_RETURN_IF_ERROR(AwaitReady(read_fd_, POLLIN, deadline_us, "read"));
+      continue;
+    }
+    if (errno == ECONNRESET) {
+      return Status::Aborted("proc wire: peer reset the connection");
+    }
+    return Status::Internal(std::string("proc wire: read failed: ") +
+                            std::strerror(errno));
   }
-  return Status::OK();
 }
 
-Result<ProcFrame> ReadFrameUntil(int fd, Clock::time_point deadline) {
-  uint32_t length = 0;
-  AID_RETURN_IF_ERROR(
-      ReadAllDeadline(fd, reinterpret_cast<char*>(&length), sizeof(length),
-                      deadline));
-  if (length < 1 || length > kProcMaxFramePayload + 1) {
-    return Status::InvalidArgument("proc wire: corrupt frame length " +
-                                   std::to_string(length));
-  }
-  std::string body(length, '\0');
-  AID_RETURN_IF_ERROR(ReadAllDeadline(fd, body.data(), body.size(), deadline));
-  ProcFrame frame;
-  frame.type = static_cast<ProcMsgType>(static_cast<uint8_t>(body[0]));
-  frame.payload = body.substr(1);
-  return frame;
-}
-
-}  // namespace
-
-namespace {
-
-/// One contiguous buffer per frame: a single write() syscall -- and, over
-/// TCP_NODELAY sockets, a single segment -- instead of a header write plus
-/// a payload write on the per-trial hot path.
-std::string AssembleFrame(ProcMsgType type, std::string_view payload) {
-  WireWriter frame;
-  frame.U32(static_cast<uint32_t>(payload.size()) + 1);
-  frame.U8(static_cast<uint8_t>(type));
-  frame.Raw(payload);
-  return frame.Release();
-}
-
-}  // namespace
-
-Status WriteFrame(int fd, ProcMsgType type, std::string_view payload) {
-  IgnoreSigpipeOnce();
-  if (payload.size() > kProcMaxFramePayload) {
-    return Status::InvalidArgument("proc wire: frame payload too large (" +
-                                   std::to_string(payload.size()) + " bytes)");
-  }
-  const std::string frame = AssembleFrame(type, payload);
-  return WriteAll(fd, frame.data(), frame.size());
-}
-
-Status WriteFrameDeadline(int fd, ProcMsgType type, std::string_view payload,
-                          int deadline_ms) {
-  if (deadline_ms <= 0) return WriteFrame(fd, type, payload);
-  IgnoreSigpipeOnce();
-  if (payload.size() > kProcMaxFramePayload) {
-    return Status::InvalidArgument("proc wire: frame payload too large (" +
-                                   std::to_string(payload.size()) + " bytes)");
-  }
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(deadline_ms);
-  const std::string frame = AssembleFrame(type, payload);
-  return WriteAllDeadline(fd, frame.data(), frame.size(), deadline);
-}
-
-Result<ProcFrame> ReadFrame(int fd) {
-  return ReadFrameUntil(fd, Clock::time_point::max());
-}
-
-Result<ProcFrame> ReadFrameDeadline(int fd, int deadline_ms) {
-  if (deadline_ms <= 0) return ReadFrame(fd);
-  return ReadFrameUntil(fd,
-                        Clock::now() + std::chrono::milliseconds(deadline_ms));
-}
-
-Status PipeChannel::Write(ProcMsgType type, std::string_view payload,
-                          int deadline_ms) {
-  if (write_fd_ < 0) {
-    return Status::Internal("pipe channel: write side is closed");
-  }
-  return WriteFrameDeadline(write_fd_, type, payload, deadline_ms);
-}
-
-Result<ProcFrame> PipeChannel::Read(int deadline_ms) {
+Result<ProcFrame> DescriptorChannel::Read(int deadline_ms) {
   if (read_fd_ < 0) {
-    return Status::Internal("pipe channel: read side is closed");
+    return Status::Internal(std::string(transport()) +
+                            " channel: read side is closed");
   }
-  return ReadFrameDeadline(read_fd_, deadline_ms);
+  const int64_t deadline_us = DeadlineMicros(deadline_ms);
+  if (buffer_.empty()) buffer_.resize(kInitialReadBuffer);
+  for (;;) {
+    size_t need = kFrameHeader;
+    const size_t have = end_ - begin_;
+    if (have >= 4) {
+      const auto* p = reinterpret_cast<const uint8_t*>(buffer_.data() + begin_);
+      const uint32_t length = uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                              uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+      if (length < 1 || length > kProcMaxFramePayload + 1) {
+        return Status::InvalidArgument("proc wire: corrupt frame length " +
+                                       std::to_string(length));
+      }
+      need = 4 + size_t{length};
+      if (have >= need) {
+        ProcFrame frame;
+        frame.type = static_cast<ProcMsgType>(p[4]);
+        frame.payload.assign(buffer_.data() + begin_ + kFrameHeader,
+                             need - kFrameHeader);
+        begin_ += need;
+        if (begin_ == end_) begin_ = end_ = 0;
+        return frame;
+      }
+    }
+    if (buffer_.size() - begin_ < need) {
+      // Make room for the whole frame: slide the partial frame to the
+      // front, then grow to fit it.
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+      if (buffer_.size() < need) buffer_.resize(need);
+    }
+    AID_RETURN_IF_ERROR(Fill(deadline_us));
+  }
 }
 
-void PipeChannel::Close() {
+void DescriptorChannel::Close() {
   if (owns_fds_) {
     if (read_fd_ >= 0) ::close(read_fd_);
     if (write_fd_ >= 0 && write_fd_ != read_fd_) ::close(write_fd_);
@@ -258,37 +248,21 @@ void PipeChannel::Close() {
 
 #else  // !AID_PROC_SUPPORTED
 
-Status WriteFrame(int, ProcMsgType, std::string_view) {
+DescriptorChannel::DescriptorChannel(int read_fd, int write_fd,
+                                     bool owns_fds)
+    : read_fd_(read_fd), write_fd_(write_fd), owns_fds_(owns_fds) {}
+
+Status DescriptorChannel::Write(ProcMsgType, std::string_view, int) {
   return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
+      "proc wire: descriptors are unavailable on this platform");
 }
 
-Status WriteFrameDeadline(int, ProcMsgType, std::string_view, int) {
+Result<ProcFrame> DescriptorChannel::Read(int) {
   return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
+      "proc wire: descriptors are unavailable on this platform");
 }
 
-Result<ProcFrame> ReadFrame(int) {
-  return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
-}
-
-Result<ProcFrame> ReadFrameDeadline(int, int) {
-  return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
-}
-
-Status PipeChannel::Write(ProcMsgType, std::string_view, int) {
-  return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
-}
-
-Result<ProcFrame> PipeChannel::Read(int) {
-  return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
-}
-
-void PipeChannel::Close() {
+void DescriptorChannel::Close() {
   read_fd_ = -1;
   write_fd_ = -1;
 }
@@ -356,6 +330,7 @@ Result<ErrorMsg> DecodeError(std::string_view payload) {
 std::string EncodeRunTrial(const RunTrialMsg& msg) {
   WireWriter writer;
   writer.U64(msg.trial_index);
+  writer.U32(msg.count);
   writer.U32(static_cast<uint32_t>(msg.intervened.size()));
   for (PredicateId id : msg.intervened) writer.I32(id);
   if (msg.has_span_context) {
@@ -371,8 +346,16 @@ Result<RunTrialMsg> DecodeRunTrial(std::string_view payload) {
   WireReader reader(payload);
   RunTrialMsg msg;
   msg.trial_index = reader.U64();
+  msg.count = reader.U32();
   const uint32_t count = reader.Count(sizeof(PredicateId));
   AID_RETURN_IF_ERROR(reader.status());
+  if (msg.count == 0 ||
+      msg.count > static_cast<uint32_t>(kMaxTrialsPerIntervention)) {
+    return Status::InvalidArgument(
+        "proc wire: RUN_TRIAL asks for " + std::to_string(msg.count) +
+        " trials; the count must be in [1, " +
+        std::to_string(kMaxTrialsPerIntervention) + "]");
+  }
   msg.intervened.reserve(count);
   for (uint32_t i = 0; i < count; ++i) msg.intervened.push_back(reader.I32());
   if (reader.ok() && reader.remaining() > 0) {

@@ -1,4 +1,4 @@
-// The AID subject wire protocol (version 4).
+// The AID subject wire protocol (version 5).
 //
 // A debugging engine and a subject host speak length-prefixed binary frames
 // over any byte transport -- the pipe pair of a fork/exec'd child
@@ -16,10 +16,12 @@
 //   host   -> engine   READY      catalog size (id-space sanity check)
 //                   or ERROR      status code + message (bad spec, failed
 //                                 observation, version mismatch)
-//   engine -> host     RUN_TRIAL  global trial index + intervened predicates
-//   host   -> engine   VERDICT    the trial's whole predicate log (one frame
-//                                 answers the trial)
-//                   or ERROR      subject-level error for this trial
+//   engine -> host     RUN_TRIAL  first global trial index, trial count n,
+//                                 intervened predicates
+//   host   -> engine   VERDICT    one per trial, in trial order: the
+//                                 trial's whole predicate log
+//                   or ERROR      subject-level error for that trial; it
+//                                 answers the trial and ends the batch
 //   ...                (RUN_TRIAL repeats)
 //   engine -> host     STATS      stats request (any time; runner daemons)
 //   host   -> engine   STATS_REPLY  JSON stats document
@@ -44,6 +46,12 @@
 // sent PING. A silently dropped connection surfaces as an expired trial
 // deadline, exactly like a hung subject.
 //
+// Version 5 adds a trial count to RUN_TRIAL: the host runs trials
+// trial_index .. trial_index + n - 1 back to back and answers each with its
+// own frame, so a chunk of trials costs one request instead of one round
+// trip per trial. The engine still times, classifies and accounts every
+// trial on its own (proc/client.h).
+//
 // Failure semantics live at the transport layer: an EOF or write error means
 // the peer died (the engine records a crashed trial and respawns or
 // reconnects); a read deadline expiring means the subject hung (the engine
@@ -51,11 +59,10 @@
 // docs/proc_protocol.md and docs/remote_protocol.md for the full
 // specification.
 //
-// The free WriteFrame/ReadFrame functions speak the protocol over raw file
-// descriptors; FrameChannel wraps them behind a transport-agnostic interface
-// (PipeChannel here, net::SocketChannel for TCP) so protocol drivers --
+// Frames travel through a FrameChannel, so protocol drivers --
 // proc/client.h, proc/subject_host -- never care which transport carries
-// their frames.
+// them. Both descriptor transports (PipeChannel here, net::SocketChannel
+// for TCP) share one frame-I/O core, DescriptorChannel.
 //
 // Platform support: the transports use POSIX descriptors. On platforms
 // without them, SubprocessIsolationSupported() returns false and every
@@ -64,6 +71,7 @@
 #ifndef AID_PROC_WIRE_H_
 #define AID_PROC_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -87,8 +95,9 @@ constexpr bool SubprocessIsolationSupported() {
 
 inline constexpr uint32_t kProcMagic = 0x41494450;  // "AIDP"
 /// v2 = v1 + a PING/PONG keepalive pair; v3 = the whole predicate log in
-/// one VERDICT frame per trial; v4 = PING/PONG retired.
-inline constexpr uint32_t kProcProtocolVersion = 4;
+/// one VERDICT frame per trial; v4 = PING/PONG retired; v5 = RUN_TRIAL
+/// carries a trial count and the host answers each trial in order.
+inline constexpr uint32_t kProcProtocolVersion = 5;
 
 /// Frames larger than this are rejected as corrupt before any allocation;
 /// real frames are dominated by subject specs (programs/models, ~KBs).
@@ -114,32 +123,6 @@ struct ProcFrame {
   ProcMsgType type = ProcMsgType::kError;
   std::string payload;
 };
-
-// ----------------------------------------------------------- transport ----
-
-/// Writes one frame, retrying on EINTR and short writes. Returns Aborted
-/// when the peer has closed its end (EPIPE), Internal on other I/O errors.
-/// SIGPIPE is ignored process-wide on first use (standard practice for
-/// pipe-speaking libraries; a closed peer must surface as a Status, not a
-/// signal).
-Status WriteFrame(int fd, ProcMsgType type, std::string_view payload);
-
-/// Same, but gives up with DeadlineExceeded after `deadline_ms` if the peer
-/// stops draining the pipe (poll()-based, temporarily non-blocking). Large
-/// payloads (subject specs can exceed the pipe buffer) must use this when
-/// the peer is untrusted: a wedged reader must not wedge the writer.
-/// deadline_ms <= 0 means block indefinitely.
-Status WriteFrameDeadline(int fd, ProcMsgType type, std::string_view payload,
-                          int deadline_ms);
-
-/// Reads one frame, blocking indefinitely. Returns Aborted on EOF (peer
-/// died), InvalidArgument on a corrupt length prefix.
-Result<ProcFrame> ReadFrame(int fd);
-
-/// Reads one frame, giving up after `deadline_ms` (measured across the
-/// whole frame, poll()-based). Returns DeadlineExceeded on expiry with the
-/// partial bytes discarded; deadline_ms <= 0 means block indefinitely.
-Result<ProcFrame> ReadFrameDeadline(int fd, int deadline_ms);
 
 // ------------------------------------------------------------- channels ----
 
@@ -171,30 +154,69 @@ class FrameChannel {
   virtual std::string_view transport() const = 0;
 };
 
-/// FrameChannel over a unidirectional descriptor pair -- the subprocess
-/// transport (parent side: child stdin/stdout; host side: its own 0/1).
-class PipeChannel : public FrameChannel {
+/// The frame-I/O core of every descriptor transport. Reads pull whatever
+/// the descriptor has buffered into a per-channel buffer and cut frames
+/// from it, so frames that arrive together cost one read(); a write is one
+/// writev() of header and payload. poll() runs only when a read or write
+/// would block, bounded by the call's deadline.
+///
+/// Descriptors the channel owns are switched to non-blocking at
+/// construction and closed by Close(). Descriptors it does not own keep
+/// their flags: on a blocking descriptor, a call with a deadline polls
+/// before each read or write, which bounds the wait for the peer but not
+/// a single write larger than the space the peer has left (only engines
+/// pass write deadlines, and their channels own their descriptors).
+///
+/// The read buffer starts at kInitialReadBuffer bytes and grows to the
+/// largest frame read. Bytes of a frame cut short by a deadline stay
+/// buffered; the engine drops such a peer anyway.
+class DescriptorChannel : public FrameChannel {
  public:
-  /// `owns_fds`: close the descriptors on Close()/destruction. The host
-  /// side wraps stdin/stdout non-owning.
-  PipeChannel(int read_fd, int write_fd, bool owns_fds)
-      : read_fd_(read_fd), write_fd_(write_fd), owns_fds_(owns_fds) {}
-  ~PipeChannel() override { Close(); }
+  static constexpr size_t kInitialReadBuffer = 4096;
 
-  PipeChannel(const PipeChannel&) = delete;
-  PipeChannel& operator=(const PipeChannel&) = delete;
+  ~DescriptorChannel() override { Close(); }
+
+  DescriptorChannel(const DescriptorChannel&) = delete;
+  DescriptorChannel& operator=(const DescriptorChannel&) = delete;
 
   Status Write(ProcMsgType type, std::string_view payload,
                int deadline_ms = 0) override;
   Result<ProcFrame> Read(int deadline_ms = 0) override;
   void Close() override;
   bool open() const override { return read_fd_ >= 0 || write_fd_ >= 0; }
-  std::string_view transport() const override { return "pipe"; }
+
+ protected:
+  /// `read_fd` may equal `write_fd` (a full-duplex socket).
+  DescriptorChannel(int read_fd, int write_fd, bool owns_fds);
 
  private:
+  /// Reads at least one more byte into the buffer, waiting until
+  /// `deadline_us` (steady-clock microseconds; 0 = no deadline).
+  Status Fill(int64_t deadline_us);
+
   int read_fd_;
   int write_fd_;
   bool owns_fds_;
+  /// Set for a non-owned descriptor found in blocking mode.
+  bool read_blocks_ = false;
+  bool write_blocks_ = false;
+  /// Received bytes not yet cut into frames live in [begin_, end_).
+  std::string buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
+
+/// DescriptorChannel over a unidirectional descriptor pair -- the
+/// subprocess transport (parent side: child stdin/stdout; host side: its
+/// own 0/1).
+class PipeChannel final : public DescriptorChannel {
+ public:
+  /// `owns_fds`: close the descriptors on Close()/destruction and make
+  /// them non-blocking. The host side wraps stdin/stdout non-owning.
+  PipeChannel(int read_fd, int write_fd, bool owns_fds)
+      : DescriptorChannel(read_fd, write_fd, owns_fds) {}
+
+  std::string_view transport() const override { return "pipe"; }
 };
 
 // ------------------------------------------------------------ messages ----
@@ -220,10 +242,14 @@ struct ErrorMsg {
 };
 
 struct RunTrialMsg {
-  /// Global trial index: the child SeekTrial()s here before executing, so
-  /// all per-trial nondeterminism is positional (exec/replicable.h) and any
-  /// replica produces the bytes serial dispatch would have.
+  /// Global index of the first trial: the child SeekTrial()s to
+  /// trial_index + k before executing the k-th, so all per-trial
+  /// nondeterminism is positional (exec/replicable.h) and any replica
+  /// produces the bytes serial dispatch would have.
   uint64_t trial_index = 0;
+  /// Trials to run back to back, in [1, kMaxTrialsPerIntervention]; the
+  /// host answers each in order (v5).
+  uint32_t count = 1;
   std::vector<PredicateId> intervened;
   /// Optional trailing SPAN_CONTEXT (telemetry): the engine-side trace and
   /// parent span this trial executes under. Encoded only when
@@ -249,9 +275,10 @@ struct VerdictMsg {
   /// trial.
   PredicateLog log;
   /// Optional trailing host telemetry, sent only when the RUN_TRIAL carried
-  /// a SPAN_CONTEXT: the host clock's timestamp at which the RUN_TRIAL was
-  /// received (the engine's re-basing anchor) and the host-side spans of
-  /// this trial.
+  /// a SPAN_CONTEXT: the host clock's timestamp at which this trial began
+  /// (the RUN_TRIAL's arrival for the first trial of a request, the
+  /// previous answer's departure for the rest; the engine's re-basing
+  /// anchor) and the host-side spans of this trial.
   bool has_host_telemetry = false;
   uint64_t host_recv_us = 0;
   std::vector<WireHostSpan> host_spans;
@@ -273,6 +300,9 @@ Result<ReadyMsg> DecodeReady(std::string_view payload);
 std::string EncodeError(const Status& status);
 Result<ErrorMsg> DecodeError(std::string_view payload);
 std::string EncodeRunTrial(const RunTrialMsg& msg);
+/// Rejects (InvalidArgument) a count of 0 or above
+/// kMaxTrialsPerIntervention: runner children read requests from the
+/// network.
 Result<RunTrialMsg> DecodeRunTrial(std::string_view payload);
 std::string EncodeVerdict(const VerdictMsg& msg);
 /// Rejects (InvalidArgument) a log whose outcome is not kCompleted or whose

@@ -2,7 +2,8 @@
 // thread over pipe pairs, its channel wrapped in a frame-counting
 // decorator. Every trial must be answered by exactly one frame -- a VERDICT
 // carrying the whole predicate log -- however many predicates the trial
-// observed, and the log must equal the in-process execution's.
+// observed and however many trials its request asked for, in trial order,
+// and the log must equal the in-process execution's at its position.
 
 #include "proc/subject_host.h"
 
@@ -17,6 +18,7 @@
 #include "proc/client.h"
 #include "proc/subject_spec.h"
 #include "proc/wire.h"
+#include "synth/flaky_target.h"
 #include "synth/generator.h"
 #include "synth/model.h"
 
@@ -121,25 +123,45 @@ TEST(SubjectHostTest, AnswersEveryTrialWithExactlyOneVerdictFrame) {
   const GroundTruthModel& reference = **model;
   const std::vector<std::vector<PredicateId>> spans = {
       {}, {reference.root_cause()}, {reference.predicates().front()}};
+  // Each span twice: once as three 1-trial requests, once as one 3-trial
+  // request. Either way every trial is answered by exactly one frame.
   size_t largest_log = 0;
   uint64_t trial = 0;
+  uint64_t answered = 0;
   for (const auto& span : spans) {
-    const uint64_t before = counting.total_writes();
-    auto log = RunTrialOverChannel(*conversation.engine, trial++, span,
-                                   *catalog, /*trial_deadline_ms=*/10000);
-    ASSERT_TRUE(log.ok()) << log.status();
-    EXPECT_EQ(counting.total_writes() - before, 1u);
-
-    const PredicateLog expected = reference.Execute(span);
-    EXPECT_EQ(log->failed, expected.failed);
-    EXPECT_TRUE(log->complete());
-    ASSERT_EQ(log->observed.size(), expected.observed.size());
-    for (const auto& [id, obs] : expected.observed) {
-      ASSERT_TRUE(log->Has(id)) << "predicate " << id << " missing";
-      EXPECT_EQ(log->observed.at(id).start, obs.start);
-      EXPECT_EQ(log->observed.at(id).end, obs.end);
+    for (const uint32_t per_request : {1u, 3u}) {
+      for (uint32_t sent = 0; sent < 3; sent += per_request) {
+        const uint64_t before = counting.total_writes();
+        RunTrialMsg request;
+        request.trial_index = trial;
+        request.count = per_request;
+        request.intervened = span;
+        ASSERT_TRUE(conversation.engine
+                        ->Write(ProcMsgType::kRunTrial,
+                                EncodeRunTrial(request))
+                        .ok());
+        for (uint32_t k = 0; k < per_request; ++k, ++trial) {
+          bool in_step = false;
+          auto answer = ReadTrialAnswer(*conversation.engine, trial,
+                                        *catalog, /*deadline_ms=*/10000,
+                                        &in_step);
+          ASSERT_TRUE(answer.ok()) << answer.status();
+          const PredicateLog& log = answer->log;
+          const PredicateLog expected = reference.Execute(span);
+          EXPECT_EQ(log.failed, expected.failed);
+          EXPECT_TRUE(log.complete());
+          ASSERT_EQ(log.observed.size(), expected.observed.size());
+          for (const auto& [id, obs] : expected.observed) {
+            ASSERT_TRUE(log.Has(id)) << "predicate " << id << " missing";
+            EXPECT_EQ(log.observed.at(id).start, obs.start);
+            EXPECT_EQ(log.observed.at(id).end, obs.end);
+          }
+          largest_log = std::max(largest_log, log.observed.size());
+          ++answered;
+        }
+        EXPECT_EQ(counting.total_writes() - before, per_request);
+      }
     }
-    largest_log = std::max(largest_log, log->observed.size());
   }
   // The unintervened run observes most of the catalog: a per-observation
   // stream would have written well over a hundred frames for it.
@@ -148,8 +170,62 @@ TEST(SubjectHostTest, AnswersEveryTrialWithExactlyOneVerdictFrame) {
   ASSERT_TRUE(conversation.engine->Write(ProcMsgType::kShutdown, {}).ok());
   host.join();
   EXPECT_EQ(exit_code, 0);
-  EXPECT_EQ(counting.writes(ProcMsgType::kVerdict), spans.size());
-  EXPECT_EQ(counting.total_writes(), 2u + spans.size());
+  EXPECT_EQ(counting.writes(ProcMsgType::kVerdict), answered);
+  EXPECT_EQ(counting.total_writes(), 2u + answered);
+}
+
+TEST(SubjectHostTest, BatchFollowsEachTrialsPosition) {
+  // A flaky subject: every trial's outcome is a function of its global
+  // index, so a batch answered out of position would show.
+  SyntheticAppOptions options;
+  options.max_threads = 10;
+  options.seed = 5;
+  auto model = GenerateSyntheticApp(options);
+  ASSERT_TRUE(model.ok()) << model.status();
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kFlakyModel;
+  spec.model = model->get();
+  spec.manifest_probability = 0.5;
+  spec.flaky_seed = 9;
+  auto spec_bytes = EncodeSubjectSpec(spec);
+  ASSERT_TRUE(spec_bytes.ok()) << spec_bytes.status();
+
+  Conversation conversation;
+  std::thread host([&]() { RunSubjectHost(*conversation.host); });
+  struct JoinOnExit {
+    Conversation& conversation;
+    std::thread& host;
+    ~JoinOnExit() {
+      conversation.engine->Close();
+      if (host.joinable()) host.join();
+    }
+  } join_on_exit{conversation, host};
+
+  SubjectHandshake handshake;
+  handshake.timeout_ms = 10000;
+  auto catalog = HandshakeSubject(*conversation.engine, *spec_bytes,
+                                  handshake);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+
+  FlakyModelTarget reference(model->get(), 0.5, 9);
+  reference.SeekTrial(40);
+  auto expected = reference.RunIntervened({}, 12);
+  ASSERT_TRUE(expected.ok());
+  RunTrialMsg request;
+  request.trial_index = 40;
+  request.count = 12;
+  ASSERT_TRUE(conversation.engine
+                  ->Write(ProcMsgType::kRunTrial, EncodeRunTrial(request))
+                  .ok());
+  for (size_t k = 0; k < expected->logs.size(); ++k) {
+    bool in_step = false;
+    auto answer = ReadTrialAnswer(*conversation.engine, 40 + k, *catalog,
+                                  /*deadline_ms=*/10000, &in_step);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(answer->log.failed, expected->logs[k].failed) << k;
+    EXPECT_EQ(answer->log.observed.size(), expected->logs[k].observed.size())
+        << k;
+  }
 }
 
 #else  // !AID_PROC_SUPPORTED

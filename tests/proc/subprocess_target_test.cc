@@ -1,18 +1,24 @@
 // Tests of proc::SubprocessTarget end to end against the real
 // aid_subject_host binary: parity with in-process dispatch, crash respawn,
-// deadline kills, replica pooling under exec::ParallelTarget, and the
-// failure-path diagnostics (bad host path, catalog mismatch, crash loops).
+// deadline kills, the batch lifecycle (a failing trial first, in the middle
+// or last in one request, also under exec::ParallelTarget and over a
+// loopback net::RemoteTarget), replica pooling, and the failure-path
+// diagnostics (bad host path, catalog mismatch, crash loops).
 //
 // Skips gracefully on platforms without fork/exec.
 
 #include "proc/subprocess_target.h"
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/parallel_target.h"
+#include "net/remote_target.h"
+#include "net/runner.h"
 #include "proc/wire.h"
 #include "synth/flaky_target.h"
 #include "synth/generator.h"
@@ -158,6 +164,137 @@ TEST(SubprocessTargetTest, HangIsKilledAtDeadlineAndRespawns) {
   EXPECT_EQ((*target)->counters().respawns, 1);
   EXPECT_EQ((*target)->counters().crashed_trials, 0);
 }
+
+// --- batch lifecycle ------------------------------------------------------
+//
+// One RunIntervened call is one RUN_TRIAL for all its trials. A crash or
+// hang at any position of the batch must record that trial only, respawn,
+// and re-send the rest, so outcomes, logs and counters equal what serial
+// dispatch -- one trial per request -- gives at the same positions. Each
+// case runs through a bare SubprocessTarget, through ParallelTarget with
+// two subprocess replicas, and through a RemoteTarget on a loopback runner.
+
+enum class Transport { kSubprocess, kParallel, kRemote };
+enum class Fault { kCrash, kHang };
+
+constexpr uint64_t kFaultPeriod = 7;  // 0-based trial 6 is poisoned
+constexpr int kHangDeadlineMs = 300;
+
+/// Keeps whatever a transport's target borrows alive beside it, declared
+/// so the runner outlives the targets that talk to it.
+struct Harness {
+  std::unique_ptr<Runner> runner;
+  std::unique_ptr<ReplicableTarget> primary;
+  std::unique_ptr<ParallelTarget> pool;
+
+  InterventionTarget* target() {
+    return pool != nullptr ? static_cast<InterventionTarget*>(pool.get())
+                           : primary.get();
+  }
+};
+
+/// A harness whose target's trial cursor starts at `start`.
+Harness MakeHarness(Transport transport, const SubjectSpec& spec,
+                    Fault fault, uint64_t start) {
+  WireReplicaOptions wire;
+  if (fault == Fault::kCrash) {
+    wire.inject_crash_period = kFaultPeriod;
+    wire.trial_deadline_ms = 10000;
+  } else {
+    wire.inject_hang_period = kFaultPeriod;
+    wire.trial_deadline_ms = kHangDeadlineMs;
+  }
+  Harness harness;
+  if (transport == Transport::kRemote) {
+    auto runner = Runner::Start();
+    EXPECT_TRUE(runner.ok()) << runner.status();
+    if (!runner.ok()) return harness;
+    harness.runner = std::move(*runner);
+    RemoteOptions options;
+    static_cast<WireReplicaOptions&>(options) = wire;
+    auto remote =
+        RemoteTarget::Create({harness.runner->endpoint()}, spec, options);
+    EXPECT_TRUE(remote.ok()) << remote.status();
+    if (remote.ok()) harness.primary = std::move(*remote);
+    if (harness.primary != nullptr) harness.primary->SeekTrial(start);
+    return harness;
+  }
+  SubprocessOptions options;
+  static_cast<WireReplicaOptions&>(options) = wire;
+  auto target = SubprocessTarget::Create(spec, options);
+  EXPECT_TRUE(target.ok()) << target.status();
+  if (!target.ok()) return harness;
+  harness.primary = std::move(*target);
+  // A pool's replicas clone the primary's cursor.
+  harness.primary->SeekTrial(start);
+  if (transport == Transport::kParallel) {
+    auto pool = ParallelTarget::Create(harness.primary.get(), 2);
+    EXPECT_TRUE(pool.ok()) << pool.status();
+    if (pool.ok()) harness.pool = std::move(*pool);
+  }
+  return harness;
+}
+
+class BatchLifecycleTest
+    : public ::testing::TestWithParam<std::tuple<Transport, Fault, int>> {};
+
+TEST_P(BatchLifecycleTest, FailingTrialMatchesSerialPositions) {
+  SKIP_WITHOUT_FORK();
+  const auto [transport, fault, position] = GetParam();
+  auto model = MakeModel();
+  // Two 3-trial calls; the poisoned trial sits at `position` of the first.
+  const uint64_t start = kFaultPeriod - 1 - static_cast<uint64_t>(position);
+  Harness harness =
+      MakeHarness(transport, ModelSpec(model.get()), fault, start);
+  InterventionTarget* target = harness.target();
+  ASSERT_NE(target, nullptr);
+
+  const std::vector<std::vector<PredicateId>> calls = {
+      {}, {model->root_cause()}};
+  uint64_t index = start;
+  for (const auto& span : calls) {
+    auto result = target->RunIntervened(span, 3);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->logs.size(), 3u);
+    for (const PredicateLog& log : result->logs) {
+      if ((index + 1) % kFaultPeriod == 0) {
+        EXPECT_TRUE(log.failed) << "trial " << index;
+        EXPECT_EQ(log.outcome, fault == Fault::kCrash
+                                   ? TrialOutcome::kCrashed
+                                   : TrialOutcome::kTimedOut)
+            << "trial " << index;
+        EXPECT_TRUE(log.observed.empty()) << "trial " << index;
+      } else {
+        ExpectLogsEqual(log, model->Execute(span));
+      }
+      ++index;
+    }
+  }
+  const SubstrateCounters counters = target->counters();
+  EXPECT_EQ(counters.executions, 6u);
+  EXPECT_EQ(counters.crashed_trials, fault == Fault::kCrash ? 1u : 0u);
+  EXPECT_EQ(counters.timed_out_trials, fault == Fault::kHang ? 1u : 0u);
+  EXPECT_EQ(counters.respawns, 1u);
+}
+
+std::string BatchCaseName(
+    const ::testing::TestParamInfo<BatchLifecycleTest::ParamType>& info) {
+  static const char* const kTransports[] = {"Subprocess", "Parallel",
+                                            "Remote"};
+  static const char* const kPositions[] = {"First", "Middle", "Last"};
+  return std::string(kTransports[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) == Fault::kCrash ? "Crash" : "Hang") +
+         kPositions[std::get<2>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FirstMiddleLast, BatchLifecycleTest,
+    ::testing::Combine(::testing::Values(Transport::kSubprocess,
+                                         Transport::kParallel,
+                                         Transport::kRemote),
+                       ::testing::Values(Fault::kCrash, Fault::kHang),
+                       ::testing::Values(0, 1, 2)),
+    BatchCaseName);
 
 TEST(SubprocessTargetTest, CrashLoopAbortsAtMaxRespawns) {
   SKIP_WITHOUT_FORK();
